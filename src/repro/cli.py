@@ -42,7 +42,16 @@ _DROP_ITEMS = {
 
 
 def _parse_schemes(raw: str) -> List[UpdateScheme]:
-    return [UpdateScheme.from_name(name.strip()) for name in raw.split(",") if name.strip()]
+    schemes = [UpdateScheme.from_name(name.strip()) for name in raw.split(",") if name.strip()]
+    if not schemes:
+        raise ValueError(f"no scheme named in {raw!r}")
+    return schemes
+
+
+def _bad_input(message: str) -> int:
+    """Report bad command-line input as one stderr line; exit status 2."""
+    print(message, file=sys.stderr)
+    return 2
 
 
 # ----------------------------------------------------------------------
@@ -70,10 +79,14 @@ def cmd_list(_args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    schemes = _parse_schemes(args.schemes)
     if args.benchmark not in SPEC_PROFILES:
-        print(f"unknown benchmark {args.benchmark!r}; see `plp-repro list`", file=sys.stderr)
-        return 2
+        return _bad_input(f"unknown benchmark {args.benchmark!r}; see `plp-repro list`")
+    if args.ki <= 0:
+        return _bad_input(f"--ki must be positive, got {args.ki}")
+    try:
+        schemes = _parse_schemes(args.schemes)
+    except ValueError as exc:
+        return _bad_input(str(exc))
     jobs = [
         SweepJob.make(
             args.benchmark,
@@ -105,11 +118,20 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scheme = UpdateScheme.from_name(args.scheme)
-    values = [int(v) for v in args.values.split(",")]
+    if args.benchmark not in SPEC_PROFILES:
+        return _bad_input(f"unknown benchmark {args.benchmark!r}; see `plp-repro list`")
+    if args.ki <= 0:
+        return _bad_input(f"--ki must be positive, got {args.ki}")
     if not hasattr(SystemConfig(), args.param):
-        print(f"unknown SystemConfig parameter {args.param!r}", file=sys.stderr)
-        return 2
+        return _bad_input(f"unknown SystemConfig parameter {args.param!r}")
+    try:
+        scheme = UpdateScheme.from_name(args.scheme)
+    except ValueError as exc:
+        return _bad_input(str(exc))
+    try:
+        values = [int(v) for v in args.values.split(",")]
+    except ValueError:
+        return _bad_input(f"--values must be comma-separated integers, got {args.values!r}")
     jobs = [
         SweepJob.make(
             args.benchmark,
@@ -120,6 +142,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for value in values
         for name in ("secure_wb", scheme.value)
     ]
+    try:
+        for job in jobs:
+            job.resolved_config()
+    except ValueError as exc:
+        return _bad_input(f"invalid {args.param} value: {exc}")
     if args.shards > 1:
         # Scale-out mode: each simulation is split at epoch-drain
         # boundaries and run across the persistent worker pool, merged
@@ -164,11 +191,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.stream is not None:
         return _trace_stream(args)
     if args.benchmark is None:
-        print("benchmark required (or use --inspect/--stream)", file=sys.stderr)
-        return 2
+        return _bad_input("benchmark required (or use --inspect/--stream)")
     if args.benchmark not in SPEC_PROFILES:
-        print(f"unknown benchmark {args.benchmark!r}; see `plp-repro list`", file=sys.stderr)
-        return 2
+        return _bad_input(f"unknown benchmark {args.benchmark!r}; see `plp-repro list`")
     trace = cached_profile_trace(args.benchmark, args.ki, args.seed)
     if args.out is not None:
         if args.format == "binary":
@@ -242,8 +267,7 @@ def _trace_stream(args: argparse.Namespace) -> int:
     )
 
     if args.out is None:
-        print("--stream requires --out", file=sys.stderr)
-        return 2
+        return _bad_input("--stream requires --out")
     kind = args.stream
     if kind == "synthetic":
         # synthetic_ops sizes the trace in kilo-instructions; ~300 ops/KI
@@ -461,8 +485,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         "fig10": (["o3", "coalescing"], False),
     }
     if args.name not in figures:
-        print(f"unknown figure {args.name!r}; choose from {sorted(figures)}", file=sys.stderr)
-        return 2
+        return _bad_input(f"unknown figure {args.name!r}; choose from {sorted(figures)}")
     schemes, log2 = figures[args.name]
     rows = []
     for bench in SPEC_PROFILES:
@@ -491,8 +514,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     from repro.telemetry.export import render_timeline, write_chrome_trace, write_jsonl
 
     if args.benchmark not in SPEC_PROFILES:
-        print(f"unknown benchmark {args.benchmark!r}; see `plp-repro list`", file=sys.stderr)
-        return 2
+        return _bad_input(f"unknown benchmark {args.benchmark!r}; see `plp-repro list`")
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     report = run_timeline(
         args.benchmark,

@@ -41,7 +41,7 @@ stepped on ``SimResult``s *and* telemetry streams for all schemes.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -55,6 +55,50 @@ _EV_STORE = 1
 _EV_FLUSH = 2
 
 _WINDOW_CAPACITY = 512
+
+# BMT update-walk policies of a metadata replay.
+WALK_WRITEBACK = "writeback"  # every dirty write-back walks its full path
+WALK_FULL = "full"  # every persist walks its full leaf-to-root path
+WALK_LCA = "lca"  # epoch flushes walk paired-LCA-truncated paths
+
+
+class ReplayShape(NamedTuple):
+    """What a scheme contributes to the functional prepass and script.
+
+    ``cls`` is the prepass persistency class — ``"wb"`` (write-back),
+    ``"wt"`` (write-through) or ``"ep"`` (epoch) — and ``epoch_size``
+    its epoch length (``None`` outside ``"ep"``); ``walk`` is the BMT
+    update-walk policy of the metadata replay.  Runs of one trace under
+    one cache/metadata config with equal shapes replay into the same
+    event partition and the same :class:`MetadataScript`.
+    """
+
+    cls: str
+    epoch_size: Optional[int]
+    walk: str
+
+
+def replay_shape(config) -> ReplayShape:
+    """The replay shape of a run under ``config``.
+
+    The only code that maps a scheme to replay behaviour: the prepass,
+    the metadata replay and both memo keys are built from it, on the
+    memoized, streamed and sharded paths alike.  Every scheme other
+    than ``secure_wb`` and ``coalescing`` walks the full path once per
+    persist (DESIGN.md §4g, scheme-zoo invariant 2), so they share the
+    ``WALK_FULL`` policy; a scheme whose scoreboard walks a truncated
+    path needs a policy of its own here.
+    """
+    scheme = config.scheme
+    if scheme is UpdateScheme.SECURE_WB:
+        walk = WALK_WRITEBACK
+    elif scheme is UpdateScheme.COALESCING:
+        walk = WALK_LCA
+    else:
+        walk = WALK_FULL
+    if scheme.uses_epochs:
+        return ReplayShape("ep", config.epoch_size, walk)
+    return ReplayShape("wt" if scheme.write_through else "wb", None, walk)
 
 
 class PrepassResult:
@@ -86,13 +130,6 @@ def _cache_dims(size_bytes: int, assoc: int) -> Tuple[int, Optional[int], int]:
     return num_sets, mask, assoc
 
 
-def _blocks_of(trace: MemoryTrace) -> List[int]:
-    if not len(trace):
-        return []
-    addresses = np.frombuffer(memoryview(trace.addresses), dtype=np.uint64)
-    return (addresses >> np.uint64(6)).tolist()
-
-
 def _blocks_of_column(addresses) -> List[int]:
     if not len(addresses):
         return []
@@ -101,16 +138,24 @@ def _blocks_of_column(addresses) -> List[int]:
 
 
 class FunctionalPrepass:
-    """Chunk-resumable functional replay of the replacement state.
+    """Chunk-resumable, timing-free replay of the replacement state.
 
-    The stateful core of the prepass: the L1/L2/L3 replacement
-    dictionaries, the dirty-residency window, the epoch dirty sets and
-    the hit/miss counters all live on the instance, and :meth:`feed`
-    advances them over one packed column chunk at a time, returning the
-    eventful-op partition for just that chunk.  Feeding a whole trace in
-    one call reproduces ``_functional_prepass`` exactly (the wrapper
-    below does just that); feeding segment-sized chunks is how the
-    streaming and sharded paths bound their memory.  The state is plain
+    This mirrors, operation for operation, the functional half of the
+    scalar loop: LRU movement and eviction in the three data-cache
+    levels (:class:`~repro.mem.cache.Cache` semantics, down to the
+    dirty-bit and counter behaviour of ``access``/``fill``/``probe``/
+    ``clean``), the bounded dirty-residency window, and the epoch dirty
+    sets.  None of these ever read the clock, which is what makes the
+    factorization sound; the proof obligation is discharged empirically
+    by the differential harness.
+
+    The L1/L2/L3 replacement dictionaries, the dirty-residency window,
+    the epoch dirty sets and the hit/miss counters all live on the
+    instance, and :meth:`feed` advances them over one packed column
+    chunk at a time, returning the eventful-op partition for just that
+    chunk.  The memoized path (:func:`_prepass_for`) feeds the whole
+    trace in one call; the streaming and sharded paths feed
+    segment-sized chunks to bound their memory.  The state is plain
     dicts/lists, so :meth:`export_state`/:meth:`load_state` can hand a
     shard's end state to the worker simulating the next shard.
     """
@@ -133,24 +178,16 @@ class FunctionalPrepass:
         "_next_idx",
     )
 
-    def __init__(
-        self,
-        cls: str,
-        epoch_size: Optional[int],
-        protect_stack: bool,
-        dims1: Tuple[int, Optional[int], int],
-        dims2: Tuple[int, Optional[int], int],
-        dims3: Tuple[int, Optional[int], int],
-    ) -> None:
-        self.cls = cls
-        self.epoch_size = epoch_size
-        self.protect_stack = protect_stack
-        self._dims1 = dims1
-        self._dims2 = dims2
-        self._dims3 = dims3
-        self._l1 = [{} for _ in range(dims1[0])]
-        self._l2 = [{} for _ in range(dims2[0])]
-        self._l3 = [{} for _ in range(dims3[0])]
+    def __init__(self, shape: ReplayShape, config) -> None:
+        self.cls = shape.cls
+        self.epoch_size = shape.epoch_size
+        self.protect_stack = config.protect_stack
+        self._dims1 = _cache_dims(config.l1_bytes, config.l1_assoc)
+        self._dims2 = _cache_dims(config.l2_bytes, config.l2_assoc)
+        self._dims3 = _cache_dims(config.l3_bytes, config.l3_assoc)
+        self._l1 = [{} for _ in range(self._dims1[0])]
+        self._l2 = [{} for _ in range(self._dims2[0])]
+        self._l3 = [{} for _ in range(self._dims3[0])]
         # Dirty-residency window, primed exactly like the simulator's.
         self._window = {0x100000 + i * 9: None for i in range(_WINDOW_CAPACITY)}
         self._ep_count = 0
@@ -428,57 +465,13 @@ class FunctionalPrepass:
         return events
 
 
-def _functional_prepass(
-    trace: MemoryTrace,
-    cls: str,
-    epoch_size: Optional[int],
-    protect_stack: bool,
-    dims1: Tuple[int, Optional[int], int],
-    dims2: Tuple[int, Optional[int], int],
-    dims3: Tuple[int, Optional[int], int],
-) -> PrepassResult:
-    """One timing-free replay of the replacement + persistency state.
-
-    This mirrors, operation for operation, the functional half of the
-    scalar loop: LRU movement and eviction in the three data-cache
-    levels (:class:`~repro.mem.cache.Cache` semantics, down to the
-    dirty-bit and counter behaviour of ``access``/``fill``/``probe``/
-    ``clean``), the bounded dirty-residency window, and the epoch dirty
-    sets.  None of these ever read the clock, which is what makes the
-    factorization sound; the proof obligation is discharged empirically
-    by the differential harness.
-
-    Thin wrapper over :class:`FunctionalPrepass` feeding the whole
-    trace as one chunk — the memoized whole-trace path and the chunked
-    streaming path share the same replay code.
-    """
-    pre = FunctionalPrepass(cls, epoch_size, protect_stack, dims1, dims2, dims3)
-    events = pre.feed(trace.kind_codes, trace.addresses, trace.persistent_flags)
-    events.extend(pre.finish())
-    return PrepassResult(events, pre.counters)
-
-
-def _prepass_for(sim, trace: MemoryTrace) -> PrepassResult:
-    """Fetch (or compute and memoize) the trace's functional prepass.
-
-    The memo rides on ``trace._stat_cache`` so it is invalidated
-    whenever the trace mutates, shared across every simulation of the
-    same trace under the same cache/persistency shape, and inherited
-    for free by forked sweep-pool workers.
-    """
-    cfg = sim.config
-    scheme = sim.scheme
-    if scheme.uses_epochs:
-        cls: str = "ep"
-        esize: Optional[int] = cfg.epoch_size
-    elif scheme.write_through:
-        cls, esize = "wt", None
-    else:
-        cls, esize = "wb", None
-    key = (
+def _prepass_key(shape: ReplayShape, cfg) -> tuple:
+    """Memo key of the functional prepass: everything that shapes the
+    event partition."""
+    return (
         "batched_prepass",
-        cls,
-        esize,
+        shape.cls,
+        shape.epoch_size,
         cfg.protect_stack,
         cfg.l1_bytes,
         cfg.l1_assoc,
@@ -487,32 +480,42 @@ def _prepass_for(sim, trace: MemoryTrace) -> PrepassResult:
         cfg.l3_bytes,
         cfg.l3_assoc,
     )
+
+
+def _prepass_for(sim, trace: MemoryTrace) -> PrepassResult:
+    """Fetch (or compute and memoize) the trace's functional prepass.
+
+    The memo rides on ``trace._stat_cache`` so it is invalidated
+    whenever the trace mutates, shared across every simulation of the
+    same trace under the same cache/persistency shape, and inherited
+    for free by forked sweep-pool workers.  A build feeds the whole
+    trace to one :class:`FunctionalPrepass`, so the memoized and the
+    chunked paths share the same replay code.
+    """
+    cfg = sim.config
+    shape = replay_shape(cfg)
+    key = _prepass_key(shape, cfg)
     memo = trace._stat_cache
     pre = memo.get(key)
     if pre is None:
-        pre = _functional_prepass(
-            trace,
-            cls,
-            esize,
-            cfg.protect_stack,
-            _cache_dims(cfg.l1_bytes, cfg.l1_assoc),
-            _cache_dims(cfg.l2_bytes, cfg.l2_assoc),
-            _cache_dims(cfg.l3_bytes, cfg.l3_assoc),
-        )
+        fp = FunctionalPrepass(shape, cfg)
+        events = fp.feed(trace.kind_codes, trace.addresses, trace.persistent_flags)
+        events.extend(fp.finish())
+        pre = PrepassResult(events, fp.counters)
         memo[key] = pre
     return pre
 
 
 class MetadataScript:
-    """Precomputed metadata-cache outcomes for one run shape.
+    """Precomputed metadata-cache outcomes for one replay shape.
 
     The metadata caches see a deterministic access sequence: every
     access happens inside an eventful op's handler, the events come in
     trace order, and each handler's internal sequence is fixed by the
-    scheme.  None of the lookup *outcomes* depend on the clock — only
-    the latencies charged for them do — so everything the handlers ask
-    of the metadata layer can be replayed from precomputed streams in
-    pass 2 instead of live LRU caches:
+    BMT-walk policy.  None of the lookup *outcomes* depend on the clock
+    — only the latencies charged for them do — so everything the
+    handlers ask of the metadata layer can be replayed from precomputed
+    streams in pass 2 instead of live LRU caches:
 
     * ``stream`` — hit/miss booleans for counter reads/writes, MAC
       reads/writes, and the load path's BMT read walks, in call order;
@@ -573,18 +576,18 @@ class MetadataReplay:
 
     * write-back of a victim: counter W, MAC W (``_metadata_update``),
       tuple writes through the combiner, plus a full-path BMT update
-      walk under ``secure_wb``;
+      walk under the ``WALK_WRITEBACK`` policy (``secure_wb``);
     * a load's NVM fill: counter R, MAC R, then a BMT read walk that
       stops at the first cached node (or the pinned root);
     * a write-through persist: counter W, MAC W, tuple writes, and a
       full-path BMT walk;
     * an epoch flush: counter W + MAC W + tuple writes per dirty block
       in first-store order, then one BMT update walk per persist — the
-      full path under o3, the LCA-truncated path under coalescing (the
-      truncation is a pure function of the leaf sequence;
-      ``CoalescingUnit.now`` only stamps telemetry, which is off
-      whenever the script is in use; empty coalesced paths never reach
-      ``_level_costs``, so they add no walk entry).
+      full path under ``WALK_FULL`` (o3), the LCA-truncated path under
+      ``WALK_LCA`` (coalescing; the truncation is a pure function of
+      the leaf sequence; ``CoalescingUnit.now`` only stamps telemetry,
+      which is off whenever the script is in use; empty coalesced paths
+      never reach ``_level_costs``, so they add no walk entry).
 
     BMT update walks are resolved all the way to per-node cost lists
     (MAC latency, plus the miss penalty on a BMT cache miss) so pass 2
@@ -592,10 +595,12 @@ class MetadataReplay:
     call.  The pinned root (label 0) costs one MAC latency and never
     touches the cache, matching ``access_bmt_node``.
 
+    The replay reads no scheme: ``walk`` (a :class:`ReplayShape` walk
+    policy) and the metadata fields of ``config`` fix its output.
     :meth:`feed` consumes one chunk of prepass events and buffers the
-    scripted outcomes; :meth:`take` drains the buffers.  Feeding the
-    whole event partition at once reproduces ``_metadata_replay``
-    exactly.  The cache sets, stats and combiner dict are plain
+    scripted outcomes; :meth:`take` drains the buffers.  The memoized
+    path (:func:`_metadata_script_for`) feeds the whole event partition
+    at once.  The cache sets, stats and combiner dict are plain
     containers, so :meth:`export_state`/:meth:`load_state` support the
     shard handoff (the coalescer is stateless across epochs and is
     simply rebuilt by the receiving worker).
@@ -603,7 +608,7 @@ class MetadataReplay:
 
     __slots__ = (
         "boundary",
-        "scheme",
+        "walk",
         "_geometry",
         "_bpcb",
         "_mac_latency",
@@ -619,46 +624,34 @@ class MetadataReplay:
         "_bmt_stats",
         "_comb",
         "_coalescer",
-        "_secure_wb",
         "_stream",
         "_walks",
         "_comb_stream",
     )
 
-    def __init__(
-        self,
-        boundary: int,
-        scheme: UpdateScheme,
-        geometry,
-        bpcb: int,
-        mac_latency: int,
-        miss_latency: int,
-        dims_ctr: Tuple[int, Optional[int], int],
-        dims_mac: Tuple[int, Optional[int], int],
-        dims_bmt: Tuple[int, Optional[int], int],
-    ) -> None:
+    def __init__(self, walk: str, config, boundary: int) -> None:
         self.boundary = boundary
-        self.scheme = scheme
+        self.walk = walk
+        geometry = config.geometry()
         self._geometry = geometry
-        self._bpcb = bpcb
-        self._mac_latency = mac_latency
-        self._miss_cost = mac_latency + miss_latency
-        self._dims_ctr = dims_ctr
-        self._dims_mac = dims_mac
-        self._dims_bmt = dims_bmt
-        self._ctr_sets = [{} for _ in range(dims_ctr[0])]
+        self._bpcb = config.blocks_per_counter_block
+        self._mac_latency = config.mac_latency
+        self._miss_cost = config.mac_latency + config.nvm.read_latency
+        self._dims_ctr = _cache_dims(config.counter_cache_bytes, config.metadata_assoc)
+        self._dims_mac = _cache_dims(config.mac_cache_bytes, config.metadata_assoc)
+        self._dims_bmt = _cache_dims(config.bmt_cache_bytes, config.metadata_assoc)
+        self._ctr_sets = [{} for _ in range(self._dims_ctr[0])]
         self._ctr_stats = [0, 0, 0, 0]  # hits, misses, evictions, dirty
-        self._mac_sets = [{} for _ in range(dims_mac[0])]
+        self._mac_sets = [{} for _ in range(self._dims_mac[0])]
         self._mac_stats = [0, 0, 0, 0]
-        self._bmt_sets = [{} for _ in range(dims_bmt[0])]
+        self._bmt_sets = [{} for _ in range(self._dims_bmt[0])]
         self._bmt_stats = [0, 0, 0, 0]
         # The WPQ write-combiner (timing.{_WriteCombiner,_tuple_writes}):
         # a 16-entry LRU over (kind, block) keys, insertion order = LRU.
         self._comb: dict = {}
-        self._secure_wb = scheme is UpdateScheme.SECURE_WB
         self._coalescer = (
             CoalescingUnit(geometry, policy="paired", telemetry=None)
-            if scheme is UpdateScheme.COALESCING
+            if walk == WALK_LCA
             else None
         )
         self._stream: List[bool] = []
@@ -717,7 +710,7 @@ class MetadataReplay:
         mac_latency = self._mac_latency
         miss_cost = self._miss_cost
         boundary = self.boundary
-        secure_wb = self._secure_wb
+        walk_writebacks = self.walk == WALK_WRITEBACK
         coalescer = self._coalescer
         comb = self._comb
         walks = self._walks
@@ -755,7 +748,7 @@ class MetadataReplay:
             emit(ctr(victim // bpcb, True))
             emit(mac(victim >> 3, True))
             tuple_writes(victim)
-            if secure_wb:
+            if walk_writebacks:
                 bmt_update_walk(path_tuple(victim // bpcb % num_leaves))
 
         def flush(blocks) -> None:
@@ -806,59 +799,31 @@ class MetadataReplay:
                 flush(ev[6])
 
 
-def _metadata_replay(
-    events: List[tuple],
-    boundary: int,
-    scheme: UpdateScheme,
-    geometry,
-    bpcb: int,
-    mac_latency: int,
-    miss_latency: int,
-    dims_ctr: Tuple[int, Optional[int], int],
-    dims_mac: Tuple[int, Optional[int], int],
-    dims_bmt: Tuple[int, Optional[int], int],
-) -> MetadataScript:
-    """Replay the whole event partition in one :class:`MetadataReplay`
-    feed — the memoized whole-trace script and the chunked streaming
-    path share the same replay code."""
-    md = MetadataReplay(
-        boundary,
-        scheme,
-        geometry,
-        bpcb,
-        mac_latency,
-        miss_latency,
-        dims_ctr,
-        dims_mac,
-        dims_bmt,
-    )
-    md.feed(events)
-    stream, walks, comb_stream = md.take()
-    return MetadataScript(stream, walks, comb_stream, md.counts)
-
-
 def _metadata_script_for(sim, trace: MemoryTrace, boundary: int) -> MetadataScript:
     """Fetch (or compute and memoize) the metadata hit/miss script.
 
-    Keyed alongside the functional prepass on everything that shapes the
-    event partition, plus the metadata geometry, the scheme (which fixes
-    each event's access sequence), and the warmup boundary (window
-    displacements inside the warmup emit no writeback accesses).
+    Keyed on the run's replay shape, not its scheme: the prepass key
+    (everything that shapes the event partition), plus the BMT-walk
+    policy, the warmup boundary (window displacements inside the warmup
+    emit no writeback accesses) and the metadata fields the replay
+    reads.  The eight write-through schemes (class ``"wt"``, policy
+    ``WALK_FULL``) therefore share one script per (trace, config).
+    Sharing is sound because of the scheme-zoo invariant (2) in
+    DESIGN.md: each of those scoreboards
+    calls ``_level_costs`` exactly once per persist with the full path,
+    so all of them consume the same access sequence, and
+    ``run_batched``'s consumed-exactly check verifies that on every
+    run.  A future scheme whose scoreboard walks a truncated path needs
+    its own walk policy in :func:`replay_shape`.
     """
     cfg = sim.config
     geometry = sim.geometry
+    shape = replay_shape(cfg)
     key = (
         "batched_mdscript",
-        sim.scheme.value,
+        _prepass_key(shape, cfg),
+        shape.walk,
         boundary,
-        cfg.epoch_size if sim.scheme.uses_epochs else None,
-        cfg.protect_stack,
-        cfg.l1_bytes,
-        cfg.l1_assoc,
-        cfg.l2_bytes,
-        cfg.l2_assoc,
-        cfg.l3_bytes,
-        cfg.l3_assoc,
         cfg.counter_cache_bytes,
         cfg.mac_cache_bytes,
         cfg.bmt_cache_bytes,
@@ -873,18 +838,10 @@ def _metadata_script_for(sim, trace: MemoryTrace, boundary: int) -> MetadataScri
     memo = trace._stat_cache
     script = memo.get(key)
     if script is None:
-        script = _metadata_replay(
-            _prepass_for(sim, trace).events,
-            boundary,
-            sim.scheme,
-            geometry,
-            cfg.blocks_per_counter_block,
-            cfg.mac_latency,
-            cfg.nvm.read_latency,
-            _cache_dims(cfg.counter_cache_bytes, cfg.metadata_assoc),
-            _cache_dims(cfg.mac_cache_bytes, cfg.metadata_assoc),
-            _cache_dims(cfg.bmt_cache_bytes, cfg.metadata_assoc),
-        )
+        md = MetadataReplay(shape.walk, cfg, boundary)
+        md.feed(_prepass_for(sim, trace).events)
+        stream, walks, comb_stream = md.take()
+        script = MetadataScript(stream, walks, comb_stream, md.counts)
         memo[key] = script
     return script
 

@@ -29,7 +29,7 @@ timed handlers are the same code either way.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -38,50 +38,11 @@ from repro.sim.batched import (
     MetadataReplay,
     _EV_LOAD,
     _EV_STORE,
-    _cache_dims,
     _record_epoch,
     _ScriptedCombiner,
+    replay_shape,
 )
 from repro.workloads.trace import KIND_SFENCE
-
-
-def prepass_class_of(scheme, config) -> Tuple[str, Optional[int]]:
-    """The (persistency class, epoch size) pair shaping the prepass."""
-    if scheme.uses_epochs:
-        return "ep", config.epoch_size
-    if scheme.write_through:
-        return "wt", None
-    return "wb", None
-
-
-def make_prepass(sim) -> FunctionalPrepass:
-    """A fresh chunk-resumable prepass matching ``sim``'s config."""
-    cfg = sim.config
-    cls, esize = prepass_class_of(sim.scheme, cfg)
-    return FunctionalPrepass(
-        cls,
-        esize,
-        cfg.protect_stack,
-        _cache_dims(cfg.l1_bytes, cfg.l1_assoc),
-        _cache_dims(cfg.l2_bytes, cfg.l2_assoc),
-        _cache_dims(cfg.l3_bytes, cfg.l3_assoc),
-    )
-
-
-def make_metadata_replay(sim, boundary: int) -> MetadataReplay:
-    """A fresh chunk-resumable metadata replay matching ``sim``'s config."""
-    cfg = sim.config
-    return MetadataReplay(
-        boundary,
-        sim.scheme,
-        sim.geometry,
-        cfg.blocks_per_counter_block,
-        cfg.mac_latency,
-        cfg.nvm.read_latency,
-        _cache_dims(cfg.counter_cache_bytes, cfg.metadata_assoc),
-        _cache_dims(cfg.mac_cache_bytes, cfg.metadata_assoc),
-        _cache_dims(cfg.bmt_cache_bytes, cfg.metadata_assoc),
-    )
 
 
 def chunk_ticks(chunk) -> Tuple[list, int, list]:
@@ -178,12 +139,13 @@ def run_batched_stream(sim, source, warmup_fraction: float, segment_ops=None):
 
     name, n = _source_name_len(source)
     boundary = int(n * warmup_fraction)
-    pre = make_prepass(sim)
+    shape = replay_shape(sim.config)
+    pre = FunctionalPrepass(shape, sim.config)
 
     md = None
     feed = None
     if wants_script(sim):
-        md = make_metadata_replay(sim, boundary)
+        md = MetadataReplay(shape.walk, sim.config, boundary)
         feed = ScriptFeed(sim)
 
     epochs = sim.epochs

@@ -48,8 +48,8 @@ from repro.sim.batched import (
     MetadataReplay,
     _EV_LOAD,
     _EV_STORE,
-    _cache_dims,
     _record_epoch,
+    replay_shape,
 )
 from repro.sim.stream import ScriptFeed, chunk_ticks, wants_script
 from repro.system.config import SystemConfig
@@ -142,7 +142,8 @@ def plan_shards(source: TraceSource, shards: int, config: SystemConfig) -> List[
         return []
     targets = sorted({(w * n) // shards for w in range(1, shards)})
     targets = [t for t in targets if 0 < t < n]
-    if not config.scheme.uses_epochs:
+    shape = replay_shape(config)
+    if shape.cls != "ep":
         return targets
     kinds, flags = _scan_columns(kind, payload)
     if config.protect_stack:
@@ -151,7 +152,7 @@ def plan_shards(source: TraceSource, shards: int, config: SystemConfig) -> List[
         qualifying = (kinds == KIND_STORE) & (flags != 0)
     cum_q = np.cumsum(qualifying, dtype=np.int64)
     sfence_pos = np.nonzero(kinds == KIND_SFENCE)[0]
-    esize = config.epoch_size
+    esize = shape.epoch_size
     qual_list = qualifying  # numpy bool array; scalar reads below
     kind_arr = kinds
     splits: List[int] = []
@@ -296,40 +297,6 @@ def _unpack_script(art: ShardArtifact):
     return stream, walks, comb
 
 
-def _make_worker_prepass(config: SystemConfig) -> FunctionalPrepass:
-    scheme = config.scheme
-    if scheme.uses_epochs:
-        cls: str = "ep"
-        esize: Optional[int] = config.epoch_size
-    elif scheme.write_through:
-        cls, esize = "wt", None
-    else:
-        cls, esize = "wb", None
-    return FunctionalPrepass(
-        cls,
-        esize,
-        config.protect_stack,
-        _cache_dims(config.l1_bytes, config.l1_assoc),
-        _cache_dims(config.l2_bytes, config.l2_assoc),
-        _cache_dims(config.l3_bytes, config.l3_assoc),
-    )
-
-
-def _make_worker_replay(config: SystemConfig, boundary: int) -> MetadataReplay:
-    geometry = config.geometry()
-    return MetadataReplay(
-        boundary,
-        config.scheme,
-        geometry,
-        config.blocks_per_counter_block,
-        config.mac_latency,
-        config.nvm.read_latency,
-        _cache_dims(config.counter_cache_bytes, config.metadata_assoc),
-        _cache_dims(config.mac_cache_bytes, config.metadata_assoc),
-        _cache_dims(config.bmt_cache_bytes, config.metadata_assoc),
-    )
-
-
 def _shard_worker(payload) -> Tuple[ShardArtifact, tuple]:
     """Advance the functional chain over one shard (pool worker body).
 
@@ -351,14 +318,15 @@ def _shard_worker(payload) -> Tuple[ShardArtifact, tuple]:
         instr_base,
         is_last,
     ) = payload
-    pre = _make_worker_prepass(config)
+    shape = replay_shape(config)
+    pre = FunctionalPrepass(shape, config)
     if pre_state is not None:
         pre.load_state(pre_state)
     if pre.next_index != start:
         raise RuntimeError(
             f"shard state ends at op {pre.next_index}, shard starts at {start}"
         )
-    md = _make_worker_replay(config, boundary) if scripted else None
+    md = MetadataReplay(shape.walk, config, boundary) if scripted else None
     if md is not None and md_state is not None:
         md.load_state(md_state)
     pre_before = pre.counters

@@ -66,6 +66,40 @@ def test_sweep_unknown_param_fails(capsys):
     assert "unknown SystemConfig parameter" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("run", "gamess", "--schemes", "sp,bogus"), "unknown scheme 'bogus'"),
+        (("sweep", "--scheme", "nope"), "unknown scheme 'nope'"),
+        (("run", "gamess", "--schemes", ","), "no scheme named"),
+        (("sweep", "--values", "4,x"), "comma-separated integers"),
+        (
+            ("sweep", "--param", "wpq_entries", "--values", "0"),
+            "wpq_entries must be positive",
+        ),
+        (("run", "gamess", "--ki", "0"), "--ki must be positive"),
+        (("sweep", "--ki", "-1"), "--ki must be positive"),
+        (("sweep", "--benchmark", "doom"), "unknown benchmark"),
+    ],
+    ids=[
+        "run-unknown-scheme",
+        "sweep-unknown-scheme",
+        "run-empty-schemes",
+        "sweep-non-integer-values",
+        "sweep-invalid-config-value",
+        "run-zero-ki",
+        "sweep-negative-ki",
+        "sweep-unknown-benchmark",
+    ],
+)
+def test_bad_input_exits_2_with_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert err.count("\n") == 1
+
+
 def test_crash_broken_mode_shows_failure(capsys):
     code, out, _ = run_cli(capsys, "crash", "--drop", "counter")
     assert code == 0

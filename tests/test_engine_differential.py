@@ -120,6 +120,34 @@ def test_cache_event_streams_identical(scheme):
     assert out["batched"] == out["skip_ahead"] == out["stepped"]
 
 
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_schemes_share_metadata_scripts_by_replay_shape(order):
+    """Every scheme on one shared trace: results match a fresh-trace
+    skip_ahead run, and the memo holds one script per replay shape.
+
+    The memo is keyed on the replay shape, not the scheme, so the eight
+    full-walk write-through schemes share one script; with secure_wb,
+    o3 and coalescing that makes four.  Running the schemes in both
+    orders changes which scheme builds each shared script and which
+    ones replay it.
+    """
+    from repro.sim.batched import MetadataScript
+
+    schemes = ALL_SCHEMES if order == "forward" else ALL_SCHEMES[::-1]
+    shared = _trace("gcc")
+    for scheme in schemes:
+        config = SystemConfig(scheme=scheme)
+        batched = TraceSimulator(config).run(shared)
+        reference = TraceSimulator(config.variant(engine="skip_ahead")).run(_trace("gcc"))
+        assert batched == reference, scheme.value
+    scripts = {
+        id(value)
+        for value in shared._stat_cache.values()
+        if isinstance(value, MetadataScript)
+    }
+    assert len(scripts) == 4
+
+
 @pytest.mark.parametrize("engine", ["batched", "skip_ahead", "stepped"])
 @pytest.mark.parametrize(
     "scheme",
