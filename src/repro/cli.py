@@ -54,6 +54,19 @@ def _bad_input(message: str) -> int:
     return 2
 
 
+def _names(raw: Optional[str], default) -> List[str]:
+    """A comma-separated name list option, or ``default`` when unset."""
+    return [name.strip() for name in raw.split(",") if name.strip()] if raw else list(default)
+
+
+def _unknown(kind: str, names: Sequence[str], known) -> Optional[str]:
+    """Bad-input message for the first of ``names`` not in ``known``."""
+    for name in names:
+        if name not in known:
+            return f"unknown {kind} {name!r} (known: {', '.join(sorted(known))})"
+    return None
+
+
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -327,25 +340,26 @@ def cmd_crash_campaign(args: argparse.Namespace) -> int:
         WORKLOADS,
         enumerate_grid,
         run_campaign,
+        semantics_for,
     )
 
-    schemes = (
-        [s.strip() for s in args.schemes.split(",") if s.strip()]
-        if args.schemes
-        else list(CAMPAIGN_SCHEMES)
-    )
-    workloads = (
-        [w.strip() for w in args.workloads.split(",") if w.strip()]
-        if args.workloads
-        else None
-    )
+    schemes = _names(args.schemes, CAMPAIGN_SCHEMES)
+    workloads = _names(args.workloads, WORKLOADS)
+    try:
+        for scheme in schemes:
+            semantics_for(scheme)
+    except ValueError as exc:
+        return _bad_input(str(exc))
+    message = _unknown("workload", workloads, WORKLOADS)
+    if message:
+        return _bad_input(message)
     subsets = SINGLETON_SUBSETS if args.drops == "singletons" else None
     grid = enumerate_grid(schemes=schemes, workloads=workloads, subsets=subsets)
     cells, report = run_campaign(grid, workers=args.jobs, cache=not args.no_cache)
 
     print(summarize(cells))
     full_tables = set(schemes) >= {"unordered"} and (
-        workloads is None or {"overwrite", "ordered_pair"} <= set(workloads)
+        {"overwrite", "ordered_pair"} <= set(workloads)
     )
     if full_tables:
         print()
@@ -389,24 +403,22 @@ def cmd_app_campaign(args: argparse.Namespace) -> int:
         crosscheck_pruning,
         generate_plans,
         run_app_campaign,
+        semantics_for,
     )
     from repro.app.kvstore import IDIOMS
 
-    schemes = (
-        [s.strip() for s in args.schemes.split(",") if s.strip()]
-        if args.schemes
-        else list(APP_CAMPAIGN_SCHEMES)
-    )
-    idioms = (
-        [i.strip() for i in args.idioms.split(",") if i.strip()]
-        if args.idioms
-        else list(IDIOMS)
-    )
-    workloads = (
-        [w.strip() for w in args.workloads.split(",") if w.strip()]
-        if args.workloads
-        else sorted(APP_WORKLOADS)
-    )
+    schemes = _names(args.schemes, APP_CAMPAIGN_SCHEMES)
+    idioms = _names(args.idioms, IDIOMS)
+    workloads = _names(args.workloads, sorted(APP_WORKLOADS))
+    try:
+        for scheme in schemes:
+            if not semantics_for(scheme).persistent:
+                return _bad_input(f"scheme {scheme!r} journals nothing; no crash plans")
+    except ValueError as exc:
+        return _bad_input(str(exc))
+    message = _unknown("idiom", idioms, IDIOMS) or _unknown("app workload", workloads, APP_WORKLOADS)
+    if message:
+        return _bad_input(message)
 
     plan_sets = []
     scenarios = []
@@ -515,7 +527,12 @@ def cmd_timeline(args: argparse.Namespace) -> int:
 
     if args.benchmark not in SPEC_PROFILES:
         return _bad_input(f"unknown benchmark {args.benchmark!r}; see `plp-repro list`")
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    if args.ki <= 0:
+        return _bad_input(f"--ki must be positive, got {args.ki}")
+    try:
+        schemes = _parse_schemes(args.schemes)
+    except ValueError as exc:
+        return _bad_input(str(exc))
     report = run_timeline(
         args.benchmark,
         schemes=schemes,
@@ -565,10 +582,14 @@ def cmd_rebuild_time(args: argparse.Namespace) -> int:
 def cmd_recovery_table(args: argparse.Namespace) -> int:
     from repro.analysis.recovery import RECOVERY_TABLE_SCHEMES, build_recovery_table
 
-    if args.schemes:
-        schemes = [UpdateScheme.from_name(s) for s in args.schemes.split(",")]
-    else:
-        schemes = list(RECOVERY_TABLE_SCHEMES)
+    if args.benchmark not in SPEC_PROFILES:
+        return _bad_input(f"unknown benchmark {args.benchmark!r}; see `plp-repro list`")
+    if args.ki <= 0:
+        return _bad_input(f"--ki must be positive, got {args.ki}")
+    try:
+        schemes = _parse_schemes(args.schemes) if args.schemes else list(RECOVERY_TABLE_SCHEMES)
+    except ValueError as exc:
+        return _bad_input(str(exc))
     touched = range(args.touched_pages) if args.touched_pages else None
     table = build_recovery_table(
         args.benchmark,

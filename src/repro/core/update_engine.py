@@ -27,7 +27,7 @@ cross-validates against this engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from repro.core.coalescing import CoalescingUnit
 from repro.core.ett import EpochTrackingTable, ETTFullError
@@ -35,7 +35,6 @@ from repro.core.ptt import PersistTrackingTable, PTTEntry, PTTFullError
 from repro.core.schemes import UpdateScheme
 from repro.crypto.bmt import BMTGeometry
 from repro.mem.metadata_cache import MetadataCaches
-from repro.sim.engine import CompletionHeap
 from repro.telemetry.events import EventKind, level_track
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -103,7 +102,6 @@ class CycleAccurateEngine:
         self.node_update_count = 0
         self.bmt_cache_misses = 0
         self._busy_until: Dict[int, int] = {}
-        self._pending_completions = CompletionHeap()
         self._started: Set[int] = set()
         self._submit_cycle: Dict[int, int] = {}
         self._updates_done: Dict[int, int] = {}
@@ -220,73 +218,25 @@ class CycleAccurateEngine:
     # per-cycle evaluation
     # ------------------------------------------------------------------
 
-    def tick(self, cycles: int = 1) -> bool:
-        """Advance the engine by ``cycles`` cycles.
-
-        Returns:
-            ``True`` if any observable state changed (an update
-            completed, started, or retired) during the ticks.
-        """
-        progressed = False
+    def tick(self, cycles: int = 1) -> None:
+        """Advance the engine by ``cycles`` cycles."""
         for _ in range(cycles):
-            before = self._progress_marker()
             self._complete_updates()
             self._retire()
             self._schedule_starts()
             self.now += 1
-            if self._progress_marker() != before:
-                progressed = True
-        return progressed
 
-    def _progress_marker(self) -> Tuple[int, int, int, int, int, int]:
-        """Cheap fingerprint of every state a tick can change.
-
-        Scheduling eligibility (:meth:`_may_start`) is a pure function
-        of this state, so two consecutive ticks with equal markers make
-        identical decisions — the basis of the skip-idle fast-forward.
-        """
-        return (
-            self.node_update_count,
-            len(self.completions),
-            len(self.ptt),
-            len(self._busy_until),
-            len(self._waiting_delegation),
-            len(self._started),
-        )
-
-    def run_until_drained(
-        self, max_cycles: int = 10_000_000, skip_idle: bool = False
-    ) -> int:
+    def run_until_drained(self, max_cycles: int = 10_000_000) -> int:
         """Tick until every submitted persist has its root ack.
 
         Args:
             max_cycles: Deadlock guard on total cycles ticked.
-            skip_idle: Fast-forward over idle stretches: after a tick in
-                which nothing progressed, jump the clock straight to the
-                earliest pending node-update completion (tracked in a
-                :class:`~repro.sim.engine.CompletionHeap`) instead of
-                ticking through cycles where every lane is mid-latency.
-                Event timestamps and all scheduling decisions are
-                unchanged — idle ticks emit nothing and decide nothing.
         """
         start = self.now
-        pending = self._pending_completions
         while not self.ptt.empty:
             if self.now - start > max_cycles:
                 raise RuntimeError("update engine failed to drain (deadlock?)")
-            progressed = self.tick()
-            if skip_idle and not progressed and not self.ptt.empty:
-                # Drop completion events the tick already consumed, then
-                # jump to the next one (now points at the cycle *after*
-                # the idle tick, so strictly-later events are the target).
-                pending.release_until(self.now - 1)
-                target = pending.next_time()
-                if target is None:
-                    raise RuntimeError(
-                        "update engine idle with no pending completions (deadlock)"
-                    )
-                if target > self.now:
-                    self.now = target
+            self.tick()
         return self.now
 
     # -- phase 1: finish in-flight node updates -------------------------
@@ -445,7 +395,6 @@ class CycleAccurateEngine:
                 latency += self.config.bmt_miss_latency
                 self.bmt_cache_misses += 1
         self._busy_until[entry.persist_id] = self.now + latency
-        self._pending_completions.push(self.now + latency)
         if self.telemetry is not None:
             self.telemetry.emit(
                 EventKind.BMT_LEVEL_ENTER,

@@ -18,15 +18,22 @@ exploits that:
    delegation, WPQ pressure) need the full scoreboard machinery.
 
 2. **Array kernels** resolve everything the silent spans contribute:
-   cumulative tick and instruction counts come from two ``numpy``
-   cumsums over the packed ``PLPTRACE`` columns, so the clock can jump
-   straight from one eventful op to the next.
+   the tick of every eventful op and the instruction counts come from
+   ``numpy`` sums over the packed ``PLPTRACE`` columns
+   (:func:`chunk_ticks`), so the clock can jump straight from one
+   eventful op to the next.
 
 3. **Scalar fallback per eventful op**: each eventful op is dispatched
    through the *same* timed handlers the skip-ahead scalar loop uses
    (``_load_timed`` / ``_persist_store`` / ``_flush_timed`` /
    ``_handle_writeback`` on :class:`~repro.system.timing.TraceSimulator`),
    against the same live NVM / WPQ / scoreboard / metadata-cache state.
+
+Pass 2 (:func:`run_pass2`) is the only code that dispatches prepass
+events.  The memoized run (:func:`run_batched`) hands it the whole
+trace as one part, the streamed run (:func:`run_batched_stream`) one
+part per chunk, and the sharded run (:mod:`repro.sweep.shard`) one part
+per shard.
 
 Bit-identity with the scalar engines is by construction, not by luck:
 the decomposed tick clock (``timing.TraceSimulator._clock``) makes the
@@ -41,6 +48,8 @@ stepped on ``SimResult``s *and* telemetry streams for all schemes.
 
 from __future__ import annotations
 
+from collections import deque
+from operator import itemgetter
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -811,10 +820,10 @@ def _metadata_script_for(sim, trace: MemoryTrace, boundary: int) -> MetadataScri
     Sharing is sound because of the scheme-zoo invariant (2) in
     DESIGN.md: each of those scoreboards
     calls ``_level_costs`` exactly once per persist with the full path,
-    so all of them consume the same access sequence, and
-    ``run_batched``'s consumed-exactly check verifies that on every
-    run.  A future scheme whose scoreboard walks a truncated path needs
-    its own walk policy in :func:`replay_shape`.
+    so all of them consume the same access sequence, and pass 2's
+    consumed-exactly check (:meth:`ScriptFeed.assert_drained`) verifies
+    that on every run.  A future scheme whose scoreboard walks a
+    truncated path needs its own walk policy in :func:`replay_shape`.
     """
     cfg = sim.config
     geometry = sim.geometry
@@ -859,45 +868,44 @@ def _column(column, dtype):
     return np.frombuffer(memoryview(column), dtype=dtype)
 
 
-def run_batched(sim, trace: MemoryTrace, warmup_fraction: float):
-    """Pass 2: jump the clock between eventful ops, dispatch each one
-    through the shared timed handlers, and assemble the ``SimResult``.
+def wants_script(sim) -> bool:
+    """Whether ``sim`` takes the scripted-metadata fast path.
 
-    ``sim`` is a :class:`~repro.system.timing.TraceSimulator`; the
-    argument validation already happened in ``run()``.
+    It does when the metadata caches are live (not ideal) and no
+    instrumentation closure (telemetry ``cache_events``) already shadows
+    the access methods.  The instrumented and ideal paths keep the live
+    code, so telemetry runs stay bit-identical through shared code.
     """
-    n = len(trace)
-    boundary = int(n * warmup_fraction)
-    pre = _prepass_for(sim, trace)
-
-    if n:
-        gaps = _column(trace.gaps, np.uint32).astype(np.int64)
-        kinds = _column(trace.kind_codes, np.uint8)
-        # Every op retires one tick except sfence (which only carries
-        # its gap); instructions count gap+1 for every op.
-        cum_ticks = np.cumsum(gaps + (kinds != KIND_SFENCE))
-        cum_instr = np.cumsum(gaps + 1)
-        total_ticks = int(cum_ticks[-1])
-        total_instr = int(cum_instr[-1])
-        snap_ticks = int(cum_ticks[boundary - 1]) if boundary else 0
-        snap_instr = int(cum_instr[boundary - 1]) if boundary else 0
-    else:
-        cum_ticks = None
-        total_ticks = total_instr = snap_ticks = snap_instr = 0
-
-    # Scripted metadata: when no instrumented (telemetry cache-event)
-    # closures shadow the access methods and the caches aren't ideal,
-    # replace the three live metadata caches with iterator reads over
-    # the precomputed hit/miss stream — the single hottest cost in the
-    # timed handlers.  The instrumented and ideal paths keep the live
-    # code, so telemetry runs stay bit-identical through shared code.
     metadata = sim.metadata
-    scoreboard = sim.scoreboard
-    combiner = sim._combiner
-    script = None
-    if not metadata.ideal and "access_counter" not in metadata.__dict__:
-        script = _metadata_script_for(sim, trace, boundary)
-        nxt = iter(script.stream).__next__
+    return not metadata.ideal and "access_counter" not in metadata.__dict__
+
+
+class ScriptFeed:
+    """Deque-fed scripted metadata accessors installed on a simulator.
+
+    Replaces the three live metadata caches, the scoreboard's BMT walk
+    costing and the WPQ write-combiner with reads of a precomputed
+    :class:`MetadataScript` — the single hottest cost in the timed
+    handlers.  Outcomes arrive part by part via :meth:`extend` and the
+    shadowed accessors pop them in the order the timed handlers consume
+    them.  :meth:`restore` puts the live machinery back;
+    :meth:`assert_drained` is the consumed-exactly check (a shortfall
+    surfaces earlier, as the ``IndexError`` of an empty deque).
+    """
+
+    __slots__ = ("_sim", "_scoreboard", "_combiner", "stream", "walks", "comb")
+
+    def __init__(self, sim) -> None:
+        self._sim = sim
+        self._scoreboard = sim.scoreboard
+        self._combiner = sim._combiner
+        self.stream: deque = deque()
+        self.walks: deque = deque()
+        self.comb: deque = deque()
+        nxt = self.stream.popleft
+        walk_next = self.walks.popleft
+        scoreboard = sim.scoreboard
+        metadata = sim.metadata
         metadata.access_counter = lambda block, is_write: nxt()
         metadata.access_mac = lambda block, is_write: nxt()
 
@@ -906,8 +914,6 @@ def run_batched(sim, trace: MemoryTrace, warmup_fraction: float):
 
         metadata.access_bmt_node = _scripted_bmt
 
-        walk_next = iter(script.walks).__next__
-
         def _scripted_level_costs(path):
             costs, misses = walk_next()
             scoreboard.bmt_cache_misses += misses
@@ -915,98 +921,221 @@ def run_batched(sim, trace: MemoryTrace, warmup_fraction: float):
             return costs
 
         scoreboard._level_costs = _scripted_level_costs
-        comb_next = iter(script.combiner).__next__
-        sim._combiner = _ScriptedCombiner(comb_next)
+        sim._combiner = _ScriptedCombiner(self.comb.popleft)
 
+    def extend(self, stream, walks, comb) -> None:
+        self.stream.extend(stream)
+        self.walks.extend(walks)
+        self.comb.extend(comb)
+
+    def restore(self) -> None:
+        metadata = self._sim.metadata
+        del metadata.access_counter, metadata.access_mac
+        del metadata.access_bmt_node
+        del self._scoreboard._level_costs
+        self._sim._combiner = self._combiner
+
+    def assert_drained(self) -> None:
+        if self.stream or self.walks or self.comb:
+            raise RuntimeError("batched metadata script not fully consumed")
+
+
+def chunk_ticks(chunk, events: List[tuple], pos: Tuple[int, int, int], boundary: int):
+    """Place one chunk's events on the whole-trace clock.
+
+    ``chunk`` holds packed ``gaps``/``kind_codes`` columns (a
+    :class:`~repro.workloads.trace.TraceChunk`, or a whole
+    :class:`MemoryTrace`); ``pos`` is the ``(ops, ticks, instructions)``
+    position entering it.  Every op retires one tick except sfence
+    (which only carries its gap); instructions count gap+1 for every
+    op.  Returns the tick of each event (an event past the chunk's last
+    op, i.e. the end-of-trace drain, sits at the chunk's end), the
+    position after the chunk, and the position after op
+    ``boundary - 1`` (the warmup snapshot) when that op lies in the
+    chunk, else ``None``.
+    """
+    start, tick_base, instr_base = pos
+    n = len(chunk)
+    if not n:
+        return [tick_base] * len(events), pos, None
+    gaps = _column(chunk.gaps, np.uint32).astype(np.int64)
+    cum = np.cumsum(gaps + (_column(chunk.kind_codes, np.uint8) != KIND_SFENCE))
+    cum += tick_base
+    snap = None
+    if start < boundary <= start + n:
+        local = boundary - start
+        snap = (boundary, int(cum[local - 1]), instr_base + int(gaps[:local].sum()) + local)
+    index = np.fromiter(map(itemgetter(0), events), np.int64, len(events))
+    ticks = cum.take(index - start, mode="clip").tolist()
+    return ticks, (start + n, int(cum[-1]), instr_base + int(gaps.sum()) + n), snap
+
+
+_COUNTED = ("l1", "l2", "l3", "ctr", "mac", "bmt")
+_COUNT_KINDS = ("hits", "misses", "evictions", "dirty_evictions")
+
+
+def merge_counts(stats, counts: Tuple[int, ...]) -> None:
+    """Add replayed cache totals to the live registry.
+
+    ``counts`` is a prepass's l1/l2/l3 hit/miss/eviction/dirty-eviction
+    twelve (:attr:`FunctionalPrepass.counters`), optionally followed by
+    a metadata replay's ctr/mac/bmt twelve (:attr:`MetadataReplay.counts`).
+    The data-cache totals go through the registry by name (the batched
+    engine never builds the live hierarchy); the metadata totals add to
+    whatever the live caches absorbed before scripting took over.
+    """
+    counter = stats.counter
+    for i, value in enumerate(counts):
+        counter(f"{_COUNTED[i // 4]}.{_COUNT_KINDS[i % 4]}").value += value
+
+
+def _open_window(sim, snap: Tuple[int, int, int]):
+    """Take the measured window's snapshot at warmup position ``snap``."""
+    sim._ticks = snap[1]
+    sim._in_warmup = False
+    return sim._snapshot(snap[2])
+
+
+def run_pass2(sim, name: str, boundary: int, parts, scripted: bool, after_part=None):
+    """Pass 2: jump the clock between eventful ops, dispatch each one
+    through the shared timed handlers, and assemble the ``SimResult``.
+
+    ``parts`` yields, in trace order, one ``(events, ticks, end, snap,
+    script, counts)`` tuple per contiguous span of the trace: its
+    prepass events, the tick of each (:func:`chunk_ticks`), the
+    ``(ops, ticks, instructions)`` position after the span, the warmup
+    position when it falls inside the span (else ``None``), its
+    ``(stream, walks, combiner)`` metadata script (``None`` unless
+    ``scripted``), and replayed cache totals to merge
+    (:func:`merge_counts`) or ``None``.  The memoized run passes the
+    whole trace as one part, the streamed run one part per chunk plus
+    the end-of-trace drain, the sharded run one part per shard.
+    ``after_part(window, end)`` runs once each part is dispatched and
+    merged.  ``sim`` is a :class:`~repro.system.timing.TraceSimulator`
+    whose arguments were validated by its entry point.
+    """
     epochs = sim.epochs
-    window = None
-    sim._in_warmup = boundary > 0
-    tick_list = cum_ticks.tolist() if n else []
     handle_writeback = sim._handle_writeback
     allocate_stall = sim._allocate_stall
     load_timed = sim._load_timed
     flush_timed = sim._flush_timed
     persist_store = sim._persist_store
+    window = None
+    snap = end = (0, 0, 0)
+    sim._in_warmup = boundary > 0
+    feed = ScriptFeed(sim) if scripted else None
     try:
-        for ev in pre.events:
-            op_idx = ev[0]
-            if window is None and op_idx >= boundary:
-                sim._ticks = snap_ticks
-                sim._in_warmup = False
-                window = sim._snapshot(snap_instr)
-            sim._ticks = tick_list[op_idx] if op_idx < n else total_ticks
-            tag = ev[1]
-            if tag == _EV_STORE:
-                for victim in ev[3]:
-                    handle_writeback(victim)
-                if ev[4]:
-                    allocate_stall()
-                displaced = ev[5]
-                if displaced is not None and op_idx >= boundary:
-                    handle_writeback(displaced)
-                flush = ev[6]
-                if flush is not None:
-                    flush_timed(flush)
-                    _record_epoch(epochs, flush, ev[7])
-                elif ev[7]:
-                    persist_store(ev[2])
-            elif tag == _EV_LOAD:
-                load_timed(ev[2], ev[3], ev[4])
-            else:  # _EV_FLUSH (sfence boundary or end-of-trace drain)
-                flush_timed(ev[6])
-                _record_epoch(epochs, ev[6], ev[7])
+        for events, ticks, end, part_snap, script, counts in parts:
+            snap = part_snap or snap
+            if script is not None:
+                feed.extend(*script)
+            for ev, tick in zip(events, ticks):
+                op_idx = ev[0]
+                if window is None and op_idx >= boundary:
+                    window = _open_window(sim, snap)
+                sim._ticks = tick
+                tag = ev[1]
+                if tag == _EV_STORE:
+                    for victim in ev[3]:
+                        handle_writeback(victim)
+                    if ev[4]:
+                        allocate_stall()
+                    displaced = ev[5]
+                    if displaced is not None and op_idx >= boundary:
+                        handle_writeback(displaced)
+                    flush = ev[6]
+                    if flush is not None:
+                        flush_timed(flush)
+                        _record_epoch(epochs, flush, ev[7])
+                    elif ev[7]:
+                        persist_store(ev[2])
+                elif tag == _EV_LOAD:
+                    load_timed(ev[2], ev[3], ev[4])
+                else:  # _EV_FLUSH (sfence boundary or end-of-trace drain)
+                    flush_timed(ev[6])
+                    _record_epoch(epochs, ev[6], ev[7])
+            # Release this part before the next one is read and fed.
+            del events, ticks, script
+            if window is None and end[0] >= boundary:
+                # The boundary passed with no eventful op after it; take
+                # the snapshot exactly where the scalar loop would have
+                # (nothing it reads moves before the next event).
+                window = _open_window(sim, snap)
+            sim._ticks = end[1]
+            if counts is not None:
+                merge_counts(sim.stats, counts)
+            if after_part is not None:
+                after_part(window, end)
     finally:
-        if script is not None:
-            # Restore the live machinery and check every stream ran
-            # dry — a leftover (or a StopIteration above) would mean
-            # the replay and the handlers disagreed on the sequence.
-            del metadata.access_counter, metadata.access_mac
-            del metadata.access_bmt_node
-            del scoreboard._level_costs
-            sim._combiner = combiner
-    if script is not None and (
-        next(_probe(nxt), None) is not None
-        or next(_probe(walk_next), None) is not None
-        or next(_probe(comb_next), None) is not None
-    ):
-        raise RuntimeError("batched metadata script not fully consumed")
-    if window is None:
-        # No eventful op at or past the boundary — take the snapshot
-        # exactly where the scalar loop would have.
-        sim._ticks = snap_ticks
-        sim._in_warmup = False
-        window = sim._snapshot(snap_instr)
-    sim._ticks = total_ticks
-
-    # Merge the prepass's counter totals into the live registry before
-    # the result snapshots stats.as_dict().  The data-cache totals go
-    # through the registry by name (the batched engine never builds the
-    # live hierarchy); the metadata totals add to whatever the live
-    # caches absorbed before scripting took over (zero in practice).
-    counter = sim.stats.counter
-    cc = pre.cache_counts
-    for name, off in (("l1", 0), ("l2", 4), ("l3", 8)):
-        counter(f"{name}.hits").value += cc[off]
-        counter(f"{name}.misses").value += cc[off + 1]
-        counter(f"{name}.evictions").value += cc[off + 2]
-        counter(f"{name}.dirty_evictions").value += cc[off + 3]
-    if script is not None:
-        mc = script.counts
-        for name, off in (("ctr", 0), ("mac", 4), ("bmt", 8)):
-            counter(f"{name}.hits").value += mc[off]
-            counter(f"{name}.misses").value += mc[off + 1]
-            counter(f"{name}.evictions").value += mc[off + 2]
-            counter(f"{name}.dirty_evictions").value += mc[off + 3]
-
-    return sim._make_result(trace.name, window, total_instr)
+        if feed is not None:
+            feed.restore()
+    if feed is not None:
+        feed.assert_drained()
+    return sim._make_result(name, window, end[2])
 
 
-def _probe(nxt):
-    """Yield the script iterator's next value, if any (dry-run check)."""
-    try:
-        yield nxt()
-    except StopIteration:
-        return
+def run_batched(sim, trace: MemoryTrace, warmup_fraction: float):
+    """Memoized batched run: the whole trace is pass 2's one part.
+
+    The events and the metadata script come from the trace's memos
+    (:func:`_prepass_for`, :func:`_metadata_script_for`), so repeated
+    runs of one trace pay only for the tick placement and the dispatch.
+    """
+    n = len(trace)
+    boundary = int(n * warmup_fraction)
+    pre = _prepass_for(sim, trace)
+    scripted = wants_script(sim)
+    script = None
+    counts = pre.cache_counts
+    if scripted:
+        md = _metadata_script_for(sim, trace, boundary)
+        script = (md.stream, md.walks, md.combiner)
+        counts += md.counts
+    ticks, end, snap = chunk_ticks(trace, pre.events, (0, 0, 0), boundary)
+    part = (pre.events, ticks, end, snap, script, counts)
+    return run_pass2(sim, trace.name, boundary, (part,), scripted)
+
+
+def run_batched_stream(sim, source, name: str, n: int, warmup_fraction: float):
+    """Batched run over a chunk source in bounded memory.
+
+    Each chunk goes through one :class:`FunctionalPrepass` and one
+    :class:`MetadataReplay`, whose state is bounded by the cache
+    geometry, and is dispatched before the next chunk is read: peak
+    memory is O(chunk), and no prepass/script memo is written (there is
+    no whole trace to key it on).  The event stream, script stream and
+    per-event ticks equal the memoized run's element for element, so
+    results are bit-identical to ``run`` on the materialized trace.
+    """
+    boundary = int(n * warmup_fraction)
+    scripted = wants_script(sim)
+    shape = replay_shape(sim.config)
+    pre = FunctionalPrepass(shape, sim.config)
+    md = MetadataReplay(shape.walk, sim.config, boundary) if scripted else None
+
+    def script_of(events):
+        if md is None:
+            return None
+        md.feed(events)
+        return md.take()
+
+    def parts():
+        pos = (0, 0, 0)
+        for chunk in source.chunks():
+            events = pre.feed(chunk.kind_codes, chunk.addresses, chunk.persistent_flags)
+            ticks, pos, snap = chunk_ticks(chunk, events, pos, boundary)
+            # Hold nothing of this chunk while the next one is read.
+            del chunk
+            yield events, ticks, pos, snap, script_of(events), None
+            del events, ticks
+        tail = pre.finish()
+        if pre.next_index != n:
+            raise RuntimeError(f"chunk source yielded {pre.next_index} ops; header promised {n}")
+        script = script_of(tail)
+        counts = pre.counters + (md.counts if md is not None else ())
+        yield tail, [pos[1]] * len(tail), pos, None, script, counts
+
+    return run_pass2(sim, name, boundary, parts(), scripted)
 
 
 def _record_epoch(tracker, blocks, store_count: int) -> None:

@@ -28,12 +28,6 @@ class Counter:
     def add(self, n: int = 1) -> None:
         self.value += n
 
-    def merge(self, other: "Counter") -> None:
-        """Fold another shard's counter into this one (values add)."""
-        if other.name != self.name:
-            raise ValueError(f"cannot merge counter {other.name!r} into {self.name!r}")
-        self.value += other.value
-
     def reset(self) -> None:
         self.value = 0
 
@@ -120,33 +114,6 @@ class Histogram:
                 return min(max(value, float(self.minimum)), float(self.maximum))
         return float(self.maximum)
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another shard's histogram into this one.
-
-        Bucket counts add exactly (the bucket widths must match, so the
-        two histograms partition samples identically); count/total/
-        min/max aggregate exactly as if every sample had been recorded
-        here, which keeps ``count``/``mean``/``minimum``/``maximum``
-        and ``percentile`` consistent with an unsharded run.
-        """
-        if other.name != self.name:
-            raise ValueError(
-                f"cannot merge histogram {other.name!r} into {self.name!r}"
-            )
-        if other.bucket_width != self.bucket_width:
-            raise ValueError(
-                f"cannot merge histogram {self.name!r}: bucket width "
-                f"{other.bucket_width} != {self.bucket_width}"
-            )
-        for bucket, count in other._buckets.items():
-            self._buckets[bucket] = self._buckets.get(bucket, 0) + count
-        self._count += other._count
-        self._total += other._total
-        if other._min is not None:
-            self._min = other._min if self._min is None else min(self._min, other._min)
-        if other._max is not None:
-            self._max = other._max if self._max is None else max(self._max, other._max)
-
     def reset(self) -> None:
         """Clear every sample; the histogram object stays registered."""
         self._buckets.clear()
@@ -218,23 +185,6 @@ class StatsRegistry:
             histogram.reset()
         for childreg in self._children.values():
             childreg.reset()
-
-    def merge(self, other: "StatsRegistry") -> None:
-        """Fold another shard's registry into this one, recursively.
-
-        Counters add, histograms merge buckets, and children merge by
-        prefix (created here if absent).  The mergeable protocol behind
-        sharded simulation: per-shard registries fold into one whose
-        flattened ``as_dict`` equals the unsharded run's (derived
-        histogram summaries are recomputed from the merged state, not
-        averaged).
-        """
-        for name, counter in other._counters.items():
-            self.counter(name).merge(counter)
-        for name, histogram in other._histograms.items():
-            self.histogram(name, histogram.bucket_width).merge(histogram)
-        for prefix, childreg in other._children.items():
-            self.child(prefix).merge(childreg)
 
     def _qualify(self, name: str) -> str:
         return f"{self.prefix}.{name}" if self.prefix else name

@@ -46,12 +46,11 @@ import numpy as np
 from repro.sim.batched import (
     FunctionalPrepass,
     MetadataReplay,
-    _EV_LOAD,
-    _EV_STORE,
-    _record_epoch,
+    chunk_ticks,
     replay_shape,
+    run_pass2,
+    wants_script,
 )
-from repro.sim.stream import ScriptFeed, chunk_ticks, wants_script
 from repro.system.config import SystemConfig
 from repro.system.timing import SimResult, TraceSimulator, merge_results
 from repro.workloads.trace import (
@@ -188,17 +187,16 @@ class ShardArtifact:
     index, tag, block, NVM-access flag, window victim with ``-1`` for
     none, extra, precomputed clock tick) plus two ragged columns
     (write-back victims and flush blocks, each as per-event counts over
-    a flat value array).  The metadata script is packed the same way:
-    hit/miss stream and combiner verdicts as byte arrays, BMT walks as
-    per-walk lengths/misses over a flat cost array.  ``pre_delta`` /
-    ``md_delta`` are this shard's movement of the prepass / metadata
-    hit-miss counters, and ``snap`` carries the warmup snapshot's
-    (ticks, instructions) when the boundary falls inside this shard.
+    a flat value array; a flush count of ``-1`` means no flush).  The
+    metadata script is packed the same way: hit/miss stream and
+    combiner verdicts as byte arrays, BMT walks as per-walk
+    lengths/misses over a flat cost array.  ``counts`` is this shard's
+    movement of the prepass (and metadata) hit/miss counters, ``end``
+    the ``(ops, ticks, instructions)`` position after the shard, and
+    ``snap`` the warmup position when the boundary falls inside it.
     """
 
     __slots__ = (
-        "start",
-        "stop",
         "ev_idx",
         "ev_tag",
         "ev_block",
@@ -215,29 +213,21 @@ class ShardArtifact:
         "walk_lens",
         "walk_misses",
         "walk_costs",
-        "pre_delta",
-        "md_delta",
+        "counts",
+        "end",
         "snap",
-        "end_ticks",
-        "end_instr",
     )
 
 
 def _pack_artifact(
-    start: int,
-    stop: int,
     events: List[tuple],
     ticks: List[int],
     script: Optional[Tuple[List[bool], List[Tuple[List[int], int]], List[bool]]],
-    pre_delta: Tuple[int, ...],
-    md_delta: Optional[Tuple[int, ...]],
-    snap: Optional[Tuple[int, int]],
-    end_ticks: int,
-    end_instr: int,
+    counts: Tuple[int, ...],
+    end: Tuple[int, int, int],
+    snap: Optional[Tuple[int, int, int]],
 ) -> ShardArtifact:
     art = ShardArtifact()
-    art.start = start
-    art.stop = stop
     art.ev_idx = array("q", [ev[0] for ev in events])
     art.ev_tag = array("b", [ev[1] for ev in events])
     art.ev_block = array("q", [ev[2] for ev in events])
@@ -255,7 +245,7 @@ def _pack_artifact(
         wb_flat.extend(wbs)
         flush = ev[6]
         if flush is None:
-            flush_counts.append(0)
+            flush_counts.append(-1)
         else:
             flush_counts.append(len(flush))
             flush_flat.extend(flush)
@@ -276,25 +266,51 @@ def _pack_artifact(
         for costs, _misses in walks:
             walk_costs.extend(costs)
         art.walk_costs = walk_costs
-    art.pre_delta = pre_delta
-    art.md_delta = md_delta
+    art.counts = counts
+    art.end = end
     art.snap = snap
-    art.end_ticks = end_ticks
-    art.end_instr = end_instr
     return art
 
 
-def _unpack_script(art: ShardArtifact):
-    """Rebuild the (stream, walks, comb) lists a ScriptFeed consumes."""
-    stream = [bool(v) for v in art.stream]
-    comb = [bool(v) for v in art.comb]
-    walks = []
-    pos = 0
-    costs_flat = art.walk_costs
-    for length, misses in zip(art.walk_lens, art.walk_misses):
-        walks.append((costs_flat[pos : pos + length].tolist(), misses))
-        pos += length
-    return stream, walks, comb
+def _unpack_artifact(art: ShardArtifact) -> tuple:
+    """Decode a shard's artifact back into a pass-2 part (``run_pass2``):
+    the same event tuples, ticks and script the unsharded run dispatches."""
+    events = []
+    wb_flat = art.wb_flat
+    flush_flat = art.flush_flat
+    wpos = fpos = 0
+    for idx, tag, block, mem, victim, extra, wn, fn in zip(
+        art.ev_idx,
+        art.ev_tag,
+        art.ev_block,
+        art.ev_mem,
+        art.ev_victim,
+        art.ev_extra,
+        art.wb_counts,
+        art.flush_counts,
+    ):
+        flush = None
+        if fn >= 0:
+            flush = tuple(flush_flat[fpos : fpos + fn])
+            fpos += fn
+        wbs = tuple(wb_flat[wpos : wpos + wn])
+        wpos += wn
+        victim = None if victim < 0 else victim
+        events.append((idx, tag, block, wbs, bool(mem), victim, flush, extra))
+    script = None
+    if art.stream is not None:
+        walks = []
+        pos = 0
+        costs_flat = art.walk_costs
+        for length, misses in zip(art.walk_lens, art.walk_misses):
+            walks.append((costs_flat[pos : pos + length].tolist(), misses))
+            pos += length
+        script = ([bool(v) for v in art.stream], walks, [bool(v) for v in art.comb])
+    return events, art.ev_tick.tolist(), art.end, art.snap, script, art.counts
+
+
+def _replay_counts(pre: FunctionalPrepass, md: Optional[MetadataReplay]) -> tuple:
+    return pre.counters + (md.counts if md is not None else ())
 
 
 def _shard_worker(payload) -> Tuple[ShardArtifact, tuple]:
@@ -314,8 +330,7 @@ def _shard_worker(payload) -> Tuple[ShardArtifact, tuple]:
         scripted,
         pre_state,
         md_state,
-        tick_base,
-        instr_base,
+        pos,
         is_last,
     ) = payload
     shape = replay_shape(config)
@@ -329,132 +344,37 @@ def _shard_worker(payload) -> Tuple[ShardArtifact, tuple]:
     md = MetadataReplay(shape.walk, config, boundary) if scripted else None
     if md is not None and md_state is not None:
         md.load_state(md_state)
-    pre_before = pre.counters
-    md_before = md.counts if md is not None else None
+    before = _replay_counts(pre, md)
 
     events_all: List[tuple] = []
     ticks_all: List[int] = []
-    snap: Optional[Tuple[int, int]] = None
+    snap = None
     for chunk in _iter_source_chunks(source_kind, source_payload, start, stop):
-        if not len(chunk):
-            continue
-        cs = chunk.start
-        tick_list, chunk_total, instr_list = chunk_ticks(chunk)
-        if cs <= boundary - 1 < cs + len(chunk):
-            snap = (
-                tick_base + tick_list[boundary - 1 - cs],
-                instr_base + instr_list[boundary - 1 - cs],
-            )
         events = pre.feed(chunk.kind_codes, chunk.addresses, chunk.persistent_flags)
-        for ev in events:
-            ticks_all.append(tick_base + tick_list[ev[0] - cs])
-        if md is not None and events:
-            md.feed(events)
+        ticks, pos, chunk_snap = chunk_ticks(chunk, events, pos, boundary)
+        snap = chunk_snap or snap
         events_all.extend(events)
-        tick_base += chunk_total
-        instr_base += instr_list[-1]
+        ticks_all.extend(ticks)
     if pre.next_index != stop:
         raise RuntimeError(
             f"shard [{start}, {stop}) fed {pre.next_index - start} ops"
         )
     if is_last:
         tail = pre.finish()
-        if tail:
-            if md is not None:
-                md.feed(tail)
-            events_all.extend(tail)
-            ticks_all.extend(tick_base for _ in tail)
-
-    script = md.take() if md is not None else None
-    pre_delta = tuple(a - b for a, b in zip(pre.counters, pre_before))
-    md_delta = (
-        tuple(a - b for a, b in zip(md.counts, md_before)) if md is not None else None
-    )
-    artifact = _pack_artifact(
-        start,
-        stop,
-        events_all,
-        ticks_all,
-        script,
-        pre_delta,
-        md_delta,
-        snap,
-        tick_base,
-        instr_base,
-    )
+        events_all.extend(tail)
+        ticks_all.extend(pos[1] for _ in tail)
+    script = None
+    if md is not None:
+        md.feed(events_all)
+        script = md.take()
+    counts = tuple(a - b for a, b in zip(_replay_counts(pre, md), before))
+    artifact = _pack_artifact(events_all, ticks_all, script, counts, pos, snap)
     state = (
         pre.export_state(),
         md.export_state() if md is not None else None,
-        tick_base,
-        instr_base,
+        pos,
     )
     return artifact, state
-
-
-def _dispatch_artifact(sim, art: ShardArtifact, boundary, window, snap):
-    """Parent-side pass 2 over one shard's packed events.
-
-    Mirrors ``run_batched``'s dispatch loop, reading the packed columns
-    directly; returns the (possibly newly taken) warmup window.
-    """
-    epochs = sim.epochs
-    handle_writeback = sim._handle_writeback
-    allocate_stall = sim._allocate_stall
-    load_timed = sim._load_timed
-    flush_timed = sim._flush_timed
-    persist_store = sim._persist_store
-    wb_flat = art.wb_flat
-    flush_flat = art.flush_flat
-    wpos = fpos = 0
-    for i in range(len(art.ev_idx)):
-        op_idx = art.ev_idx[i]
-        if window is None and op_idx >= boundary:
-            sim._ticks = snap[0]
-            sim._in_warmup = False
-            window = sim._snapshot(snap[1])
-        sim._ticks = art.ev_tick[i]
-        tag = art.ev_tag[i]
-        wn = art.wb_counts[i]
-        wbs = tuple(wb_flat[wpos : wpos + wn]) if wn else ()
-        wpos += wn
-        fn = art.flush_counts[i]
-        if fn:
-            flush = tuple(flush_flat[fpos : fpos + fn])
-            fpos += fn
-        else:
-            flush = None
-        if tag == _EV_STORE:
-            for victim in wbs:
-                handle_writeback(victim)
-            if art.ev_mem[i]:
-                allocate_stall()
-            displaced = art.ev_victim[i]
-            if displaced >= 0 and op_idx >= boundary:
-                handle_writeback(displaced)
-            if flush is not None:
-                flush_timed(flush)
-                _record_epoch(epochs, flush, art.ev_extra[i])
-            elif art.ev_extra[i]:
-                persist_store(art.ev_block[i])
-        elif tag == _EV_LOAD:
-            load_timed(art.ev_block[i], wbs, bool(art.ev_mem[i]))
-        else:  # _EV_FLUSH
-            flush_timed(flush)
-            _record_epoch(epochs, flush, art.ev_extra[i])
-    return window
-
-
-_COUNTER_GROUPS = (("l1", 0), ("l2", 4), ("l3", 8))
-_MD_GROUPS = (("ctr", 0), ("mac", 4), ("bmt", 8))
-
-
-def _merge_count_delta(stats, groups, delta) -> None:
-    counter = stats.counter
-    for name, off in groups:
-        counter(f"{name}.hits").value += delta[off]
-        counter(f"{name}.misses").value += delta[off + 1]
-        counter(f"{name}.evictions").value += delta[off + 2]
-        counter(f"{name}.dirty_evictions").value += delta[off + 3]
 
 
 def run_sharded(
@@ -529,7 +449,7 @@ def run_sharded(
     pool = _get_pool(max(2, workers or 0))
 
     def _payload(w: int, state: tuple):
-        pre_state, md_state, tick_base, instr_base = state
+        pre_state, md_state, pos = state
         return (
             source_kind,
             source_payload,
@@ -540,83 +460,55 @@ def run_sharded(
             scripted,
             pre_state,
             md_state,
-            tick_base,
-            instr_base,
+            pos,
             w == num_shards - 1,
         )
 
-    feed = ScriptFeed(sim) if scripted else None
-    window = None
-    snap = (0, 0)
-    sim._in_warmup = boundary > 0
-    partials: List[SimResult] = []
-    prev_stats = sim.stats.as_dict()
-    prev_vals = (0, 0, 0, 0, 0)
-    state = (None, None, 0, 0)
-    try:
-        future = pool.submit(_shard_worker, _payload(0, state))
+    def parts():
+        # Shard w+1's functional chain is submitted before shard w is
+        # dispatched, so the worker and this process overlap.
+        future = pool.submit(_shard_worker, _payload(0, (None, None, (0, 0, 0))))
         for w in range(num_shards):
             artifact, state = future.result()
             if w + 1 < num_shards:
                 future = pool.submit(_shard_worker, _payload(w + 1, state))
-            if artifact.snap is not None:
-                snap = artifact.snap
-            if feed is not None and artifact.stream is not None:
-                feed.extend(*_unpack_script(artifact))
-            window = _dispatch_artifact(sim, artifact, boundary, window, snap)
-            if window is None and boundary <= artifact.stop:
-                # The warmup boundary passed inside this shard without a
-                # post-boundary event; take the snapshot exactly where
-                # the unsharded lazy logic eventually would (no counter
-                # moves in between).
-                sim._ticks = snap[0]
-                sim._in_warmup = False
-                window = sim._snapshot(snap[1])
-            _merge_count_delta(sim.stats, _COUNTER_GROUPS, artifact.pre_delta)
-            if artifact.md_delta is not None:
-                _merge_count_delta(sim.stats, _MD_GROUPS, artifact.md_delta)
-            sim._ticks = artifact.end_ticks
-            if window is not None:
-                end_cycle = max(sim._clock(), float(sim._last_completion))
-                vals = (
-                    int(end_cycle - window.cycles),
-                    artifact.end_instr - window.instructions,
-                    sim._persist_count - window.persists,
-                    sim.scoreboard.node_update_count - window.node_updates,
-                    sim.scoreboard.bmt_cache_misses - window.bmt_misses,
-                )
-            else:
-                vals = (0, 0, 0, 0, 0)
-            cur_stats = sim.stats.as_dict()
-            partials.append(
-                SimResult(
-                    scheme=sim.scheme.value,
-                    trace_name=name,
-                    cycles=vals[0] - prev_vals[0],
-                    instructions=vals[1] - prev_vals[1],
-                    persists=vals[2] - prev_vals[2],
-                    node_updates=vals[3] - prev_vals[3],
-                    bmt_cache_misses=vals[4] - prev_vals[4],
-                    stats={
-                        key: value - prev_stats.get(key, 0)
-                        for key, value in cur_stats.items()
-                    },
-                )
+            yield _unpack_artifact(artifact)
+
+    partials: List[SimResult] = []
+    prev = [(0, 0, 0, 0, 0), sim.stats.as_dict()]
+
+    def after_shard(window, end) -> None:
+        if window is not None:
+            end_cycle = max(sim._clock(), float(sim._last_completion))
+            vals = (
+                int(end_cycle - window.cycles),
+                end[2] - window.instructions,
+                sim._persist_count - window.persists,
+                sim.scoreboard.node_update_count - window.node_updates,
+                sim.scoreboard.bmt_cache_misses - window.bmt_misses,
             )
-            prev_stats = cur_stats
-            prev_vals = vals
-    finally:
-        if feed is not None:
-            feed.restore()
-    if feed is not None:
-        feed.assert_drained()
-    _pre_state, _md_state, total_ticks, total_instr = state
-    if window is None:
-        sim._ticks = snap[0]
-        sim._in_warmup = False
-        window = sim._snapshot(snap[1])
-    sim._ticks = total_ticks
-    direct = sim._make_result(name, window, total_instr)
+        else:
+            vals = (0, 0, 0, 0, 0)
+        prev_vals, prev_stats = prev
+        cur_stats = sim.stats.as_dict()
+        partials.append(
+            SimResult(
+                scheme=sim.scheme.value,
+                trace_name=name,
+                cycles=vals[0] - prev_vals[0],
+                instructions=vals[1] - prev_vals[1],
+                persists=vals[2] - prev_vals[2],
+                node_updates=vals[3] - prev_vals[3],
+                bmt_cache_misses=vals[4] - prev_vals[4],
+                stats={
+                    key: value - prev_stats.get(key, 0)
+                    for key, value in cur_stats.items()
+                },
+            )
+        )
+        prev[:] = vals, cur_stats
+
+    direct = run_pass2(sim, name, boundary, parts(), scripted, after_shard)
     merged = merge_results(partials)
     if merged != direct:
         raise RuntimeError(

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.schedulers import OccupancyRing, make_scoreboard
 from repro.core.schemes import UpdateScheme
@@ -119,17 +119,6 @@ def _source_name_len(source) -> Tuple[str, int]:
         summary = source.summary()
         return summary.name, summary.record_count
     return source.name, len(source)
-
-
-def _source_chunks(source, segment_ops: Optional[int]):
-    """Chunk iterator of a source, honoring an explicit chunk size.
-
-    On-disk readers chunk at the segment boundaries baked into the v2
-    file; only in-memory traces accept a chunk-size override.
-    """
-    if segment_ops is not None and isinstance(source, MemoryTrace):
-        return source.chunks(segment_ops)
-    return source.chunks()
 
 
 class _WriteCombiner:
@@ -333,56 +322,9 @@ class TraceSimulator:
             from repro.sim.batched import run_batched
 
             return run_batched(self, trace, warmup_fraction)
-        return self._run_scalar(trace, warmup_fraction)
+        return self._run_scalar(trace.name, len(trace), (trace,), warmup_fraction)
 
-    def _run_scalar(
-        self, trace: MemoryTrace, warmup_fraction: float
-    ) -> SimResult:
-        boundary = int(len(trace) * warmup_fraction)
-        instructions = 0
-        window = _WindowSnapshot()
-        self._in_warmup = boundary > 0
-        # Local bindings: this loop dominates simulation wall-clock.  It
-        # walks the trace's packed columns directly — integer kind codes
-        # and primitive array values, no per-record object and no enum
-        # identity checks.  The clock only needs materializing inside
-        # the handlers, so the loop advances the integer tick count.
-        protect_stack = self._protect_stack
-        load = self._load
-        store = self._store
-        barrier = self._barrier
-        sfence = KIND_SFENCE
-        load_kind = KIND_LOAD
-        ticks = self._ticks
-        index = 0
-        for kind, address, gap, persistent in zip(
-            trace.kind_codes, trace.addresses, trace.gaps, trace.persistent_flags
-        ):
-            if index == boundary:
-                self._in_warmup = False
-                self._ticks = ticks
-                window = self._snapshot(instructions)
-            index += 1
-            instructions += gap + 1
-            if kind == sfence:
-                self._ticks = ticks + gap
-                ticks = self._ticks
-                barrier()
-            elif kind == load_kind:
-                ticks += gap + 1
-                self._ticks = ticks
-                load(address >> 6)
-            else:
-                ticks += gap + 1
-                self._ticks = ticks
-                store(address >> 6, persistent or protect_stack)
-        self._ticks = ticks
-        self._drain()
-        return self._make_result(trace.name, window, instructions)
-
-    def run_stream(
-        self, source, warmup_fraction: float = 0.2, segment_ops: Optional[int] = None
-    ) -> SimResult:
+    def run_stream(self, source, warmup_fraction: float = 0.2) -> SimResult:
         """Simulate a chunked trace source without materializing it.
 
         ``source`` is anything yielding packed column chunks — a
@@ -398,21 +340,30 @@ class TraceSimulator:
             raise ValueError("warmup_fraction must be in [0, 1)")
         if self.epochs is not None:
             self.epochs.retain_closed = False
+        name, n = _source_name_len(source)
         if self.config.engine == "batched":
-            from repro.sim.stream import run_batched_stream
+            from repro.sim.batched import run_batched_stream
 
-            return run_batched_stream(self, source, warmup_fraction, segment_ops)
-        return self._run_scalar_stream(source, warmup_fraction, segment_ops)
+            return run_batched_stream(self, source, name, n, warmup_fraction)
+        return self._run_scalar(name, n, source.chunks(), warmup_fraction)
 
-    def _run_scalar_stream(
-        self, source, warmup_fraction: float, segment_ops: Optional[int] = None
+    def _run_scalar(
+        self, name: str, n: int, chunks, warmup_fraction: float
     ) -> SimResult:
-        """The scalar loop of ``_run_scalar``, fed one chunk at a time."""
-        name, total = _source_name_len(source)
-        boundary = int(total * warmup_fraction)
+        """The scalar loop over ``chunks``, the ``n`` ops of trace ``name``.
+
+        ``run`` passes the whole trace as the only chunk; ``run_stream``
+        passes its source's chunks.
+        """
+        boundary = int(n * warmup_fraction)
         instructions = 0
         window = _WindowSnapshot()
         self._in_warmup = boundary > 0
+        # Local bindings: this loop dominates simulation wall-clock.  It
+        # walks the packed columns directly — integer kind codes and
+        # primitive array values, no per-record object and no enum
+        # identity checks.  The clock only needs materializing inside
+        # the handlers, so the loop advances the integer tick count.
         protect_stack = self._protect_stack
         load = self._load
         store = self._store
@@ -421,7 +372,7 @@ class TraceSimulator:
         load_kind = KIND_LOAD
         ticks = self._ticks
         index = 0
-        for chunk in _source_chunks(source, segment_ops):
+        for chunk in chunks:
             for kind, address, gap, persistent in zip(
                 chunk.kind_codes, chunk.addresses, chunk.gaps, chunk.persistent_flags
             ):

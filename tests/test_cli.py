@@ -80,6 +80,17 @@ def test_sweep_unknown_param_fails(capsys):
         (("run", "gamess", "--ki", "0"), "--ki must be positive"),
         (("sweep", "--ki", "-1"), "--ki must be positive"),
         (("sweep", "--benchmark", "doom"), "unknown benchmark"),
+        (("timeline", "gamess", "--schemes", "bogus"), "unknown scheme 'bogus'"),
+        (("recovery-table", "--schemes", "bogus"), "unknown scheme 'bogus'"),
+        (("crash-campaign", "--schemes", "bogus"), "unknown scheme 'bogus'"),
+        (("app-campaign", "--schemes", "bogus"), "unknown scheme 'bogus'"),
+        (("crash-campaign", "--workloads", "nope"), "unknown workload 'nope'"),
+        (("recovery-table", "--benchmark", "doom"), "unknown benchmark"),
+        (("app-campaign", "--idioms", "nope"), "unknown idiom 'nope'"),
+        (("app-campaign", "--workloads", "nope"), "unknown app workload 'nope'"),
+        (("app-campaign", "--schemes", "secure_wb"), "journals nothing"),
+        (("timeline", "gamess", "--ki", "0"), "--ki must be positive"),
+        (("recovery-table", "--ki", "0"), "--ki must be positive"),
     ],
     ids=[
         "run-unknown-scheme",
@@ -90,6 +101,17 @@ def test_sweep_unknown_param_fails(capsys):
         "run-zero-ki",
         "sweep-negative-ki",
         "sweep-unknown-benchmark",
+        "timeline-unknown-scheme",
+        "recovery-table-unknown-scheme",
+        "crash-campaign-unknown-scheme",
+        "app-campaign-unknown-scheme",
+        "crash-campaign-unknown-workload",
+        "recovery-table-unknown-benchmark",
+        "app-campaign-unknown-idiom",
+        "app-campaign-unknown-workload",
+        "app-campaign-non-journaling-scheme",
+        "timeline-zero-ki",
+        "recovery-table-zero-ki",
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv, message):

@@ -99,47 +99,6 @@ def test_sequential_agreement_with_gaps():
     assert engine.completions[1] == sb_t1
 
 
-@pytest.mark.parametrize(
-    "scheme",
-    [
-        UpdateScheme.SP,
-        UpdateScheme.PIPELINE,
-        UpdateScheme.UNORDERED,
-        UpdateScheme.O3,
-        UpdateScheme.COALESCING,
-    ],
-)
-def test_skip_idle_fast_forward_is_invisible(scheme):
-    """run_until_drained(skip_idle=True) must not change any outcome.
-
-    The fast-forward only jumps over ticks in which nothing progressed,
-    so completions, node-update counts, and the final drain cycle must
-    all match the plain per-cycle run exactly.
-    """
-    rng = random.Random(44)
-    leaves = [rng.randrange(512) for _ in range(24)]
-    epochs = [i // 8 for i in range(24)] if scheme.uses_epochs else None
-    geometry = BMTGeometry(num_leaves=512, arity=8)
-
-    def build():
-        engine = CycleAccurateEngine(
-            geometry, EngineConfig(scheme=scheme, mac_latency=40, ptt_capacity=256)
-        )
-        for i, leaf in enumerate(leaves):
-            while not engine.submit(i, leaf, epoch_id=epochs[i] if epochs else 0):
-                engine.tick()
-        return engine
-
-    plain = build()
-    plain.run_until_drained()
-    fast = build()
-    fast.run_until_drained(skip_idle=True)
-    assert fast.completions == plain.completions
-    assert fast.node_update_count == plain.node_update_count
-    assert fast.bmt_cache_misses == plain.bmt_cache_misses
-    assert fast.now == plain.now
-
-
 def test_pipeline_agreement_with_staggered_arrivals():
     geometry = BMTGeometry(num_leaves=512, arity=8)
     engine = CycleAccurateEngine(

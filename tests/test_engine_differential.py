@@ -148,6 +148,37 @@ def test_schemes_share_metadata_scripts_by_replay_shape(order):
     assert len(scripts) == 4
 
 
+@pytest.mark.parametrize(
+    "corrupt, error",
+    [("surplus", RuntimeError), ("shortfall", IndexError)],
+)
+def test_memoized_script_mismatch_raises_and_restores(corrupt, error):
+    """Pass 2's consumed-exactly gate fires on a corrupted memoized script.
+
+    A surplus stream entry is left over once every event is dispatched;
+    a dropped BMT walk runs the walk deque dry mid-dispatch.  Either
+    way the run raises and the live metadata machinery is put back.
+    """
+    from repro.sim.batched import MetadataScript
+    from repro.system.timing import _WriteCombiner
+
+    trace = _trace("gcc")
+    config = SystemConfig(scheme=UpdateScheme.SP)
+    TraceSimulator(config).run(trace)
+    (script,) = [
+        value for value in trace._stat_cache.values() if isinstance(value, MetadataScript)
+    ]
+    if corrupt == "surplus":
+        script.stream.append(True)
+    else:
+        script.walks.pop()
+    sim = TraceSimulator(config)
+    with pytest.raises(error):
+        sim.run(trace)
+    assert "access_counter" not in sim.metadata.__dict__
+    assert isinstance(sim._combiner, _WriteCombiner)
+
+
 @pytest.mark.parametrize("engine", ["batched", "skip_ahead", "stepped"])
 @pytest.mark.parametrize(
     "scheme",

@@ -9,8 +9,7 @@ skip-ahead rewrite must preserve:
 * **2SP gathering** — a WPQ entry is always gathered (enqueued) before
   it is released, on the telemetry streams of either engine family;
 * **monotone clock** — the discrete-event queue never runs time
-  backwards, and a :class:`CompletionHeap` releases completions in
-  non-decreasing order.
+  backwards.
 
 ``hypothesis`` is an optional test dependency: without it this module
 skips cleanly (``pip install plp-repro[dev]`` brings it in).
@@ -26,7 +25,7 @@ from repro.core.schedulers import OccupancyRing, make_scoreboard
 from repro.core.schemes import UpdateScheme
 from repro.crypto.bmt import BMTGeometry
 from repro.mem.wpq import gather_before_release_violations
-from repro.sim.engine import CompletionHeap, Engine
+from repro.sim.engine import Engine
 from repro.system.config import SystemConfig
 from repro.system.timing import TraceSimulator
 from repro.telemetry.config import TelemetryConfig
@@ -215,27 +214,6 @@ def test_nested_scheduling_keeps_clock_monotone(delays):
         engine.schedule(first, lambda extra=extra: chain(extra))
     engine.run()
     assert fired == sorted(fired)
-
-
-@given(times=st.lists(st.integers(0, 10**9), min_size=1, max_size=100), data=st.data())
-@settings(max_examples=50, deadline=None)
-def test_completion_heap_releases_in_order(times, data):
-    heap = CompletionHeap()
-    for t in times:
-        heap.push(t)
-    assert heap.next_time() == min(times)
-    popped = []
-    while heap:
-        popped.append(heap.pop())
-    assert popped == sorted(times)
-    # release_until drops exactly the entries at or before the cut.
-    heap2 = CompletionHeap()
-    for t in times:
-        heap2.push(t)
-    cut = data.draw(st.integers(0, 10**9))
-    released = heap2.release_until(cut)
-    assert released == sum(1 for t in times if t <= cut)
-    assert len(heap2) == len(times) - released
 
 
 @given(

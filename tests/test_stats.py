@@ -198,74 +198,8 @@ def test_geometric_mean_rejects_bad_input():
 
 
 # ----------------------------------------------------------------------
-# mergeable protocol (sharded simulation)
+# sharded partial-result merge
 # ----------------------------------------------------------------------
-
-
-def test_counter_merge_adds_values():
-    a = Counter("hits", 3)
-    b = Counter("hits", 4)
-    a.merge(b)
-    assert a.value == 7
-    assert b.value == 4
-
-
-def test_counter_merge_rejects_name_mismatch():
-    with pytest.raises(ValueError):
-        Counter("hits").merge(Counter("misses"))
-
-
-def test_histogram_merge_matches_recording_everything():
-    one = Histogram("lat", bucket_width=8)
-    two = Histogram("lat", bucket_width=8)
-    golden = Histogram("lat", bucket_width=8)
-    for sample in (3, 17, 90, 4):
-        one.record(sample)
-        golden.record(sample)
-    for sample in (250, 1, 33):
-        two.record(sample)
-        golden.record(sample)
-    one.merge(two)
-    assert list(one.buckets()) == list(golden.buckets())
-    assert one.count == golden.count
-    assert one.mean == golden.mean
-    assert one.minimum == golden.minimum
-    assert one.maximum == golden.maximum
-    assert one.percentile(50) == golden.percentile(50)
-
-
-def test_histogram_merge_empty_is_identity():
-    h = Histogram("lat")
-    h.record(12)
-    h.merge(Histogram("lat"))
-    assert h.count == 1 and h.minimum == 12 and h.maximum == 12
-
-
-def test_histogram_merge_rejects_mismatch():
-    with pytest.raises(ValueError):
-        Histogram("lat").merge(Histogram("other"))
-    with pytest.raises(ValueError):
-        Histogram("lat", bucket_width=8).merge(Histogram("lat", bucket_width=16))
-
-
-def test_registry_merge_recursive():
-    a = StatsRegistry()
-    a.counter("hits").add(2)
-    a.child("l2").counter("misses").add(5)
-    a.child("l2").histogram("lat").record(10)
-    b = StatsRegistry()
-    b.counter("hits").add(3)
-    b.counter("new").add(1)
-    b.child("l2").counter("misses").add(7)
-    b.child("l2").histogram("lat").record(26)
-    b.child("l3").counter("misses").add(9)
-    a.merge(b)
-    flat = a.as_dict()
-    assert flat["hits"] == 5
-    assert flat["new"] == 1
-    assert flat["l2.misses"] == 12
-    assert flat["l2.lat.count"] == 2
-    assert flat["l3.misses"] == 9
 
 
 def test_merge_stat_dicts_sums_keywise():

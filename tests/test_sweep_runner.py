@@ -109,12 +109,17 @@ def test_persistent_pool_reused_across_sweeps():
     specs = list(range(4))
     keys = [f"pid-{i}" for i in specs]
     first, _ = run_tasks(specs, keys, _worker_pid, workers=2)
+    pool = runner_mod._pool
+    workers = set(pool._processes)
     spawns = runner_mod.pool_spawns
     second, _ = run_tasks(specs, keys, _worker_pid, workers=2)
     # No new executor was created, and the very same worker processes
-    # (not just the same count) served both sweeps.
+    # (not just the same count) served both sweeps.  Either sweep's
+    # tasks may all land on one worker, so compare against the pool's
+    # workers rather than intersecting the two sweeps.
+    assert runner_mod._pool is pool
     assert runner_mod.pool_spawns == spawns
-    assert set(first) & set(second)
+    assert set(first) | set(second) <= workers
     assert os.getpid() not in set(first) | set(second)
 
 

@@ -9,6 +9,7 @@ bounded-memory ``run_stream`` differential against the materialized
 """
 
 import struct
+import types
 
 import pytest
 
@@ -266,12 +267,19 @@ def test_reader_empty_segment_rejected(trace):
 # ----------------------------------------------------------------------
 
 
+def _stream_v2(trace, path, config, warmup_fraction, segment_ops):
+    """Write ``trace`` as a v2 file of ``segment_ops``-op segments and stream it."""
+    trace.save_binary(path, version=2, segment_ops=segment_ops)
+    with TraceReader(path) as reader:
+        return TraceSimulator(config).run_stream(reader, warmup_fraction)
+
+
 @pytest.mark.parametrize("scheme", list(UpdateScheme))
 def test_run_stream_matches_run_batched(trace, tmp_path, scheme):
     config = SystemConfig(scheme=scheme)
     ref = TraceSimulator(config).run(trace, 0.2)
-    # In-memory chunk source with an awkward segment size.
-    streamed = TraceSimulator(config).run_stream(trace, 0.2, segment_ops=67)
+    # On-disk v2 source with an awkward segment size.
+    streamed = _stream_v2(trace, tmp_path / "awkward.plptrace", config, 0.2, 67)
     assert streamed == ref
     # On-disk v2 source.
     path = tmp_path / "t.plptrace"
@@ -282,17 +290,76 @@ def test_run_stream_matches_run_batched(trace, tmp_path, scheme):
 
 
 @pytest.mark.parametrize("scheme", [UpdateScheme.SP, UpdateScheme.COALESCING])
-def test_run_stream_matches_run_skip_ahead(trace, scheme):
+def test_run_stream_matches_run_skip_ahead(trace, tmp_path, scheme):
     config = SystemConfig(scheme=scheme, engine="skip_ahead")
     ref = TraceSimulator(config).run(trace, 0.2)
-    streamed = TraceSimulator(config).run_stream(trace, 0.2, segment_ops=73)
+    streamed = _stream_v2(trace, tmp_path / "t.plptrace", config, 0.2, 73)
     assert streamed == ref
 
 
-def test_run_stream_zero_warmup(trace):
+def test_run_stream_zero_warmup(trace, tmp_path):
     config = SystemConfig(scheme=UpdateScheme.SP)
     ref = TraceSimulator(config).run(trace, 0.0)
-    assert TraceSimulator(config).run_stream(trace, 0.0, segment_ops=31) == ref
+    assert _stream_v2(trace, tmp_path / "t.plptrace", config, 0.0, 31) == ref
+
+
+@pytest.mark.parametrize("scheme", [UpdateScheme.O3, UpdateScheme.COALESCING])
+def test_run_stream_drains_open_epoch(tmp_path, scheme):
+    """A trace ending inside an epoch: the end-of-trace drain is its own
+    pass-2 part, and its script's cache counts must still be merged."""
+    trace = kvstore_trace(400)
+    trace.append_op(KIND_STORE, 0x2000_0040, 2, 1)
+    trace.append_op(KIND_STORE, 0x2000_1040, 2, 1)
+    config = SystemConfig(scheme=scheme)
+    ref = TraceSimulator(config.variant(engine="skip_ahead")).run(trace, 0.2)
+    assert TraceSimulator(config).run(trace, 0.2) == ref
+    assert _stream_v2(trace, tmp_path / "t.plptrace", config, 0.2, 47) == ref
+
+
+def test_run_stream_script_surplus_raises(trace, monkeypatch):
+    """A replay that scripts one outcome too many trips the drained check."""
+    from repro.sim.batched import MetadataReplay
+
+    take = MetadataReplay.take
+
+    def take_with_surplus(self):
+        stream, walks, comb = take(self)
+        return stream + [True], walks, comb
+
+    monkeypatch.setattr(MetadataReplay, "take", take_with_surplus)
+    sim = TraceSimulator(SystemConfig(scheme=UpdateScheme.SP))
+    with pytest.raises(RuntimeError, match="not fully consumed"):
+        sim.run_stream(trace, 0.2)
+    assert "access_counter" not in sim.metadata.__dict__
+
+
+class _OverpromisingSource:
+    """A chunk source whose header promises more ops than its chunks hold."""
+
+    def __init__(self, trace):
+        self._trace = trace
+
+    def summary(self):
+        return types.SimpleNamespace(name=self._trace.name, record_count=len(self._trace) + 5)
+
+    def chunks(self):
+        return self._trace.chunks(64)
+
+
+def test_run_stream_rejects_short_source(trace):
+    sim = TraceSimulator(SystemConfig(scheme=UpdateScheme.SP))
+    with pytest.raises(RuntimeError, match="header promised"):
+        sim.run_stream(_OverpromisingSource(trace), 0.2)
+
+
+@pytest.mark.parametrize("engine", ["batched", "skip_ahead"])
+@pytest.mark.parametrize("scheme", list(UpdateScheme), ids=lambda s: s.value)
+def test_zero_op_trace_run_matches_run_stream(scheme, engine):
+    config = SystemConfig(scheme=scheme, engine=engine)
+    ran = TraceSimulator(config).run(MemoryTrace(name="empty"))
+    streamed = TraceSimulator(config).run_stream(MemoryTrace(name="empty"))
+    assert ran == streamed
+    assert (ran.cycles, ran.instructions, ran.persists) == (1, 0, 0)
 
 
 def test_run_stream_rejects_bad_warmup(trace):
