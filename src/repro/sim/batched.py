@@ -31,9 +31,10 @@ exploits that:
 
 Pass 2 (:func:`run_pass2`) is the only code that dispatches prepass
 events.  The memoized run (:func:`run_batched`) hands it the whole
-trace as one part, the streamed run (:func:`run_batched_stream`) one
-part per chunk, and the sharded run (:mod:`repro.sweep.shard`) one part
-per shard.
+trace as one part; the streamed run (:func:`run_batched_stream`) hands
+it parts of at most :data:`PART_OPS` ops, built in trace order by one
+functional chain that runs either in-process or, overlapped with pass
+2, in a forked producer process.
 
 Bit-identity with the scalar engines is by construction, not by luck:
 the decomposed tick clock (``timing.TraceSimulator._clock``) makes the
@@ -48,6 +49,10 @@ stepped on ``SimResult``s *and* telemetry streams for all schemes.
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
+import os
+import threading
 from collections import deque
 from operator import itemgetter
 from typing import List, NamedTuple, Optional, Tuple
@@ -57,13 +62,12 @@ import numpy as np
 from repro.core.coalescing import CoalescingUnit
 from repro.core.schemes import UpdateScheme
 from repro.persistency.epochs import Epoch
-from repro.workloads.trace import KIND_SFENCE, MemoryTrace
+from repro.system import timing
+from repro.workloads.trace import KIND_SFENCE, MemoryTrace, TraceChunk
 
 _EV_LOAD = 0
 _EV_STORE = 1
 _EV_FLUSH = 2
-
-_WINDOW_CAPACITY = 512
 
 # BMT update-walk policies of a metadata replay.
 WALK_WRITEBACK = "writeback"  # every dirty write-back walks its full path
@@ -92,7 +96,7 @@ def replay_shape(config) -> ReplayShape:
 
     The only code that maps a scheme to replay behaviour: the prepass,
     the metadata replay and both memo keys are built from it, on the
-    memoized, streamed and sharded paths alike.  Every scheme other
+    memoized and streamed paths alike.  Every scheme other
     than ``secure_wb`` and ``coalescing`` walks the full path once per
     persist (DESIGN.md §4g, scheme-zoo invariant 2), so they share the
     ``WALK_FULL`` policy; a scheme whose scoreboard walks a truncated
@@ -163,10 +167,8 @@ class FunctionalPrepass:
     instance, and :meth:`feed` advances them over one packed column
     chunk at a time, returning the eventful-op partition for just that
     chunk.  The memoized path (:func:`_prepass_for`) feeds the whole
-    trace in one call; the streaming and sharded paths feed
-    segment-sized chunks to bound their memory.  The state is plain
-    dicts/lists, so :meth:`export_state`/:meth:`load_state` can hand a
-    shard's end state to the worker simulating the next shard.
+    trace in one call; the streamed path feeds parts of at most
+    :data:`PART_OPS` ops to bound its memory.
     """
 
     __slots__ = (
@@ -198,7 +200,7 @@ class FunctionalPrepass:
         self._l2 = [{} for _ in range(self._dims2[0])]
         self._l3 = [{} for _ in range(self._dims3[0])]
         # Dirty-residency window, primed exactly like the simulator's.
-        self._window = {0x100000 + i * 9: None for i in range(_WINDOW_CAPACITY)}
+        self._window = dict.fromkeys(timing.prehistoric_dirty_blocks())
         self._ep_count = 0
         self._ep_dirty: dict = {}
         self._l1c = [0, 0, 0, 0]  # l1 hit/miss/eviction/dirty-eviction
@@ -214,35 +216,6 @@ class FunctionalPrepass:
     def counters(self) -> Tuple[int, ...]:
         """Cumulative L1/L2/L3 hit/miss/eviction/dirty-eviction totals."""
         return tuple(self._l1c) + tuple(self._c)
-
-    def export_state(self) -> tuple:
-        """Picklable snapshot of the carried state (shard handoff)."""
-        return (
-            self._l1,
-            self._l2,
-            self._l3,
-            self._window,
-            self._ep_count,
-            self._ep_dirty,
-            list(self._l1c),
-            list(self._c),
-            self._next_idx,
-        )
-
-    def load_state(self, state: tuple) -> None:
-        (
-            self._l1,
-            self._l2,
-            self._l3,
-            self._window,
-            self._ep_count,
-            self._ep_dirty,
-            l1c,
-            c,
-            self._next_idx,
-        ) = state
-        self._l1c = list(l1c)
-        self._c = list(c)
 
     def feed(self, kind_codes, addresses, persistent_flags) -> List[tuple]:
         """Replay one chunk of packed columns; return its eventful ops.
@@ -388,6 +361,7 @@ class FunctionalPrepass:
                 d[block] = False
 
         window = self._window
+        window_capacity = timing.DIRTY_WINDOW_CAPACITY
         events: List[tuple] = []
         append = events.append
         l1_h, l1_m, l1_e, l1_de = self._l1c
@@ -436,7 +410,7 @@ class FunctionalPrepass:
                         window[block] = None
                     else:
                         window[block] = None
-                        if len(window) > _WINDOW_CAPACITY:
+                        if len(window) > window_capacity:
                             victim = next(iter(window))
                             del window[victim]
                             clean(victim)
@@ -609,10 +583,7 @@ class MetadataReplay:
     :meth:`feed` consumes one chunk of prepass events and buffers the
     scripted outcomes; :meth:`take` drains the buffers.  The memoized
     path (:func:`_metadata_script_for`) feeds the whole event partition
-    at once.  The cache sets, stats and combiner dict are plain
-    containers, so :meth:`export_state`/:meth:`load_state` support the
-    shard handoff (the coalescer is stateless across epochs and is
-    simply rebuilt by the receiving worker).
+    at once.
     """
 
     __slots__ = (
@@ -656,7 +627,7 @@ class MetadataReplay:
         self._bmt_sets = [{} for _ in range(self._dims_bmt[0])]
         self._bmt_stats = [0, 0, 0, 0]
         # The WPQ write-combiner (timing.{_WriteCombiner,_tuple_writes}):
-        # a 16-entry LRU over (kind, block) keys, insertion order = LRU.
+        # an LRU over (kind, block) keys, insertion order = LRU.
         self._comb: dict = {}
         self._coalescer = (
             CoalescingUnit(geometry, policy="paired", telemetry=None)
@@ -671,32 +642,6 @@ class MetadataReplay:
     def counts(self) -> Tuple[int, ...]:
         """Cumulative ctr/mac/bmt hit/miss/eviction/dirty totals."""
         return tuple(self._ctr_stats + self._mac_stats + self._bmt_stats)
-
-    def export_state(self) -> tuple:
-        """Picklable snapshot of the carried state (shard handoff)."""
-        return (
-            self._ctr_sets,
-            self._mac_sets,
-            self._bmt_sets,
-            list(self._ctr_stats),
-            list(self._mac_stats),
-            list(self._bmt_stats),
-            self._comb,
-        )
-
-    def load_state(self, state: tuple) -> None:
-        (
-            self._ctr_sets,
-            self._mac_sets,
-            self._bmt_sets,
-            ctr_stats,
-            mac_stats,
-            bmt_stats,
-            self._comb,
-        ) = state
-        self._ctr_stats = list(ctr_stats)
-        self._mac_stats = list(mac_stats)
-        self._bmt_stats = list(bmt_stats)
 
     def take(self) -> Tuple[List[bool], List[Tuple[List[int], int]], List[bool]]:
         """Drain the buffered (stream, walks, combiner) outcomes."""
@@ -722,6 +667,7 @@ class MetadataReplay:
         walk_writebacks = self.walk == WALK_WRITEBACK
         coalescer = self._coalescer
         comb = self._comb
+        comb_capacity = timing.COMBINER_CAPACITY
         walks = self._walks
         emit = self._stream.append
         emit_comb = self._comb_stream.append
@@ -733,7 +679,7 @@ class MetadataReplay:
                 emit_comb(True)
                 return
             comb[key] = None
-            if len(comb) > 16:
+            if len(comb) > comb_capacity:
                 del comb[next(iter(comb))]
             emit_comb(False)
 
@@ -996,7 +942,7 @@ def _open_window(sim, snap: Tuple[int, int, int]):
     return sim._snapshot(snap[2])
 
 
-def run_pass2(sim, name: str, boundary: int, parts, scripted: bool, after_part=None):
+def run_pass2(sim, name: str, boundary: int, parts, scripted: bool):
     """Pass 2: jump the clock between eventful ops, dispatch each one
     through the shared timed handlers, and assemble the ``SimResult``.
 
@@ -1008,11 +954,10 @@ def run_pass2(sim, name: str, boundary: int, parts, scripted: bool, after_part=N
     ``(stream, walks, combiner)`` metadata script (``None`` unless
     ``scripted``), and replayed cache totals to merge
     (:func:`merge_counts`) or ``None``.  The memoized run passes the
-    whole trace as one part, the streamed run one part per chunk plus
-    the end-of-trace drain, the sharded run one part per shard.
-    ``after_part(window, end)`` runs once each part is dispatched and
-    merged.  ``sim`` is a :class:`~repro.system.timing.TraceSimulator`
-    whose arguments were validated by its entry point.
+    whole trace as one part, the streamed run parts of at most
+    :data:`PART_OPS` ops plus the end-of-trace drain.  ``sim`` is a
+    :class:`~repro.system.timing.TraceSimulator` whose arguments were
+    validated by its entry point.
     """
     epochs = sim.epochs
     handle_writeback = sim._handle_writeback
@@ -1064,8 +1009,6 @@ def run_pass2(sim, name: str, boundary: int, parts, scripted: bool, after_part=N
             sim._ticks = end[1]
             if counts is not None:
                 merge_counts(sim.stats, counts)
-            if after_part is not None:
-                after_part(window, end)
     finally:
         if feed is not None:
             feed.restore()
@@ -1096,22 +1039,44 @@ def run_batched(sim, trace: MemoryTrace, warmup_fraction: float):
     return run_pass2(sim, trace.name, boundary, (part,), scripted)
 
 
-def run_batched_stream(sim, source, name: str, n: int, warmup_fraction: float):
-    """Batched run over a chunk source in bounded memory.
+PART_OPS = 65_536
+"""Most ops one pass-2 part of a streamed run covers.
 
-    Each chunk goes through one :class:`FunctionalPrepass` and one
-    :class:`MetadataReplay`, whose state is bounded by the cache
-    geometry, and is dispatched before the next chunk is read: peak
-    memory is O(chunk), and no prepass/script memo is written (there is
-    no whole trace to key it on).  The event stream, script stream and
-    per-event ticks equal the memoized run's element for element, so
-    results are bit-identical to ``run`` on the materialized trace.
+A quarter of the default trace segment: with a producer process, pass 2
+idles only until the first part arrives, so smaller parts fill the
+pipeline sooner."""
+
+_JOIN_TIMEOUT_S = 10.0
+
+
+def _split(chunk):
+    """``chunk`` cut into slices of at most :data:`PART_OPS` ops."""
+    if len(chunk) <= PART_OPS:
+        yield chunk
+        return
+    for lo in range(0, len(chunk), PART_OPS):
+        hi = lo + PART_OPS
+        yield TraceChunk(
+            chunk.start + lo,
+            chunk.kind_codes[lo:hi],
+            chunk.addresses[lo:hi],
+            chunk.gaps[lo:hi],
+            chunk.persistent_flags[lo:hi],
+        )
+
+
+def _stream_parts(source, config, n: int, boundary: int, scripted: bool):
+    """The pass-2 parts of a streamed run, in trace order.
+
+    One :class:`FunctionalPrepass` and one :class:`MetadataReplay`
+    (whose state is bounded by the cache geometry) advance over the
+    source's chunks :data:`PART_OPS` ops at a time; each part is handed
+    on before the next chunk is read.  The last part is the
+    end-of-trace drain, carrying the replayed cache totals.
     """
-    boundary = int(n * warmup_fraction)
-    scripted = wants_script(sim)
-    shape = replay_shape(sim.config)
-    pre = FunctionalPrepass(shape, sim.config)
-    md = MetadataReplay(shape.walk, sim.config, boundary) if scripted else None
+    shape = replay_shape(config)
+    pre = FunctionalPrepass(shape, config)
+    md = MetadataReplay(shape.walk, config, boundary) if scripted else None
 
     def script_of(events):
         if md is None:
@@ -1119,23 +1084,123 @@ def run_batched_stream(sim, source, name: str, n: int, warmup_fraction: float):
         md.feed(events)
         return md.take()
 
-    def parts():
-        pos = (0, 0, 0)
-        for chunk in source.chunks():
-            events = pre.feed(chunk.kind_codes, chunk.addresses, chunk.persistent_flags)
-            ticks, pos, snap = chunk_ticks(chunk, events, pos, boundary)
-            # Hold nothing of this chunk while the next one is read.
-            del chunk
+    pos = (0, 0, 0)
+    for chunk in source.chunks():
+        for part in _split(chunk):
+            events = pre.feed(part.kind_codes, part.addresses, part.persistent_flags)
+            ticks, pos, snap = chunk_ticks(part, events, pos, boundary)
+            del part
             yield events, ticks, pos, snap, script_of(events), None
             del events, ticks
-        tail = pre.finish()
-        if pre.next_index != n:
-            raise RuntimeError(f"chunk source yielded {pre.next_index} ops; header promised {n}")
-        script = script_of(tail)
-        counts = pre.counters + (md.counts if md is not None else ())
-        yield tail, [pos[1]] * len(tail), pos, None, script, counts
+        # Hold nothing of this chunk while the next one is read.
+        del chunk
+    tail = pre.finish()
+    if pre.next_index != n:
+        raise RuntimeError(f"chunk source yielded {pre.next_index} ops; header promised {n}")
+    script = script_of(tail)
+    counts = pre.counters + (md.counts if md is not None else ())
+    yield tail, [pos[1]] * len(tail), pos, None, script, counts
 
-    return run_pass2(sim, name, boundary, parts(), scripted)
+
+def _producer_context(n: int):
+    """The fork context for a producer process, or ``None`` to stay
+    in-process.
+
+    A streamed run overlaps its functional chain with pass 2 when it
+    has more than one part (``n > PART_OPS``), the caller may run on
+    two or more CPUs, the fork start method exists, and forking is
+    safe: the caller is not a daemonic process (which may not have
+    children) and runs no other thread (a fork copies only the calling
+    thread, so a lock another thread holds would stay held in the
+    child).
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    if n <= PART_OPS or affinity is None or len(affinity(0)) < 2:
+        return None
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    if multiprocessing.current_process().daemon or threading.active_count() > 1:
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def _produce(parts, recv_end, conn) -> None:
+    """Producer process body: send each part, then ``None``; or the
+    exception that stopped the chain.
+
+    The fork copied the consumer's end of the pipe; closing it here
+    makes a send fail once the consumer closes its own.  The chain
+    builds no reference cycles and the process ends with the run, so
+    reference counting frees everything and the cyclic collector only
+    costs time here: its passes over the replay state and the inherited
+    heap slowed the chain by about a fifth.
+    """
+    recv_end.close()
+    gc.disable()
+    with conn:
+        try:
+            for part in parts:
+                conn.send(part)
+            last = None
+        except BrokenPipeError:
+            return  # the consumer stopped reading
+        except Exception as exc:
+            last = exc
+        try:
+            conn.send(last)
+        except BrokenPipeError:
+            pass
+
+
+def _received(conn, producer):
+    """The parts the producer sends; its exception is re-raised here."""
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:
+            raise RuntimeError(
+                f"stream producer exited early (exit code {producer.exitcode})"
+            ) from None
+        if message is None:
+            return
+        if isinstance(message, BaseException):
+            raise message
+        yield message
+
+
+def run_batched_stream(sim, source, name: str, n: int, warmup_fraction: float):
+    """Batched run over a chunk source in bounded memory.
+
+    The functional chain (:func:`_stream_parts`) writes no
+    prepass/script memo (there is no whole trace to key it on), and its
+    event stream, script stream and per-event ticks equal the memoized
+    run's element for element, so results are bit-identical to ``run``
+    on the materialized trace.  Where :func:`_producer_context` allows,
+    the chain runs in a forked producer process that keeps its replay
+    state resident and pickles each part down a one-way pipe while this
+    process dispatches the previous part; otherwise it runs in-process.
+    """
+    boundary = int(n * warmup_fraction)
+    scripted = wants_script(sim)
+    parts = _stream_parts(source, sim.config, n, boundary, scripted)
+    ctx = _producer_context(n)
+    if ctx is None:
+        return run_pass2(sim, name, boundary, parts, scripted)
+    recv_end, send_end = ctx.Pipe(duplex=False)
+    producer = ctx.Process(target=_produce, args=(parts, recv_end, send_end), daemon=True)
+    producer.start()
+    send_end.close()
+    try:
+        return run_pass2(sim, name, boundary, _received(recv_end, producer), scripted)
+    finally:
+        # Closing our end fails the producer's next send if it is still
+        # running; joining here, not in generator finalization, because
+        # a traceback keeps this frame alive.
+        recv_end.close()
+        producer.join(_JOIN_TIMEOUT_S)
+        if producer.exitcode is None:
+            producer.terminate()
+            producer.join(_JOIN_TIMEOUT_S)
 
 
 def _record_epoch(tracker, blocks, store_count: int) -> None:

@@ -190,22 +190,6 @@ class StatsRegistry:
         return f"{self.prefix}.{name}" if self.prefix else name
 
 
-def merge_stat_dicts(dicts: List[Dict[str, float]]) -> Dict[str, float]:
-    """Sum flattened per-shard stat dicts key by key.
-
-    Sharded partial results carry *delta* stats (each shard's counter
-    movement), so plain addition reconstructs the unsharded flat dict
-    exactly — every simulation stat is an integer counter, and integer
-    sums below 2**53 are exact in floats.  Keys missing from a shard
-    (a structure never touched there) count as zero.
-    """
-    out: Dict[str, float] = {}
-    for d in dicts:
-        for key, value in d.items():
-            out[key] = out.get(key, 0) + value
-    return out
-
-
 def geometric_mean(values: List[float]) -> float:
     """Geometric mean, the aggregation the paper uses for overheads."""
     if not values:

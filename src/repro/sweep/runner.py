@@ -32,6 +32,10 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+# The default engine, and numpy with it, loads with the runner: set-up
+# pays for it once, and forked pool workers inherit it rather than each
+# importing it at its first job.
+import repro.sim.batched  # noqa: F401
 from repro.sweep.cache import JSONCache, ResultCache, caching_disabled, job_key
 from repro.sweep.trace_cache import (
     TraceCache,

@@ -114,8 +114,7 @@ class SystemConfig:
         if self.mac_latency < 0:
             raise ValueError("mac_latency must be non-negative")
         # Degenerate capacities used to slip through silently and blow
-        # up far from the constructor (epoch_size=0 reaches a
-        # mod-by-zero in sweep/shard.plan_shards and corrupts epoch
+        # up far from the constructor (epoch_size=0 corrupts epoch
         # accounting; wpq_entries=0 cannot admit any persist).
         for name in (
             "epoch_size",

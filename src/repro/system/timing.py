@@ -79,38 +79,22 @@ class SimResult:
         return self.cycles / baseline.cycles
 
 
-def merge_results(partials: List["SimResult"]) -> "SimResult":
-    """Merge per-shard partial :class:`SimResult`\\ s into the whole-run one.
+DIRTY_WINDOW_CAPACITY = 512
+"""Blocks the dirty-residency window holds (see ``_track_dirty``)."""
 
-    Every top-level field of a partial is a *delta* over its shard
-    (cycles are the integer-truncated end-cycle difference between
-    consecutive shard boundaries, so they telescope; the counter stats
-    are flat per-shard differences), which makes the merge exact: sums
-    of deltas reproduce the unsharded integers bit for bit.  The sharded
-    runner's differential check (``bench_perf``/tests) asserts exactly
-    that against a direct run for every scheme.
+COMBINER_CAPACITY = 16
+"""Recent (kind, block) writes the WPQ write-combiner remembers."""
+
+
+def prehistoric_dirty_blocks() -> range:
+    """The blocks a run's dirty-residency window starts out holding.
+
+    Priming the window with "prehistoric" dirty blocks from a reserved
+    low region makes the steady-state displacement start immediately
+    (see ``_track_dirty``).  The batched engine's functional prepass
+    primes its copy of the window from here too.
     """
-    if not partials:
-        raise ValueError("merge_results needs at least one partial result")
-    first = partials[0]
-    for other in partials[1:]:
-        if other.scheme != first.scheme or other.trace_name != first.trace_name:
-            raise ValueError(
-                "cannot merge results from different schemes or traces: "
-                f"{first.scheme}/{first.trace_name} vs {other.scheme}/{other.trace_name}"
-            )
-    from repro.sim.stats import merge_stat_dicts
-
-    return SimResult(
-        scheme=first.scheme,
-        trace_name=first.trace_name,
-        cycles=max(sum(p.cycles for p in partials), 1),
-        instructions=sum(p.instructions for p in partials),
-        persists=sum(p.persists for p in partials),
-        node_updates=sum(p.node_updates for p in partials),
-        bmt_cache_misses=sum(p.bmt_cache_misses for p in partials),
-        stats=merge_stat_dicts([p.stats for p in partials]),
-    )
+    return range(0x100000, 0x100000 + 9 * DIRTY_WINDOW_CAPACITY, 9)
 
 
 def _source_name_len(source) -> Tuple[str, int]:
@@ -131,7 +115,7 @@ class _WriteCombiner:
 
     __slots__ = ("capacity", "_recent")
 
-    def __init__(self, capacity: int = 16) -> None:
+    def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self._recent: "OrderedDict[Tuple[str, int], None]" = OrderedDict()
 
@@ -179,7 +163,6 @@ class TraceSimulator:
         "_protect_stack",
         "_write_through",
         "_dirty_window",
-        "_dirty_window_capacity",
         "_in_warmup",
         "_ticks",
         "_clock_base",
@@ -271,19 +254,15 @@ class TraceSimulator:
         self.epochs = (
             EpochTracker(config.epoch_size) if self.scheme.uses_epochs else None
         )
-        self._combiner = _WriteCombiner()
+        self._combiner = _WriteCombiner(COMBINER_CAPACITY)
         self._num_leaves = self.geometry.num_leaves
         self._blocks_per_counter_block = config.blocks_per_counter_block
         self._protect_stack = config.protect_stack
         self._write_through = self.scheme.write_through
-        self._dirty_window: "OrderedDict[int, None]" = OrderedDict()
-        self._dirty_window_capacity = 512
+        self._dirty_window: "OrderedDict[int, None]" = OrderedDict.fromkeys(
+            prehistoric_dirty_blocks()
+        )
         self._in_warmup = False
-        # Prime the residency window with "prehistoric" dirty blocks so
-        # the steady-state displacement starts immediately (see
-        # _track_dirty); a reserved low region supplies their addresses.
-        for i in range(self._dirty_window_capacity):
-            self._dirty_window[0x100000 + i * 9] = None
         # The core clock is kept in decomposed form: an integer count of
         # retire ticks since the last stall, plus the float cycle the
         # stall anchored at.  ``_clock() = base + (ticks - ticks0) * cpi``
@@ -532,7 +511,7 @@ class TraceSimulator:
             window.move_to_end(block)
             return
         window[block] = None
-        if len(window) > self._dirty_window_capacity:
+        if len(window) > DIRTY_WINDOW_CAPACITY:
             victim, _ = window.popitem(last=False)
             self.hierarchy.clean_block(victim)
             # Warm-up displacements only maintain window state — their

@@ -256,3 +256,25 @@ def test_kv_traces_randomized_configs(idiom, seed):
     trace = app_memory_trace(idiom, "torn")
     out = run_both(random_config(seed, UpdateScheme.O3), trace)
     assert out["batched"][0] == out["skip_ahead"][0] == out["stepped"][0]
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [UpdateScheme.SECURE_WB, UpdateScheme.SP, UpdateScheme.COALESCING],
+    ids=lambda s: s.value,
+)
+def test_window_and_combiner_capacities_defined_once(monkeypatch, scheme):
+    """The batched prepass and metadata replay take the dirty-residency
+    window and write-combiner capacities from ``timing``, so changing
+    them there moves both engines together (the scripted path would
+    otherwise desync silently: verdicts change, entry counts do not)."""
+    from repro.system import timing
+
+    config = SystemConfig(scheme=scheme)
+    default = TraceSimulator(config).run(_trace("gcc"))
+    monkeypatch.setattr(timing, "DIRTY_WINDOW_CAPACITY", 64)
+    monkeypatch.setattr(timing, "COMBINER_CAPACITY", 4)
+    batched = TraceSimulator(config).run(_trace("gcc"))
+    skip_ahead = TraceSimulator(config.variant(engine="skip_ahead")).run(_trace("gcc"))
+    assert batched == skip_ahead
+    assert batched != default

@@ -4,13 +4,7 @@ import math
 
 import pytest
 
-from repro.sim.stats import (
-    Counter,
-    Histogram,
-    StatsRegistry,
-    geometric_mean,
-    merge_stat_dicts,
-)
+from repro.sim.stats import Counter, Histogram, StatsRegistry, geometric_mean
 
 
 def test_counter_add_and_reset():
@@ -196,14 +190,3 @@ def test_geometric_mean_rejects_bad_input():
     with pytest.raises(ValueError):
         geometric_mean([1.0, 0.0])
 
-
-# ----------------------------------------------------------------------
-# sharded partial-result merge
-# ----------------------------------------------------------------------
-
-
-def test_merge_stat_dicts_sums_keywise():
-    merged = merge_stat_dicts(
-        [{"a": 1, "b": 2}, {"a": 3, "c": 4}, {}]
-    )
-    assert merged == {"a": 4, "b": 2, "c": 4}

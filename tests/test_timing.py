@@ -61,9 +61,9 @@ def test_config_validation():
 )
 @pytest.mark.parametrize("value", [0, -1])
 def test_config_rejects_degenerate_capacities(field, value):
-    """Regression: epoch_size=0 used to slip through and hit a
-    mod-by-zero deep in sweep/shard.plan_shards; wpq_entries=0 could
-    never admit a persist.  The constructor must reject them."""
+    """Regression: epoch_size=0 used to slip through and corrupt epoch
+    accounting; wpq_entries=0 could never admit a persist.  The
+    constructor must reject them."""
     with pytest.raises(ValueError, match=f"{field} must be positive"):
         SystemConfig(**{field: value})
 

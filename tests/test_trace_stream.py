@@ -5,17 +5,23 @@ Covers the PLPTRACE v2 layer end to end: ``TraceWriter`` emission vs
 chunk iteration parity with ``MemoryTrace.chunks``, the reader's
 ``from_bytes``-grade hardening against truncated/corrupt files, and the
 bounded-memory ``run_stream`` differential against the materialized
-``run`` on every scheme.
+``run`` on every scheme, through both transports of the streamed
+functional chain: in-process and the forked producer.
 """
 
+import multiprocessing
+import os
 import struct
+import threading
 import types
 
 import pytest
 
 from repro.core.schemes import UpdateScheme
+from repro.sim import batched
 from repro.system.config import SystemConfig
 from repro.system.timing import TraceSimulator
+from repro.telemetry import TelemetryConfig
 from repro.workloads.synthetic import kvstore_trace
 from repro.workloads.trace import (
     KIND_LOAD,
@@ -303,13 +309,19 @@ def test_run_stream_zero_warmup(trace, tmp_path):
     assert _stream_v2(trace, tmp_path / "t.plptrace", config, 0.0, 31) == ref
 
 
+def open_epoch_trace() -> MemoryTrace:
+    """A trace whose last stores leave an epoch open at its end."""
+    trace = kvstore_trace(400)
+    trace.append_op(KIND_STORE, 0x2000_0040, 2, 1)
+    trace.append_op(KIND_STORE, 0x2000_1040, 2, 1)
+    return trace
+
+
 @pytest.mark.parametrize("scheme", [UpdateScheme.O3, UpdateScheme.COALESCING])
 def test_run_stream_drains_open_epoch(tmp_path, scheme):
     """A trace ending inside an epoch: the end-of-trace drain is its own
     pass-2 part, and its script's cache counts must still be merged."""
-    trace = kvstore_trace(400)
-    trace.append_op(KIND_STORE, 0x2000_0040, 2, 1)
-    trace.append_op(KIND_STORE, 0x2000_1040, 2, 1)
+    trace = open_epoch_trace()
     config = SystemConfig(scheme=scheme)
     ref = TraceSimulator(config.variant(engine="skip_ahead")).run(trace, 0.2)
     assert TraceSimulator(config).run(trace, 0.2) == ref
@@ -366,3 +378,206 @@ def test_run_stream_rejects_bad_warmup(trace):
     sim = TraceSimulator(SystemConfig(scheme=UpdateScheme.SP))
     with pytest.raises(ValueError):
         sim.run_stream(trace, 1.0)
+
+
+# ----------------------------------------------------------------------
+# transports: the functional chain in a forked producer or in-process
+# ----------------------------------------------------------------------
+
+SMALL_PART_OPS = 64
+JOIN_S = 60
+
+
+@pytest.fixture
+def producers(monkeypatch, tmp_path):
+    """Small parts, two usable CPUs, and a spy on the producer process
+    body.
+
+    Returns a callable listing the pids of the producers that started
+    (or, with ``finished=True``, that returned rather than being
+    terminated).
+    """
+    from repro.sweep.runner import shutdown_pool
+
+    # The persistent pool's executor thread would keep every streamed
+    # run in-process (no fork beside another live thread).
+    shutdown_pool()
+    monkeypatch.setattr(batched, "PART_OPS", SMALL_PART_OPS)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    produce = batched._produce
+    marks = tmp_path / "producers"
+    marks.mkdir()
+
+    def spy(*args):
+        (marks / f"{os.getpid()}.started").touch()
+        produce(*args)
+        (marks / f"{os.getpid()}.finished").touch()
+
+    monkeypatch.setattr(batched, "_produce", spy)
+    return lambda finished=False: [
+        int(mark.stem) for mark in marks.glob("*.finished" if finished else "*.started")
+    ]
+
+
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def streamed_run(path, config, warmup_fraction=0.2):
+    """Stream the v2 file at ``path``; returns the result and telemetry."""
+    sim = TraceSimulator(config)
+    with TraceReader(path) as reader:
+        result = sim.run_stream(reader, warmup_fraction)
+    if sim.telemetry is None:
+        return result, None
+    events = [(e.kind, e.time, e.duration, e.track, e.ident, e.args) for e in sim.telemetry.events()]
+    return result, events
+
+
+def assert_transports_match_run(trace, path, config, monkeypatch, producers, warmup=0.2):
+    """Pipelined == in-process == ``run`` on the materialized trace."""
+    trace.save_binary(path, version=2, segment_ops=150)
+    ref = TraceSimulator(config).run(trace, warmup)
+    pipelined = streamed_run(path, config, warmup)
+    forked = producers()
+    assert len(forked) == 1 and os.getpid() not in forked
+    one_cpu(monkeypatch)
+    assert streamed_run(path, config, warmup) == pipelined
+    assert producers() == forked
+    assert pipelined[0] == ref
+    return pipelined
+
+
+@pytest.mark.parametrize("scheme", list(UpdateScheme))
+def test_pipelined_stream_matches_run(trace, tmp_path, monkeypatch, producers, scheme):
+    # 403 ops in 150-op segments and 64-op parts: parts end inside and
+    # at segment edges, and the 20 % warmup ends inside a part.
+    assert_transports_match_run(
+        trace, tmp_path / "t.plptrace", SystemConfig(scheme=scheme), monkeypatch, producers
+    )
+
+
+@pytest.mark.parametrize("scheme", [UpdateScheme.O3, UpdateScheme.COALESCING])
+def test_pipelined_stream_drains_open_epoch(tmp_path, monkeypatch, producers, scheme):
+    config = SystemConfig(scheme=scheme)
+    trace = open_epoch_trace()
+    assert_transports_match_run(trace, tmp_path / "t.plptrace", config, monkeypatch, producers)
+
+
+def test_pipelined_stream_ideal_metadata(trace, tmp_path, monkeypatch, producers):
+    config = SystemConfig(scheme=UpdateScheme.SP, ideal_metadata=True)
+    assert_transports_match_run(trace, tmp_path / "t.plptrace", config, monkeypatch, producers)
+
+
+@pytest.mark.parametrize("scheme", [UpdateScheme.SP, UpdateScheme.COALESCING])
+def test_pipelined_stream_cache_event_telemetry(trace, tmp_path, monkeypatch, producers, scheme):
+    """Telemetry stays in the consumer: the event streams match too."""
+    config = SystemConfig(
+        scheme=scheme, telemetry=TelemetryConfig(enabled=True, cache_events=True)
+    )
+    _result, events = assert_transports_match_run(
+        trace, tmp_path / "t.plptrace", config, monkeypatch, producers, warmup=0.0
+    )
+    assert events
+
+
+def test_pipelined_truncated_segment_raises_in_parent(trace, tmp_path, producers):
+    path = tmp_path / "t.plptrace"
+    trace.save_binary(path, version=2, segment_ops=150)
+    with TraceReader(path) as reader:
+        # Cut the file inside the last segment after the index was read.
+        os.truncate(path, reader.segments[-1].offset + 3)
+        with pytest.raises(TraceFormatError, match="truncated"):
+            TraceSimulator(SystemConfig(scheme=UpdateScheme.SP)).run_stream(reader)
+    assert len(producers()) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_pipelined_short_source_raises_in_parent(trace, producers):
+    sim = TraceSimulator(SystemConfig(scheme=UpdateScheme.SP))
+    with pytest.raises(RuntimeError, match="header promised"):
+        sim.run_stream(_OverpromisingSource(trace), 0.2)
+    assert len(producers()) == 1
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("skew", ["surplus", "shortfall"])
+def test_pipelined_script_mismatch_reaps_producer(monkeypatch, producers, skew):
+    """A parent-side failure leaves no producer behind, even one blocked
+    on a full pipe (this trace's parts outgrow the pipe buffer)."""
+    from repro.sim.batched import MetadataReplay
+
+    take = MetadataReplay.take
+    calls = []
+
+    def skewed_take(self):
+        stream, walks, comb = take(self)
+        calls.append(None)
+        if skew == "surplus":
+            return stream + [True], walks, comb
+        return (stream if len(calls) > 1 else []), walks, comb
+
+    monkeypatch.setattr(MetadataReplay, "take", skewed_take)
+    sim = TraceSimulator(SystemConfig(scheme=UpdateScheme.SP))
+    error = RuntimeError if skew == "surplus" else IndexError
+    with pytest.raises(error):
+        sim.run_stream(kvstore_trace(20_000), 0.2)
+    assert len(producers()) == 1
+    assert producers(finished=True) == producers()
+    assert multiprocessing.active_children() == []
+    assert "access_counter" not in sim.metadata.__dict__
+
+
+def _stream_into(trace, conn):
+    """Daemonic caller body: send back the streamed result (or error)."""
+    with conn:
+        try:
+            conn.send(TraceSimulator(SystemConfig(scheme=UpdateScheme.SP)).run_stream(trace))
+        except Exception as exc:
+            conn.send(exc)
+
+
+def test_in_process_for_one_cpu(trace, monkeypatch, producers):
+    one_cpu(monkeypatch)
+    config = SystemConfig(scheme=UpdateScheme.SP)
+    assert TraceSimulator(config).run_stream(trace) == TraceSimulator(config).run(trace)
+    assert producers() == []
+
+
+def test_in_process_for_single_part_trace(trace, monkeypatch, producers):
+    monkeypatch.setattr(batched, "PART_OPS", len(trace))
+    config = SystemConfig(scheme=UpdateScheme.SP)
+    assert TraceSimulator(config).run_stream(trace) == TraceSimulator(config).run(trace)
+    assert producers() == []
+
+
+def test_in_process_beside_another_live_thread(trace, producers):
+    config = SystemConfig(scheme=UpdateScheme.SP)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(JOIN_S,))
+    other.start()
+    try:
+        streamed = TraceSimulator(config).run_stream(trace)
+    finally:
+        release.set()
+        other.join(JOIN_S)
+    assert not other.is_alive()
+    assert streamed == TraceSimulator(config).run(trace)
+    assert producers() == []
+
+
+def test_in_process_in_a_daemonic_caller(trace, producers):
+    ctx = multiprocessing.get_context("fork")
+    recv_end, send_end = ctx.Pipe(duplex=False)
+    caller = ctx.Process(target=_stream_into, args=(trace, send_end), daemon=True)
+    caller.start()
+    send_end.close()
+    try:
+        assert recv_end.poll(JOIN_S)
+        streamed = recv_end.recv()
+    finally:
+        recv_end.close()
+        caller.join(JOIN_S)
+    assert caller.exitcode == 0
+    assert streamed == TraceSimulator(SystemConfig(scheme=UpdateScheme.SP)).run(trace)
+    assert producers() == []
