@@ -31,8 +31,9 @@ A fifth stage, ``engine_batched``, times every timing-engine family
 (``SystemConfig.engine``): the array-native batched engine (the
 default) and the scalar skip-ahead engine against the per-cycle
 stepped reference on the quick matrix, then batched vs skip-ahead
-again on the standard 25 KI matrix.  All three must be bit-identical,
-and the measured speedups must clear the ``FLOORS`` gates.
+again on the standard 25 KI matrix, in alternating rounds to a fixed
+time budget.  All three must be bit-identical, and the median
+per-round speedups must clear the ``FLOORS`` gates.
 
 All simulating stages must produce bit-identical results (the full
 ``SimResult`` is compared field by field); the harness fails hard if
@@ -57,9 +58,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -81,14 +84,15 @@ REQUIRED_FIELDS = ("cycles", "persists", "node_updates", "ppki")
 
 FLOORS = {
     # Batched engine vs the scalar skip-ahead engine, same matrix, warm
-    # prepass memos (the steady-state sweep regime).  Measured ~3.2x on
-    # the quick matrix and ~3.7x on the full 25 KI matrix.
+    # prepass memos (the steady-state sweep regime), gated on the median
+    # per-round ratio (_engine_rounds).  Measured 3.14-3.35x on the
+    # quick matrix and ~4.0x on the full 25 KI matrix (2-vCPU VM).
     "engine_batched_vs_skip_ahead": 3.0,
     # Batched engine vs the per-cycle stepped oracle (quick matrix only
-    # — stepped is deliberately O(cycles waited)).  Measured ~18x.
+    # — stepped is deliberately O(cycles waited)).  Measured ~20x.
     "engine_batched_vs_stepped": 10.0,
     # The scalar skip-ahead engine must also stay well ahead of the
-    # oracle (the pre-batched floor).  Measured ~5.7x.
+    # oracle (the pre-batched floor).  Measured ~6x.
     "engine_skip_ahead_vs_stepped": 3.0,
     # Cold parallel runner vs the sequential stage.  The persistent
     # fork pool inherits the parent's warm prepass memos, so even on a
@@ -101,9 +105,9 @@ FLOORS = {
     # Peak RSS of a fresh process streaming the stream-stage trace end
     # to end (``run_stream`` over a chunked v2 file), counted as the
     # parent plus its forked producer process.  Hard cap, always
-    # enforced: measured ~147 MB at 10M ops (~69 MB parent + ~78 MB
-    # producer; ~80 MB pinned in-process), vs ~1 GB for a materialized
-    # run (trace columns + event list + tick table).
+    # enforced: measured ~135 MB at 10M ops (~62 MB parent + ~72 MB
+    # producer), vs ~1 GB for a materialized run (trace columns + event
+    # list + tick table).
     "stream_peak_rss_mb": 300.0,
     # Streamed run with its functional chain overlapped with pass 2 in
     # a forked producer vs the same run pinned to one CPU (which keeps
@@ -200,27 +204,46 @@ def run_trace_stages(benchmarks, ki: int, cache_root: Path) -> list:
     return stages
 
 
-def _engine_matrix_wall(engine: str, benchmarks, schemes, ki: int, reps: int = 2):
-    """Best-of-``reps`` sequential wall for one engine family.
+def _engine_rounds(engines, benchmarks, schemes, ki: int, budget_s: float, min_rounds: int):
+    """Per-round sequential walls of each engine on one matrix.
 
-    The first rep also warms the batched engine's per-trace prepass
-    memos, so the recorded number reflects the steady-state sweep
-    regime every artifact actually runs in.
+    A warm-up rep per engine warms the batched engine's per-trace
+    prepass and script memos (the steady-state sweep regime every
+    artifact runs in) and returns the results the engines are compared
+    on.  The timed rounds then run every engine once each, in an order
+    that reverses round by round, until ``budget_s`` has passed and at
+    least ``min_rounds`` rounds ran.  Each timed rep starts with
+    ``gc.collect()``, so a collection of an earlier rep's garbage never
+    lands inside it.
     """
-    jobs = [
-        SweepJob.make(name, scheme, ki, engine=engine)
-        for name in benchmarks
-        for scheme in schemes
-    ]
-    best = None
-    results = None
-    for _ in range(reps):
-        start = time.perf_counter()
-        results, _ = run_jobs(jobs, workers=1, cache=False)
-        wall = time.perf_counter() - start
-        if best is None or wall < best:
-            best = wall
-    return best, results
+    jobs = {
+        engine: [
+            SweepJob.make(name, scheme, ki, engine=engine)
+            for name in benchmarks
+            for scheme in schemes
+        ]
+        for engine in engines
+    }
+    results = {engine: run_jobs(jobs[engine], workers=1, cache=False)[0] for engine in engines}
+    walls = {engine: [] for engine in engines}
+    rounds = 0
+    start = time.perf_counter()
+    while rounds < min_rounds or time.perf_counter() - start < budget_s:
+        for engine in engines if rounds % 2 == 0 else engines[::-1]:
+            gc.collect()
+            t0 = time.perf_counter()
+            run_jobs(jobs[engine], workers=1, cache=False)
+            walls[engine].append(time.perf_counter() - t0)
+        rounds += 1
+    return walls, results
+
+
+def _ratio(slow, fast):
+    """Median and interquartile range of the per-round ratios."""
+    q1, median, q3 = statistics.quantiles(
+        [s / f for s, f in zip(slow, fast)], n=4, method="inclusive"
+    )
+    return round(median, 3), round(q3 - q1, 3)
 
 
 def run_engine_stage(quick: bool) -> dict:
@@ -230,24 +253,32 @@ def run_engine_stage(quick: bool) -> dict:
     stepped oracle (stepped is deliberately O(total cycles waited), so
     it never sees the full 25 KI matrix); the full run then re-times
     batched vs skip-ahead on the standard 25 KI matrix.  All engines
-    must be bit-identical, and every ``FLOORS`` entry is a hard gate.
+    must be bit-identical, and every ``FLOORS`` entry is a hard gate on
+    the median of the per-round speedups (:func:`_engine_rounds`);
+    their interquartile ranges are recorded beside them.
     """
-    walls = {}
-    results = {}
-    for engine in ("batched", "skip_ahead", "stepped"):
-        walls[engine], results[engine] = _engine_matrix_wall(
-            engine, QUICK_BENCHMARKS, QUICK_SCHEMES, QUICK_KI
-        )
+    # Batched vs skip-ahead alternate to a time budget: a ~10 ms matrix
+    # needs tens of pairs for a stable median.  Stepped is ~20x slower
+    # and clears its floors by a wide margin, so three rounds suffice.
+    walls, _ = _engine_rounds(
+        ("batched", "skip_ahead"), QUICK_BENCHMARKS, QUICK_SCHEMES, QUICK_KI, 2.0, 10
+    )
+    stepped_walls, results = _engine_rounds(
+        ("batched", "skip_ahead", "stepped"), QUICK_BENCHMARKS, QUICK_SCHEMES, QUICK_KI, 0.0, 3
+    )
     golden = fingerprints(results["batched"])
     for engine in ("skip_ahead", "stepped"):
         if fingerprints(results[engine]) != golden:
             _fail(f"engine {engine!r} diverged from the batched engine")
 
-    speedups = {
-        "batched_vs_skip_ahead_quick": round(walls["skip_ahead"] / walls["batched"], 3),
-        "batched_vs_stepped": round(walls["stepped"] / walls["batched"], 3),
-        "skip_ahead_vs_stepped": round(walls["stepped"] / walls["skip_ahead"], 3),
-    }
+    speedups = {}
+    spreads = {}
+    for key, rounds, slow, fast in (
+        ("batched_vs_skip_ahead_quick", walls, "skip_ahead", "batched"),
+        ("batched_vs_stepped", stepped_walls, "stepped", "batched"),
+        ("skip_ahead_vs_stepped", stepped_walls, "stepped", "skip_ahead"),
+    ):
+        speedups[key], spreads[key] = _ratio(rounds[slow], rounds[fast])
     stage = {
         "name": "engine_batched",
         "matrix": {
@@ -255,32 +286,36 @@ def run_engine_stage(quick: bool) -> dict:
             "schemes": QUICK_SCHEMES,
             "kilo_instructions": QUICK_KI,
         },
-        "wall_seconds": round(walls["batched"], 6),
-        "wall_seconds_skip_ahead": round(walls["skip_ahead"], 6),
-        "wall_seconds_stepped": round(walls["stepped"], 6),
+        "rounds": len(walls["batched"]),
+        "rounds_stepped": len(stepped_walls["stepped"]),
+        "wall_seconds": round(statistics.median(walls["batched"]), 6),
+        "wall_seconds_skip_ahead": round(statistics.median(walls["skip_ahead"]), 6),
+        "wall_seconds_stepped": round(statistics.median(stepped_walls["stepped"]), 6),
         "results_identical": True,
     }
 
     if not quick:
-        full_walls = {}
-        full_results = {}
-        for engine in ("batched", "skip_ahead"):
-            full_walls[engine], full_results[engine] = _engine_matrix_wall(
-                engine, SUBSET, FULL_SCHEMES, TRACE_KI
-            )
+        full_walls, full_results = _engine_rounds(
+            ("batched", "skip_ahead"), SUBSET, FULL_SCHEMES, TRACE_KI, 5.0, 5
+        )
         if fingerprints(full_results["skip_ahead"]) != fingerprints(
             full_results["batched"]
         ):
             _fail("engines diverged on the full 25 KI matrix")
-        speedups["batched_vs_skip_ahead"] = round(
-            full_walls["skip_ahead"] / full_walls["batched"], 3
+        speedups["batched_vs_skip_ahead"], spreads["batched_vs_skip_ahead"] = _ratio(
+            full_walls["skip_ahead"], full_walls["batched"]
         )
-        stage["wall_seconds_full"] = round(full_walls["batched"], 6)
-        stage["wall_seconds_full_skip_ahead"] = round(full_walls["skip_ahead"], 6)
+        stage["rounds_full"] = len(full_walls["batched"])
+        stage["wall_seconds_full"] = round(statistics.median(full_walls["batched"]), 6)
+        stage["wall_seconds_full_skip_ahead"] = round(
+            statistics.median(full_walls["skip_ahead"]), 6
+        )
     else:
         # CI smoke: the quick matrix stands in for the 25 KI gate.
         speedups["batched_vs_skip_ahead"] = speedups["batched_vs_skip_ahead_quick"]
+        spreads["batched_vs_skip_ahead"] = spreads["batched_vs_skip_ahead_quick"]
     stage["speedups"] = speedups
+    stage["speedup_iqr"] = spreads
 
     for floor_key, measured_key in (
         ("engine_batched_vs_skip_ahead", "batched_vs_skip_ahead"),
@@ -290,7 +325,10 @@ def run_engine_stage(quick: bool) -> dict:
         floor = FLOORS[floor_key]
         measured = speedups[measured_key]
         if measured < floor:
-            _fail(f"{measured_key} speedup {measured}x is below the {floor}x floor")
+            _fail(
+                f"{measured_key} median speedup {measured}x "
+                f"(IQR {spreads[measured_key]}) is below the {floor}x floor"
+            )
     return stage
 
 
@@ -681,6 +719,7 @@ def main(argv=None) -> int:
             "default": "batched",
             "reference": "stepped",
             "speedups": engine_stage["speedups"],
+            "speedup_iqr": engine_stage["speedup_iqr"],
             "results_identical": True,
         },
         "runner": {

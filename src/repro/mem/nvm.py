@@ -16,6 +16,7 @@ regression).
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Optional
@@ -40,14 +41,22 @@ class NVMConfig:
     folded into ``burst_cycles``), but the knob supports scaling
     studies."""
 
+    def __post_init__(self) -> None:
+        for name in ("read_latency", "write_latency", "burst_cycles"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
+        for name in ("read_queue_size", "write_queue_size", "channels"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+
 
 class NVMModel:
     """Scoreboard NVM channel with bounded read/write queues."""
 
     def __init__(self, config: Optional[NVMConfig] = None, stats: Optional[StatsRegistry] = None) -> None:
         self.config = config or NVMConfig()
-        if self.config.channels <= 0:
-            raise ValueError("channels must be positive")
         registry = stats if stats is not None else StatsRegistry()
         self._reads = registry.counter("nvm.reads")
         self._writes = registry.counter("nvm.writes")
@@ -57,44 +66,13 @@ class NVMModel:
         self._read_completions: Deque[int] = deque()
         self._write_completions: Deque[int] = deque()
 
-    def _drain(self, completions: Deque[int], now: int) -> None:
-        while completions and completions[0] <= now:
-            completions.popleft()
-
-    def _queue_admit(
-        self, completions: Deque[int], capacity: int, now: int
-    ) -> int:
-        """Earliest cycle at which the queue has a free slot."""
-        self._drain(completions, now)
-        if len(completions) < capacity:
-            return now
-        return completions[len(completions) - capacity]
-
-    def _issue_on_channel(self, admit: int) -> int:
-        """Place a transfer on the least-loaded channel."""
-        channels = self._channel_free
-        if len(channels) == 1:
-            # Table III models one channel; skip the arg-min entirely.
-            free = channels[0]
-            issue = admit if admit >= free else free
-            channels[0] = issue + self.config.burst_cycles
-            return issue
-        index = min(range(len(channels)), key=channels.__getitem__)
-        issue = max(admit, channels[index])
-        channels[index] = issue + self.config.burst_cycles
-        return issue
-
     def read(self, now: int) -> int:
         """Issue a read; returns the cycle its data is available."""
         cfg = self.config
-        admit = self._queue_admit(self._read_completions, cfg.read_queue_size, now)
-        if admit > now:
-            self._read_stalls.value += admit - now
-        issue = self._issue_on_channel(admit)
-        completion = issue + cfg.read_latency
-        self._insert(self._read_completions, completion)
-        self._reads.value += 1
-        return completion
+        return self._transfer(
+            self._read_completions, cfg.read_queue_size, cfg.read_latency,
+            self._read_stalls, self._reads, now,
+        )
 
     def write(self, now: int) -> int:
         """Issue a write; returns the cycle it is durable in the media.
@@ -104,33 +82,44 @@ class NVMModel:
         and queue occupancy still throttle everything else.
         """
         cfg = self.config
-        admit = self._queue_admit(self._write_completions, cfg.write_queue_size, now)
-        if admit > now:
-            self._write_stalls.value += admit - now
-        issue = self._issue_on_channel(admit)
-        completion = issue + cfg.write_latency
-        self._insert(self._write_completions, completion)
-        self._writes.value += 1
-        return completion
+        return self._transfer(
+            self._write_completions, cfg.write_queue_size, cfg.write_latency,
+            self._write_stalls, self._writes, now,
+        )
 
-    @staticmethod
-    def _insert(completions: Deque[int], completion: int) -> None:
-        """Keep the completion deque sorted (completions are nearly FIFO)."""
+    def _transfer(
+        self, completions: Deque[int], capacity: int, latency: int, stalls, count, now: int
+    ) -> int:
+        """One transfer through a bounded queue; returns its completion.
+
+        Waits for a free queue slot (charging the wait to ``stalls``),
+        issues on the least-loaded channel for one burst, and records the
+        completion in the queue's sorted completion deque.  Written as
+        one body because every timed handler funnels through it.
+        """
+        while completions and completions[0] <= now:
+            completions.popleft()
+        admit = now
+        if len(completions) >= capacity:
+            admit = completions[len(completions) - capacity]
+            if admit > now:
+                stalls.value += admit - now
+        channels = self._channel_free
+        # Table III models one channel; skip the arg-min entirely.
+        if len(channels) == 1:
+            index = 0
+        else:
+            index = min(range(len(channels)), key=channels.__getitem__)
+        free = channels[index]
+        issue = admit if admit >= free else free
+        channels[index] = issue + self.config.burst_cycles
+        completion = issue + latency
         if not completions or completion >= completions[-1]:
-            completions.append(completion)
-            return
-        # Rare out-of-order completion: insert in place.
-        items = list(completions)
-        lo, hi = 0, len(items)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if items[mid] <= completion:
-                lo = mid + 1
-            else:
-                hi = mid
-        items.insert(lo, completion)
-        completions.clear()
-        completions.extend(items)
+            completions.append(completion)  # completions are nearly FIFO
+        else:
+            insort(completions, completion)
+        count.value += 1
+        return completion
 
     @property
     def reads_issued(self) -> int:

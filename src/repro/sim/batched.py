@@ -53,6 +53,7 @@ import gc
 import multiprocessing
 import os
 import threading
+from array import array
 from collections import deque
 from operator import itemgetter
 from typing import List, NamedTuple, Optional, Tuple
@@ -496,16 +497,18 @@ class MetadataScript:
     access happens inside an eventful op's handler, the events come in
     trace order, and each handler's internal sequence is fixed by the
     BMT-walk policy.  None of the lookup *outcomes* depend on the clock
-    — only the latencies charged for them do — so everything the
-    handlers ask of the metadata layer can be replayed from precomputed
-    streams in pass 2 instead of live LRU caches:
+    or on a latency — only the costs charged for them do — so
+    everything the handlers ask of the metadata layer can be replayed
+    from precomputed outcomes in pass 2 instead of live LRU caches:
 
-    * ``stream`` — hit/miss booleans for counter reads/writes, MAC
-      reads/writes, and the load path's BMT read walks, in call order;
-    * ``walks`` — one ``(costs, misses)`` entry per ``_level_costs``
-      call (the scoreboards' BMT update walks), in call order;
-    * ``combiner`` — absorb/no-absorb booleans for the WPQ
-      write-combiner (``_tuple_writes``), in call order;
+    * ``stream`` — one hit (1) / miss (0) byte per counter read/write,
+      MAC read/write and load-path BMT read-walk node, in call order;
+    * ``walks`` — one walk code per ``_level_costs`` call (the
+      scoreboards' BMT update walks), in call order: bit ``i`` is set
+      when node ``i`` of the path missed, the top set bit marks the
+      path length, and pass 2 prices it (:class:`ScriptFeed`);
+    * ``combiner`` — one absorb (1) / no-absorb (0) byte per WPQ
+      write-combiner verdict (``_tuple_writes``), in call order;
     * ``counts`` — (hits, misses, evictions, dirty_evictions) totals
       per metadata cache, merged into the registry after pass 2.
     """
@@ -513,11 +516,7 @@ class MetadataScript:
     __slots__ = ("stream", "walks", "combiner", "counts")
 
     def __init__(
-        self,
-        stream: List[bool],
-        walks: List[Tuple[List[int], int]],
-        combiner: List[bool],
-        counts: Tuple[int, ...],
+        self, stream: bytearray, walks: array, combiner: bytearray, counts: Tuple[int, ...]
     ) -> None:
         self.stream = stream
         self.walks = walks
@@ -552,6 +551,28 @@ def _md_access(sets: List[dict], stats: List[int], dims: Tuple[int, Optional[int
     return access
 
 
+_MEMO_ENTRIES = 4096
+"""Most keys a :class:`_Memo` holds; a full memo starts over, so a
+streamed run's per-leaf memo stays bounded however many leaves the
+stream touches (a 25 KI profile trace touches at most ~100)."""
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``fill(key)`` on first use."""
+
+    __slots__ = ("_fill",)
+
+    def __init__(self, fill) -> None:
+        super().__init__()
+        self._fill = fill
+
+    def __missing__(self, key):
+        if len(self) >= _MEMO_ENTRIES:
+            self.clear()
+        value = self[key] = self._fill(key)
+        return value
+
+
 class MetadataReplay:
     """Chunk-resumable replay of the metadata caches and combiner.
 
@@ -568,22 +589,21 @@ class MetadataReplay:
       in first-store order, then one BMT update walk per persist — the
       full path under ``WALK_FULL`` (o3), the LCA-truncated path under
       ``WALK_LCA`` (coalescing; the truncation is a pure function of
-      the leaf sequence; ``CoalescingUnit.now`` only stamps telemetry,
-      which is off whenever the script is in use; empty coalesced paths
-      never reach ``_level_costs``, so they add no walk entry).
+      the leaf sequence and keeps a prefix of the leaf's path;
+      ``CoalescingUnit.now`` only stamps telemetry, which is off
+      whenever the script is in use; empty coalesced paths never reach
+      ``_level_costs``, so they add no walk entry).
 
-    BMT update walks are resolved all the way to per-node cost lists
-    (MAC latency, plus the miss penalty on a BMT cache miss) so pass 2
-    can feed the scoreboards one precomputed list per ``_level_costs``
-    call.  The pinned root (label 0) costs one MAC latency and never
-    touches the cache, matching ``access_bmt_node``.
+    Each BMT update walk is recorded as one walk code (see
+    :class:`MetadataScript`).  The pinned root (label 0, always a path's
+    last node) never touches the cache, matching ``access_bmt_node``.
 
-    The replay reads no scheme: ``walk`` (a :class:`ReplayShape` walk
-    policy) and the metadata fields of ``config`` fix its output.
-    :meth:`feed` consumes one chunk of prepass events and buffers the
-    scripted outcomes; :meth:`take` drains the buffers.  The memoized
-    path (:func:`_metadata_script_for`) feeds the whole event partition
-    at once.
+    The replay reads no scheme and no latency: ``walk`` (a
+    :class:`ReplayShape` walk policy) and the metadata-cache fields of
+    ``config`` fix its output.  :meth:`feed` consumes one chunk of
+    prepass events and buffers the scripted outcomes; :meth:`take`
+    drains the buffers.  The memoized path (:func:`_metadata_script_for`)
+    feeds the whole event partition at once.
     """
 
     __slots__ = (
@@ -591,8 +611,6 @@ class MetadataReplay:
         "walk",
         "_geometry",
         "_bpcb",
-        "_mac_latency",
-        "_miss_cost",
         "_dims_ctr",
         "_dims_mac",
         "_dims_bmt",
@@ -604,6 +622,7 @@ class MetadataReplay:
         "_bmt_stats",
         "_comb",
         "_coalescer",
+        "_nodes",
         "_stream",
         "_walks",
         "_comb_stream",
@@ -615,8 +634,6 @@ class MetadataReplay:
         geometry = config.geometry()
         self._geometry = geometry
         self._bpcb = config.blocks_per_counter_block
-        self._mac_latency = config.mac_latency
-        self._miss_cost = config.mac_latency + config.nvm.read_latency
         self._dims_ctr = _cache_dims(config.counter_cache_bytes, config.metadata_assoc)
         self._dims_mac = _cache_dims(config.mac_cache_bytes, config.metadata_assoc)
         self._dims_bmt = _cache_dims(config.bmt_cache_bytes, config.metadata_assoc)
@@ -634,21 +651,29 @@ class MetadataReplay:
             if walk == WALK_LCA
             else None
         )
-        self._stream: List[bool] = []
-        self._walks: List[Tuple[List[int], int]] = []
-        self._comb_stream: List[bool] = []
+        # leaf -> ((BMT cache key, walk-code bit), ...), non-root nodes only
+        self._nodes = _Memo(
+            lambda leaf: tuple(
+                ((label - 1) // geometry.arity, 1 << i)
+                for i, label in enumerate(geometry.path_tuple(leaf))
+                if label
+            )
+        )
+        self._stream = bytearray()
+        self._walks = array("Q")
+        self._comb_stream = bytearray()
 
     @property
     def counts(self) -> Tuple[int, ...]:
         """Cumulative ctr/mac/bmt hit/miss/eviction/dirty totals."""
         return tuple(self._ctr_stats + self._mac_stats + self._bmt_stats)
 
-    def take(self) -> Tuple[List[bool], List[Tuple[List[int], int]], List[bool]]:
+    def take(self) -> Tuple[bytearray, array, bytearray]:
         """Drain the buffered (stream, walks, combiner) outcomes."""
         out = (self._stream, self._walks, self._comb_stream)
-        self._stream = []
-        self._walks = []
-        self._comb_stream = []
+        self._stream = bytearray()
+        self._walks = array("Q")
+        self._comb_stream = bytearray()
         return out
 
     def feed(self, events: List[tuple]) -> None:
@@ -657,18 +682,16 @@ class MetadataReplay:
         mac = _md_access(self._mac_sets, self._mac_stats, self._dims_mac)
         bmt = _md_access(self._bmt_sets, self._bmt_stats, self._dims_bmt)
         geometry = self._geometry
-        arity = geometry.arity
         num_leaves = geometry.num_leaves
-        path_tuple = geometry.path_tuple
+        full_top = 1 << geometry.levels
+        nodes = self._nodes
         bpcb = self._bpcb
-        mac_latency = self._mac_latency
-        miss_cost = self._miss_cost
         boundary = self.boundary
         walk_writebacks = self.walk == WALK_WRITEBACK
         coalescer = self._coalescer
         comb = self._comb
         comb_capacity = timing.COMBINER_CAPACITY
-        walks = self._walks
+        emit_walk = self._walks.append
         emit = self._stream.append
         emit_comb = self._comb_stream.append
 
@@ -688,23 +711,18 @@ class MetadataReplay:
             absorbs(("ctr", block // bpcb))
             absorbs(("mac", block >> 3))
 
-        def bmt_update_walk(path) -> None:
-            costs = []
-            misses = 0
-            for label in path:
-                if label and not bmt((label - 1) // arity, True):
-                    costs.append(miss_cost)
-                    misses += 1
-                else:
-                    costs.append(mac_latency)
-            walks.append((costs, misses))
+        def bmt_update_walk(pairs, code: int) -> None:
+            for key, bit in pairs:
+                if not bmt(key, True):
+                    code |= bit
+            emit_walk(code)
 
         def writeback(victim: int) -> None:
             emit(ctr(victim // bpcb, True))
             emit(mac(victim >> 3, True))
             tuple_writes(victim)
             if walk_writebacks:
-                bmt_update_walk(path_tuple(victim // bpcb % num_leaves))
+                bmt_update_walk(nodes[victim // bpcb % num_leaves], full_top)
 
         def flush(blocks) -> None:
             for b in blocks:
@@ -715,11 +733,12 @@ class MetadataReplay:
                 # Pairing depends only on the leaf sequence, not the ids.
                 pairs = [(i, b // bpcb % num_leaves) for i, b in enumerate(blocks)]
                 for persist in coalescer.coalesce_epoch(pairs):
-                    if persist.path:
-                        bmt_update_walk(persist.path)
+                    length = len(persist.path)
+                    if length:
+                        bmt_update_walk(nodes[persist.leaf_index][:length], 1 << length)
             else:
                 for b in blocks:
-                    bmt_update_walk(path_tuple(b // bpcb % num_leaves))
+                    bmt_update_walk(nodes[b // bpcb % num_leaves], full_top)
 
         for ev in events:
             tag = ev[1]
@@ -734,7 +753,7 @@ class MetadataReplay:
                     block = ev[2]
                     emit(ctr(block // bpcb, True))
                     emit(mac(block >> 3, True))
-                    bmt_update_walk(path_tuple(block // bpcb % num_leaves))
+                    bmt_update_walk(nodes[block // bpcb % num_leaves], full_top)
                     tuple_writes(block)
             elif tag == _EV_LOAD:
                 for victim in ev[3]:
@@ -743,10 +762,8 @@ class MetadataReplay:
                     block = ev[2]
                     emit(ctr(block // bpcb, False))
                     emit(mac(block >> 3, False))
-                    for label in path_tuple(block // bpcb % num_leaves):
-                        if label == 0:
-                            break  # pinned root: trusted, no cache touch
-                        hit = bmt((label - 1) // arity, False)
+                    for key, _ in nodes[block // bpcb % num_leaves]:
+                        hit = bmt(key, False)
                         emit(hit)
                         if hit:
                             break  # verification stops at a trusted node
@@ -760,10 +777,12 @@ def _metadata_script_for(sim, trace: MemoryTrace, boundary: int) -> MetadataScri
     Keyed on the run's replay shape, not its scheme: the prepass key
     (everything that shapes the event partition), plus the BMT-walk
     policy, the warmup boundary (window displacements inside the warmup
-    emit no writeback accesses) and the metadata fields the replay
-    reads.  The eight write-through schemes (class ``"wt"``, policy
-    ``WALK_FULL``) therefore share one script per (trace, config).
-    Sharing is sound because of the scheme-zoo invariant (2) in
+    emit no writeback accesses) and the metadata-cache fields the
+    replay reads.  No latency is in the key (each run prices the
+    outcomes), so Fig. 9's MAC-latency variants share one script, and
+    the eight write-through schemes (class ``"wt"``, policy
+    ``WALK_FULL``) share one per (trace, cache config).
+    Sharing across schemes is sound because of the scheme-zoo invariant (2) in
     DESIGN.md: each of those scoreboards
     calls ``_level_costs`` exactly once per persist with the full path,
     so all of them consume the same access sequence, and pass 2's
@@ -784,8 +803,6 @@ def _metadata_script_for(sim, trace: MemoryTrace, boundary: int) -> MetadataScri
         cfg.bmt_cache_bytes,
         cfg.metadata_assoc,
         cfg.blocks_per_counter_block,
-        cfg.mac_latency,
-        cfg.nvm.read_latency,
         geometry.num_leaves,
         geometry.arity,
         geometry.levels,
@@ -817,13 +834,15 @@ def _column(column, dtype):
 def wants_script(sim) -> bool:
     """Whether ``sim`` takes the scripted-metadata fast path.
 
-    It does when the metadata caches are live (not ideal) and no
+    It does when the metadata caches are live (not ideal), no
     instrumentation closure (telemetry ``cache_events``) already shadows
-    the access methods.  The instrumented and ideal paths keep the live
-    code, so telemetry runs stay bit-identical through shared code.
+    the access methods, and a BMT path fits a 64-bit walk code.  The
+    instrumented, ideal and outsized-tree paths keep the live code, so
+    those runs stay bit-identical through shared code.
     """
     metadata = sim.metadata
-    return not metadata.ideal and "access_counter" not in metadata.__dict__
+    live = not metadata.ideal and "access_counter" not in metadata.__dict__
+    return live and sim.geometry.levels < 64
 
 
 class ScriptFeed:
@@ -832,19 +851,29 @@ class ScriptFeed:
     Replaces the three live metadata caches, the scoreboard's BMT walk
     costing and the WPQ write-combiner with reads of a precomputed
     :class:`MetadataScript` — the single hottest cost in the timed
-    handlers.  Outcomes arrive part by part via :meth:`extend` and the
-    shadowed accessors pop them in the order the timed handlers consume
-    them.  :meth:`restore` puts the live machinery back;
+    handlers.  Outcomes arrive part by part via :meth:`extend`, which
+    prices each walk code under this run's scoreboard latencies, and
+    the shadowed accessors pop them in the order the timed handlers
+    consume them.  :meth:`restore` puts the live machinery back;
     :meth:`assert_drained` is the consumed-exactly check (a shortfall
     surfaces earlier, as the ``IndexError`` of an empty deque).
     """
 
-    __slots__ = ("_sim", "_scoreboard", "_combiner", "stream", "walks", "comb")
+    __slots__ = ("_sim", "_scoreboard", "_combiner", "_prices", "stream", "walks", "comb")
 
     def __init__(self, sim) -> None:
         self._sim = sim
         self._scoreboard = sim.scoreboard
         self._combiner = sim._combiner
+        # Walk code -> (costs, misses) under this run's latencies, priced
+        # once per code and shared (no scoreboard mutates its costs).
+        mac, miss = sim.scoreboard.mac_latency, sim.scoreboard.bmt_miss_latency
+        self._prices = _Memo(
+            lambda code: (
+                [mac + miss if code >> i & 1 else mac for i in range(code.bit_length() - 1)],
+                bin(code).count("1") - 1,
+            )
+        )
         self.stream: deque = deque()
         self.walks: deque = deque()
         self.comb: deque = deque()
@@ -871,7 +900,7 @@ class ScriptFeed:
 
     def extend(self, stream, walks, comb) -> None:
         self.stream.extend(stream)
-        self.walks.extend(walks)
+        self.walks.extend(map(self._prices.__getitem__, walks))
         self.comb.extend(comb)
 
     def restore(self) -> None:
@@ -951,8 +980,8 @@ def run_pass2(sim, name: str, boundary: int, parts, scripted: bool):
     prepass events, the tick of each (:func:`chunk_ticks`), the
     ``(ops, ticks, instructions)`` position after the span, the warmup
     position when it falls inside the span (else ``None``), its
-    ``(stream, walks, combiner)`` metadata script (``None`` unless
-    ``scripted``), and replayed cache totals to merge
+    ``(stream, walks, combiner)`` metadata-script buffers (``None``
+    unless ``scripted``), and replayed cache totals to merge
     (:func:`merge_counts`) or ``None``.  The memoized run passes the
     whole trace as one part, the streamed run parts of at most
     :data:`PART_OPS` ops plus the end-of-trace drain.  ``sim`` is a

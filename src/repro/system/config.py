@@ -113,20 +113,31 @@ class SystemConfig:
             )
         if self.mac_latency < 0:
             raise ValueError("mac_latency must be non-negative")
-        # Degenerate capacities used to slip through silently and blow
-        # up far from the constructor (epoch_size=0 corrupts epoch
-        # accounting; wpq_entries=0 cannot admit any persist).
+        # Degenerate values used to run silently or fail far from here
+        # (zero rates and associativities divide by zero).
         for name in (
-            "epoch_size",
-            "wpq_entries",
-            "ptt_entries",
-            "ett_entries",
-            "bmt_arity",
-            "triad_persist_levels",
+            "clock_ghz", "core_ipc", "load_mlp", "l1_assoc", "l2_assoc", "l3_assoc",
+            "metadata_assoc", "wpq_entries", "ptt_entries", "ett_entries", "epoch_size",
+            "bmt_arity", "bmt_min_levels", "triad_persist_levels", "memory_bytes",
         ):
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
+        if self.bmt_arity < 2:
+            raise ValueError(f"bmt_arity must be at least 2, got {self.bmt_arity}")
+        # The scalar engines' caches refuse a size below one set; the
+        # batched replay would silently model it as one full set.
+        for size, assoc in (
+            ("l1_bytes", "l1_assoc"), ("l2_bytes", "l2_assoc"), ("l3_bytes", "l3_assoc"),
+            ("counter_cache_bytes", "metadata_assoc"), ("mac_cache_bytes", "metadata_assoc"),
+            ("bmt_cache_bytes", "metadata_assoc"),
+        ):
+            value = getattr(self, size)
+            if value < BLOCK_BYTES * getattr(self, assoc):
+                raise ValueError(
+                    f"{size} must be positive and hold at least one set of {assoc} "
+                    f"{BLOCK_BYTES} B lines, got {value}"
+                )
         if self.memory_bytes % PAGE_BYTES:
             raise ValueError("memory size must be page aligned")
         if self.counter_organization not in ("split", "monolithic"):
@@ -171,10 +182,6 @@ class SystemConfig:
             self.bmt_arity,
             self.bmt_min_levels,
         )
-
-    def with_scheme(self, scheme: UpdateScheme) -> "SystemConfig":
-        """Copy with a different update scheme (benchmark sweeps)."""
-        return replace(self, scheme=scheme)
 
     def variant(self, **changes) -> "SystemConfig":
         """Copy with arbitrary field overrides."""

@@ -192,10 +192,11 @@ class TraceSimulator:
         if config.engine == "batched":
             # The batched engine replays all replacement state in its
             # functional prepass (repro.sim.batched) and never touches a
-            # live hierarchy; skip allocating the per-set LRU structures
-            # but register the stat counters in construction order so
-            # ``stats.as_dict()`` carries the same keys either way.
+            # live hierarchy or dirty-residency window; skip allocating
+            # them but register the stat counters in construction order
+            # so ``stats.as_dict()`` carries the same keys either way.
             self.hierarchy = None
+            self._dirty_window = None
             for level in ("l1", "l2", "l3"):
                 for suffix in ("hits", "misses", "evictions", "dirty_evictions"):
                     self.stats.counter(f"{level}.{suffix}")
@@ -210,6 +211,7 @@ class TraceSimulator:
                 write_through=self.scheme.write_through,
                 stats=self.stats,
             )
+            self._dirty_window = OrderedDict.fromkeys(prehistoric_dirty_blocks())
         self.metadata = MetadataCaches(
             self.geometry,
             counter_bytes=config.counter_cache_bytes,
@@ -259,9 +261,6 @@ class TraceSimulator:
         self._blocks_per_counter_block = config.blocks_per_counter_block
         self._protect_stack = config.protect_stack
         self._write_through = self.scheme.write_through
-        self._dirty_window: "OrderedDict[int, None]" = OrderedDict.fromkeys(
-            prehistoric_dirty_blocks()
-        )
         self._in_warmup = False
         # The core clock is kept in decomposed form: an integer count of
         # retire ticks since the last stall, plus the float cycle the
@@ -565,12 +564,13 @@ class TraceSimulator:
 
     def _tuple_writes(self, block: int, when: int) -> None:
         """Issue the persist's NVM writes, with WPQ write-combining."""
-        if not self._combiner.absorbs("data", block):
-            self.nvm.write(when)
-        if not self._combiner.absorbs("ctr", self.metadata.counter_block_of(block)):
-            self.nvm.write(when)
-        if not self._combiner.absorbs("mac", block >> 3):
-            self.nvm.write(when)
+        absorbs, write = self._combiner.absorbs, self.nvm.write
+        if not absorbs("data", block):
+            write(when)
+        if not absorbs("ctr", block // self._blocks_per_counter_block):
+            write(when)
+        if not absorbs("mac", block >> 3):
+            write(when)
 
     def _metadata_update(self, block: int, arrival: int) -> int:
         """Counter and MAC updates for a persist; misses delay it."""

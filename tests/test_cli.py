@@ -91,6 +91,16 @@ def test_sweep_unknown_param_fails(capsys):
         (("app-campaign", "--schemes", "secure_wb"), "journals nothing"),
         (("timeline", "gamess", "--ki", "0"), "--ki must be positive"),
         (("recovery-table", "--ki", "0"), "--ki must be positive"),
+        (
+            ("sweep", "--benchmark", "gcc", "--param", "load_mlp", "--values", "0"),
+            "load_mlp must be positive",
+        ),
+        (("sweep", "--param", "l1_assoc", "--values", "-1"), "l1_assoc must be positive"),
+        (("sweep", "--param", "core_ipc", "--values", "0"), "core_ipc must be positive"),
+        (
+            ("sweep", "--param", "metadata_assoc", "--values", "0"),
+            "metadata_assoc must be positive",
+        ),
     ],
     ids=[
         "run-unknown-scheme",
@@ -112,6 +122,10 @@ def test_sweep_unknown_param_fails(capsys):
         "app-campaign-non-journaling-scheme",
         "timeline-zero-ki",
         "recovery-table-zero-ki",
+        "sweep-zero-load-mlp",
+        "sweep-negative-l1-assoc",
+        "sweep-zero-core-ipc",
+        "sweep-zero-metadata-assoc",
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv, message):

@@ -148,6 +148,54 @@ def test_schemes_share_metadata_scripts_by_replay_shape(order):
     assert len(scripts) == 4
 
 
+LATENCY_PAIRS = [(40, 240), (0, 240), (80, 120)]
+"""(mac_latency, NVM read latency): the default, Fig. 9's zero-cost MAC,
+and a pair that moves both."""
+
+
+def test_latency_variants_share_metadata_scripts():
+    """Scripts hold hit/miss outcomes, and each run prices them itself.
+
+    Every scheme on one shared trace under three latency pairs: each
+    batched result matches a fresh-trace skip_ahead run, and the memo
+    still holds one script per replay shape (four), because neither
+    latency is part of its key.  A script priced at build time, or a
+    price table kept on the shared script, fails here.
+    """
+    from repro.mem.nvm import NVMConfig
+    from repro.sim.batched import MetadataScript
+
+    shared = _trace("gcc")
+    for mac_latency, read_latency in LATENCY_PAIRS:
+        for scheme in ALL_SCHEMES:
+            config = SystemConfig(
+                scheme=scheme,
+                mac_latency=mac_latency,
+                nvm=NVMConfig(read_latency=read_latency),
+            )
+            batched = TraceSimulator(config).run(shared)
+            reference = TraceSimulator(config.variant(engine="skip_ahead")).run(_trace("gcc"))
+            assert batched == reference, (scheme.value, mac_latency, read_latency)
+    scripts = {
+        id(value)
+        for value in shared._stat_cache.values()
+        if isinstance(value, MetadataScript)
+    }
+    assert len(scripts) == 4
+
+
+def test_outsized_tree_runs_live_metadata():
+    """A BMT path longer than a 64-bit walk code can encode (here 64
+    levels) keeps the live metadata caches and still matches skip_ahead."""
+    from repro.sim.batched import MetadataScript
+
+    config = SystemConfig(scheme=UpdateScheme.SP, bmt_min_levels=64)
+    trace = _trace("gcc")
+    batched = TraceSimulator(config).run(trace)
+    assert batched == TraceSimulator(config.variant(engine="skip_ahead")).run(_trace("gcc"))
+    assert not any(isinstance(v, MetadataScript) for v in trace._stat_cache.values())
+
+
 @pytest.mark.parametrize(
     "corrupt, error",
     [("surplus", RuntimeError), ("shortfall", IndexError)],

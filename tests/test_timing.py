@@ -37,7 +37,7 @@ def test_config_variants():
     cfg = SystemConfig()
     v = cfg.variant(mac_latency=80)
     assert v.mac_latency == 80 and cfg.mac_latency == 40
-    s = cfg.with_scheme(UpdateScheme.O3)
+    s = cfg.variant(scheme=UpdateScheme.O3)
     assert s.scheme is UpdateScheme.O3
 
 
@@ -57,15 +57,71 @@ def test_config_validation():
         "ett_entries",
         "bmt_arity",
         "triad_persist_levels",
+        "clock_ghz",
+        "core_ipc",
+        "load_mlp",
+        "l1_bytes",
+        "l2_bytes",
+        "l3_bytes",
+        "l1_assoc",
+        "l2_assoc",
+        "l3_assoc",
+        "counter_cache_bytes",
+        "mac_cache_bytes",
+        "bmt_cache_bytes",
+        "metadata_assoc",
+        "bmt_min_levels",
+        "memory_bytes",
     ],
 )
 @pytest.mark.parametrize("value", [0, -1])
 def test_config_rejects_degenerate_capacities(field, value):
     """Regression: epoch_size=0 used to slip through and corrupt epoch
-    accounting; wpq_entries=0 could never admit a persist.  The
-    constructor must reject them."""
+    accounting; wpq_entries=0 could never admit a persist; a zero core
+    rate or associativity divided by zero; a non-positive cache size ran
+    as a one-set cache; a zero metadata cache or tree size failed only
+    inside the simulator.  The constructor must reject them all."""
     with pytest.raises(ValueError, match=f"{field} must be positive"):
         SystemConfig(**{field: value})
+
+
+def test_config_boundary_values():
+    """Fig. 9's zero-cost MAC stays valid; a unary BMT and a cache
+    smaller than one set are rejected (the batched engine used to model
+    the latter as one full set)."""
+    assert SystemConfig(mac_latency=0).mac_latency == 0
+    assert SystemConfig(l1_bytes=8 * 64, l1_assoc=8).l1_bytes == 512
+    with pytest.raises(ValueError, match="bmt_arity must be at least 2"):
+        SystemConfig(bmt_arity=1)
+    with pytest.raises(ValueError, match="l1_bytes must be positive and hold at least one set"):
+        SystemConfig(l1_bytes=7 * 64, l1_assoc=8)
+    with pytest.raises(ValueError, match="bmt_cache_bytes must be positive and hold at least one set"):
+        SystemConfig(bmt_cache_bytes=64, metadata_assoc=8)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        *(
+            (field, value, f"{field} must be positive")
+            for field in ("read_queue_size", "write_queue_size", "channels")
+            for value in (0, -1)
+        ),
+        *(
+            (field, -1, f"{field} must be non-negative")
+            for field in ("read_latency", "write_latency", "burst_cycles")
+        ),
+    ],
+)
+def test_nvm_config_rejects_degenerate_values(field, value, message):
+    """Zero-length queues used to raise IndexError mid-run; negative
+    latencies and burst cycles ran silently."""
+    from repro.mem.nvm import NVMConfig
+
+    with pytest.raises(ValueError, match=message):
+        NVMConfig(**{field: value})
+    if value == -1 and "non-negative" in message:
+        assert getattr(NVMConfig(**{field: 0}), field) == 0
 
 
 def test_config_variant_revalidates():

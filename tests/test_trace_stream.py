@@ -303,6 +303,16 @@ def test_run_stream_matches_run_skip_ahead(trace, tmp_path, scheme):
     assert streamed == ref
 
 
+@pytest.mark.parametrize("scheme", [UpdateScheme.SECURE_WB, UpdateScheme.COALESCING])
+def test_run_stream_with_full_memos(trace, tmp_path, monkeypatch, scheme):
+    """The replay's per-leaf path memo starts over whenever it is full
+    (here every two leaves); the result still matches skip_ahead."""
+    monkeypatch.setattr(batched, "_MEMO_ENTRIES", 2)
+    config = SystemConfig(scheme=scheme)
+    ref = TraceSimulator(config.variant(engine="skip_ahead")).run(trace, 0.2)
+    assert _stream_v2(trace, tmp_path / "t.plptrace", config, 0.2, 61) == ref
+
+
 def test_run_stream_zero_warmup(trace, tmp_path):
     config = SystemConfig(scheme=UpdateScheme.SP)
     ref = TraceSimulator(config).run(trace, 0.0)
@@ -336,7 +346,7 @@ def test_run_stream_script_surplus_raises(trace, monkeypatch):
 
     def take_with_surplus(self):
         stream, walks, comb = take(self)
-        return stream + [True], walks, comb
+        return stream + b"\x01", walks, comb
 
     monkeypatch.setattr(MetadataReplay, "take", take_with_surplus)
     sim = TraceSimulator(SystemConfig(scheme=UpdateScheme.SP))
@@ -481,6 +491,18 @@ def test_pipelined_stream_cache_event_telemetry(trace, tmp_path, monkeypatch, pr
     assert events
 
 
+@pytest.mark.parametrize("scheme", [UpdateScheme.SP, UpdateScheme.COALESCING])
+def test_pipelined_stream_non_default_mac_latency(trace, tmp_path, monkeypatch, producers, scheme):
+    """The producer ships unpriced walk codes and the consumer prices
+    them under its own latencies, so a MAC latency other than the
+    default still matches ``run`` and the skip_ahead reference."""
+    config = SystemConfig(scheme=scheme, mac_latency=80)
+    result, _ = assert_transports_match_run(
+        trace, tmp_path / "t.plptrace", config, monkeypatch, producers
+    )
+    assert result == TraceSimulator(config.variant(engine="skip_ahead")).run(trace, 0.2)
+
+
 def test_pipelined_truncated_segment_raises_in_parent(trace, tmp_path, producers):
     path = tmp_path / "t.plptrace"
     trace.save_binary(path, version=2, segment_ops=150)
@@ -514,8 +536,8 @@ def test_pipelined_script_mismatch_reaps_producer(monkeypatch, producers, skew):
         stream, walks, comb = take(self)
         calls.append(None)
         if skew == "surplus":
-            return stream + [True], walks, comb
-        return (stream if len(calls) > 1 else []), walks, comb
+            return stream + b"\x01", walks, comb
+        return (stream if len(calls) > 1 else bytearray()), walks, comb
 
     monkeypatch.setattr(MetadataReplay, "take", skewed_take)
     sim = TraceSimulator(SystemConfig(scheme=UpdateScheme.SP))
