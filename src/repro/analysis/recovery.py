@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import Table
+from repro.campaign.grid import CAMPAIGN_SCHEMES
 from repro.core.schemes import UpdateScheme
 from repro.recovery.rebuild import RecoveryTimeModel
 from repro.system.config import SystemConfig
@@ -24,25 +25,19 @@ from repro.system.factory import run_benchmark
 
 BASELINE_SCHEME = UpdateScheme.SECURE_WB
 
-RECOVERY_TABLE_SCHEMES: Tuple[UpdateScheme, ...] = (
-    UpdateScheme.SP,
-    UpdateScheme.PIPELINE,
-    UpdateScheme.O3,
-    UpdateScheme.COALESCING,
-    UpdateScheme.TRIAD_NVM,
-    UpdateScheme.PHOENIX,
-    UpdateScheme.SECPM_WT,
-    UpdateScheme.ANUBIS,
+RECOVERY_TABLE_SCHEMES: Tuple[UpdateScheme, ...] = tuple(
+    scheme for scheme in map(UpdateScheme, CAMPAIGN_SCHEMES) if scheme.spec.recovers
 )
-"""The acceptance-criteria roster: the paper's evaluated PLP schemes
-plus the four zoo designs."""
+"""The acceptance-criteria roster: the crash campaign's compliant and
+relaxed schemes — the paper's evaluated PLP schemes plus the four zoo
+designs."""
 
 
 def classification(scheme: UpdateScheme) -> str:
     """How the crash campaign classifies the scheme's guarantees."""
-    if scheme.crash_recoverable:
+    if scheme.spec.compliant:
         return "invariants 1+2"
-    if scheme.relaxes_root_order:
+    if scheme.spec.relaxed:
         return "relaxed root order"
     return "not recoverable"
 

@@ -43,8 +43,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from repro.app.kvstore import AppTrace, AppWorkload, lower, recover_app, replay_app
 from repro.app.workloads import resolve_workload
 from repro.campaign.engine import build_injector, drive_wpq
-from repro.campaign.grid import SchemeSemantics, build_memory, semantics_for
-from repro.core.schemes import UpdateScheme
+from repro.campaign.grid import CAMPAIGN_SCHEMES, build_memory, semantics_for
+from repro.core.schemes import SchemeSpec, UpdateScheme
 from repro.crypto.primitives import BLOCK_SIZE
 from repro.mem.wpq import TupleItem
 from repro.persistency.models import PersistencyModel
@@ -57,23 +57,36 @@ from repro.system.secure_memory import IntegrityError
 
 from repro.app.kvstore import IDIOMS
 
-APP_CAMPAIGN_SCHEMES: Tuple[str, ...] = (
-    "sp",
-    "pipeline",
-    "o3",
-    "coalescing",
-    "triad_nvm",
-    "phoenix",
-    "secpm_wt",
-    "anubis",
+APP_CAMPAIGN_SCHEMES: Tuple[str, ...] = tuple(
+    name for name in CAMPAIGN_SCHEMES if semantics_for(name).recovers
 )
-"""The eight persistent schemes the app campaign runs by default: the
-paper's four plus the cross-paper zoo.  ``secure_wb`` guarantees
-nothing durable (an app-level differential is meaningless) and the
-``unordered`` strawman is opt-in for demonstration runs."""
+"""The schemes the app campaign runs by default: the crash campaign's
+compliant and relaxed schemes (the paper's four plus the zoo).
+``secure_wb`` guarantees nothing durable (an app-level differential is
+meaningless) and the ``unordered`` strawman is opt-in for
+demonstration runs."""
+
+_JOURNALING_SCHEMES: Tuple[str, ...] = tuple(
+    name for name in CAMPAIGN_SCHEMES if semantics_for(name).persistent
+)
+"""Every scheme the app campaign accepts: the default roster plus the
+opt-in ``unordered`` strawman."""
 
 APP_CAMPAIGN_FORMAT = 1
 """Bump to invalidate cached app-campaign cells on semantic changes."""
+
+
+def app_semantics_for(scheme: str) -> SchemeSpec:
+    """Crash semantics for an app-campaign scheme (one that journals)."""
+    resolved = UpdateScheme.from_name(scheme)
+    if not resolved.spec.persistent:
+        raise ValueError(f"scheme {scheme!r} journals nothing; no crash plans")
+    if resolved.value not in _JOURNALING_SCHEMES:
+        raise ValueError(
+            f"scheme {scheme!r} is not part of the app campaign "
+            f"(supported: {', '.join(_JOURNALING_SCHEMES)})"
+        )
+    return resolved.spec
 
 
 @dataclass(frozen=True)
@@ -140,7 +153,7 @@ class PersistInfo(NamedTuple):
     block: int
 
 
-def persist_map(sem: SchemeSemantics, trace: AppTrace) -> List[PersistInfo]:
+def persist_map(sem: SchemeSpec, trace: AppTrace) -> List[PersistInfo]:
     """Map persist journal indices to the app actions that caused them.
 
     Replays the persistency model's lowering logic without the crypto:
@@ -194,12 +207,7 @@ def run_app_scenario(
             the :data:`~repro.app.workloads.APP_WORKLOADS` roster).
         telemetry: Optional telemetry bus for the WPQ drive.
     """
-    sem = semantics_for(scenario.scheme)
-    if not sem.persistent:
-        raise ValueError(
-            f"scheme {scenario.scheme!r} guarantees nothing durable; "
-            "an application-state differential is meaningless"
-        )
+    sem = app_semantics_for(scenario.scheme)
     wl = workload if workload is not None else resolve_workload(scenario.workload)
     trace = lower(scenario.idiom, wl)
 

@@ -37,13 +37,13 @@ from typing import Dict, List, Sequence, Set
 
 from repro.core.coalescing import CoalescingUnit
 from repro.core.invariants import check_tuple_complete
+from repro.core.schemes import SchemeSpec
 from repro.crypto.bmt import BMTGeometry
 from repro.mem.wpq import TupleItem, WritePendingQueue
 from repro.recovery.checker import RecoveryChecker
 from repro.recovery.crash import CrashInjector
 from repro.campaign.grid import (
     Scenario,
-    SchemeSemantics,
     WORKLOADS,
     build_memory,
     replay,
@@ -97,7 +97,7 @@ class CampaignCell:
 
 
 def _delivery_plan(
-    sem: SchemeSemantics,
+    sem: SchemeSpec,
     journal: Sequence,
     victim: int,
     drops: Set[TupleItem],
@@ -190,7 +190,7 @@ class FlushOutcome:
 
 
 def drive_wpq(
-    sem: SchemeSemantics,
+    sem: SchemeSpec,
     journal: Sequence,
     victim: int,
     drops: Set[TupleItem],
@@ -237,7 +237,7 @@ def drive_wpq(
     return FlushOutcome(persisted, invalidated, problems, epochs_complete)
 
 
-def build_injector(sem: SchemeSemantics, outcome: FlushOutcome) -> CrashInjector:
+def build_injector(sem: SchemeSpec, outcome: FlushOutcome) -> CrashInjector:
     """Convert a flush outcome into the fault injection it implies."""
     injector = CrashInjector()
     for entry in outcome.persisted:
@@ -311,10 +311,7 @@ def run_scenario(scenario: Scenario, telemetry=None) -> CampaignCell:
     report = mem.recover(expected=intent)
 
     intent_ok = all(b.plaintext_correct for b in report.blocks)
-    if problems or (
-        (sem.compliant or sem.relaxed)
-        and not (report.consistent and intent_ok)
-    ):
+    if problems or (sem.recovers and not (report.consistent and intent_ok)):
         classification = OUTCOME_INVARIANT_VIOLATION
     elif not report.consistent:
         classification = OUTCOME_DETECTED

@@ -24,10 +24,9 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.schemes import UpdateScheme
+from repro.core.schemes import SchemeSpec, UpdateScheme
 from repro.crypto.primitives import BLOCK_SIZE
 from repro.mem.wpq import TupleItem
-from repro.persistency.models import PersistencyModel
 from repro.system.secure_memory import FunctionalSecureMemory, PersistRecord
 
 CAMPAIGN_PAGES = 64
@@ -85,21 +84,11 @@ WORKLOADS: Dict[str, Tuple[Tuple, ...]] = {
     ),
 }
 
-CAMPAIGN_SCHEMES: Tuple[str, ...] = (
-    "secure_wb",
-    "unordered",
-    "sp",
-    "pipeline",
-    "o3",
-    "coalescing",
-    "triad_nvm",
-    "phoenix",
-    "secpm_wt",
-    "anubis",
+CAMPAIGN_SCHEMES: Tuple[str, ...] = tuple(
+    scheme.value for scheme in UpdateScheme if not scheme.spec.persists_whole_path
 )
-"""Table IV schemes plus the cross-paper zoo.  ``sgx_sp`` is excluded:
-its whole-path persistence requirement is not part of the functional
-NVM model (see ``UpdateScheme.persists_whole_path``)."""
+"""Table IV schemes plus the cross-paper zoo, in enum order.  Whole-path
+persistence (``sgx_sp``) is not part of the functional NVM model."""
 
 
 def payload(tag: int) -> bytes:
@@ -135,113 +124,18 @@ class Scenario:
         return frozenset(TupleItem(value) for value in self.drops)
 
 
-@dataclass(frozen=True)
-class SchemeSemantics:
-    """How a scheme's crash machinery behaves in the functional model.
-
-    Attributes:
-        scheme: The scheme.
-        model: Persistency model the campaign memory runs under.
-        persistent: Whether stores are journaled at all (``secure_wb``
-            provides no persistency: nothing is guaranteed durable).
-        atomic: 2SP locking — incomplete entries are invalidated
-            wholesale at power failure, and the durable-root register
-            only commits at entry release.
-        ordered_root: Invariant 2 — a persist's root (and, with 2SP,
-            its whole tuple) persists only after every older persist's.
-        coalesced: BMT updates coalesce at the LCA within an epoch; a
-            leading persist's root ack is delegated to the trailing one.
-        rebuild_root: The scheme's documented Invariant-2 relaxation
-            (``triad_nvm``/``phoenix``): recovery does not trust the
-            on-chip root register's ordering but re-derives the root
-            from the persisted, MAC-protected metadata and adopts it
-            before verification.
-    """
-
-    scheme: UpdateScheme
-    model: PersistencyModel
-    persistent: bool
-    atomic: bool
-    ordered_root: bool
-    coalesced: bool
-    rebuild_root: bool = False
-
-    @property
-    def compliant(self) -> bool:
-        """2SP + ordered root updates: both paper invariants hold."""
-        return self.persistent and self.atomic and self.ordered_root
-
-    @property
-    def relaxed(self) -> bool:
-        """Recovers via a documented relaxation instead of Invariant 2."""
-        return self.rebuild_root and self.persistent and self.atomic
-
-
-_SEMANTICS: Dict[UpdateScheme, SchemeSemantics] = {
-    UpdateScheme.SECURE_WB: SchemeSemantics(
-        UpdateScheme.SECURE_WB, PersistencyModel.NONE, False, False, False, False
-    ),
-    # The strawman *claims* strict persistency (the memory journals every
-    # store) but gathers without locking or ordering — Tables I & II.
-    UpdateScheme.UNORDERED: SchemeSemantics(
-        UpdateScheme.UNORDERED, PersistencyModel.STRICT, True, False, False, False
-    ),
-    UpdateScheme.SP: SchemeSemantics(
-        UpdateScheme.SP, PersistencyModel.STRICT, True, True, True, False
-    ),
-    UpdateScheme.PIPELINE: SchemeSemantics(
-        UpdateScheme.PIPELINE, PersistencyModel.STRICT, True, True, True, False
-    ),
-    UpdateScheme.O3: SchemeSemantics(
-        UpdateScheme.O3, PersistencyModel.EPOCH, True, True, True, False
-    ),
-    UpdateScheme.COALESCING: SchemeSemantics(
-        UpdateScheme.COALESCING, PersistencyModel.EPOCH, True, True, True, True
-    ),
-    # The zoo.  secpm_wt and anubis keep both invariants (write-through
-    # tuples, ordered root acks); triad_nvm and phoenix gather with 2SP
-    # locking but relax root ordering — recovery rebuilds the root from
-    # the persisted metadata instead (``rebuild_root``).
-    UpdateScheme.SECPM_WT: SchemeSemantics(
-        UpdateScheme.SECPM_WT, PersistencyModel.STRICT, True, True, True, False
-    ),
-    UpdateScheme.ANUBIS: SchemeSemantics(
-        UpdateScheme.ANUBIS, PersistencyModel.STRICT, True, True, True, False
-    ),
-    UpdateScheme.TRIAD_NVM: SchemeSemantics(
-        UpdateScheme.TRIAD_NVM,
-        PersistencyModel.STRICT,
-        True,
-        True,
-        False,
-        False,
-        rebuild_root=True,
-    ),
-    UpdateScheme.PHOENIX: SchemeSemantics(
-        UpdateScheme.PHOENIX,
-        PersistencyModel.STRICT,
-        True,
-        True,
-        False,
-        False,
-        rebuild_root=True,
-    ),
-}
-
-
-def semantics_for(scheme: str) -> SchemeSemantics:
-    """Crash semantics for a campaign scheme."""
+def semantics_for(scheme: str) -> SchemeSpec:
+    """Crash semantics (the scheme table's record) for a campaign scheme."""
     resolved = UpdateScheme.from_name(scheme)
-    try:
-        return _SEMANTICS[resolved]
-    except KeyError:
+    if resolved.value not in CAMPAIGN_SCHEMES:
         raise ValueError(
             f"scheme {scheme!r} is not part of the crash campaign "
             f"(supported: {', '.join(CAMPAIGN_SCHEMES)})"
-        ) from None
+        )
+    return resolved.spec
 
 
-def build_memory(sem: SchemeSemantics) -> FunctionalSecureMemory:
+def build_memory(sem: SchemeSpec) -> FunctionalSecureMemory:
     """A fresh campaign memory for one scenario run.
 
     ``atomic_tuples=False``: the WPQ drive in the engine — not the

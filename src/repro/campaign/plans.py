@@ -46,6 +46,7 @@ from repro.app.workloads import resolve_workload
 from repro.campaign.app_engine import (
     AppScenario,
     PersistInfo,
+    app_semantics_for,
     persist_map,
     run_app_scenario,
 )
@@ -168,9 +169,7 @@ def generate_plans(
     """
     from repro.app.kvstore import COMMIT_ROLES
 
-    sem = semantics_for(scheme)
-    if not sem.persistent:
-        raise ValueError(f"scheme {scheme!r} journals nothing; no crash plans")
+    sem = app_semantics_for(scheme)
     wl = resolve_workload(workload)
     trace = lower(idiom, wl)
     mem = build_memory(sem)

@@ -382,8 +382,8 @@ def cmd_app_campaign(args: argparse.Namespace) -> int:
         crosscheck_pruning,
         generate_plans,
         run_app_campaign,
-        semantics_for,
     )
+    from repro.campaign.app_engine import app_semantics_for
     from repro.app.kvstore import IDIOMS
 
     schemes = _names(args.schemes, APP_CAMPAIGN_SCHEMES)
@@ -391,8 +391,7 @@ def cmd_app_campaign(args: argparse.Namespace) -> int:
     workloads = _names(args.workloads, sorted(APP_WORKLOADS))
     try:
         for scheme in schemes:
-            if not semantics_for(scheme).persistent:
-                return _bad_input(f"scheme {scheme!r} journals nothing; no crash plans")
+            app_semantics_for(scheme)
     except ValueError as exc:
         return _bad_input(str(exc))
     message = _unknown("idiom", idioms, IDIOMS) or _unknown("app workload", workloads, APP_WORKLOADS)

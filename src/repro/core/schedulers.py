@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.coalescing import CoalescedPersist, CoalescingUnit
-from repro.core.schemes import UpdateScheme
+from repro.core.schemes import EXTRA_FRONTIER, UpdateScheme
 from repro.crypto.bmt import BMTGeometry
 from repro.mem.metadata_cache import MetadataCaches
 from repro.telemetry.events import EventKind, level_track
@@ -621,6 +621,25 @@ class CoalescingScoreboard(OutOfOrderScoreboard):
         return results
 
 
+SCOREBOARDS: Dict[UpdateScheme, type] = {
+    UpdateScheme.SECURE_WB: SequentialScoreboard,
+    UpdateScheme.UNORDERED: UnorderedScoreboard,
+    UpdateScheme.SP: SequentialScoreboard,
+    UpdateScheme.PIPELINE: PipelineScoreboard,
+    UpdateScheme.O3: OutOfOrderScoreboard,
+    UpdateScheme.COALESCING: CoalescingScoreboard,
+    UpdateScheme.SGX_SP: SGXPathScoreboard,
+    UpdateScheme.TRIAD_NVM: TriadNVMScoreboard,
+    UpdateScheme.PHOENIX: PhoenixScoreboard,
+    UpdateScheme.SECPM_WT: SecPMScoreboard,
+    UpdateScheme.ANUBIS: AnubisScoreboard,
+}
+"""Skip-ahead scoreboard class per scheme.  ``secure_wb`` uses the
+sequential scoreboard: the paper notes that evicted dirty blocks update
+the BMT sequentially in the baseline.  The scheme table cannot name
+these classes (they import it), so the link is written here."""
+
+
 def make_scoreboard(
     scheme: UpdateScheme,
     geometry: BMTGeometry,
@@ -635,49 +654,28 @@ def make_scoreboard(
 ) -> ScoreboardBase:
     """Build the scoreboard matching a scheme.
 
-    ``secure_wb`` uses the sequential scoreboard (the paper notes that
-    evicted dirty blocks update the BMT sequentially in the baseline).
-    ``engine`` selects the timing family: ``"batched"`` and
-    ``"skip_ahead"`` share the event-queue scoreboards (the batched
-    engine only changes how the trace walk reaches them), while
-    ``"stepped"`` selects the per-cycle reference oracle from
-    :mod:`repro.core.stepped`; all produce bit-identical timings.
+    The class comes from :data:`SCOREBOARDS`; its extra constructor
+    arguments from the scheme's spec (epoch schemes take the ETT and
+    WPQ ring, the Triad-NVM frontier its depth).  ``engine`` selects the
+    timing family: ``"batched"`` and ``"skip_ahead"`` share the
+    event-queue scoreboards (the batched engine only changes how the
+    trace walk reaches them), while ``"stepped"`` selects the per-cycle
+    reference oracle from :mod:`repro.core.stepped`; all produce
+    bit-identical timings.
     """
     if engine not in ENGINE_KINDS:
         raise ValueError(
             f"engine must be one of {ENGINE_KINDS}, got {engine!r}"
         )
+    cls = SCOREBOARDS[scheme]
     if engine == "stepped":
-        from repro.core.stepped import STEPPED_SCOREBOARDS
+        from repro.core.stepped import STEPPED
 
-        classes = STEPPED_SCOREBOARDS
-    else:
-        classes = SCOREBOARDS
-    args = (geometry, mac_latency, bmt_miss_latency, metadata, telemetry)
-    if scheme in (UpdateScheme.SP, UpdateScheme.SECURE_WB):
-        return classes[UpdateScheme.SP](*args)
-    if scheme in (UpdateScheme.O3, UpdateScheme.COALESCING):
-        return classes[scheme](
-            *args, ett_capacity=ett_capacity, wpq_ring=wpq_ring
-        )
-    if scheme is UpdateScheme.TRIAD_NVM:
-        return classes[scheme](*args, persist_levels=triad_levels)
-    try:
-        return classes[scheme](*args)
-    except KeyError:
-        raise ValueError(f"no scoreboard for scheme {scheme}") from None
-
-
-SCOREBOARDS: Dict[UpdateScheme, type] = {
-    UpdateScheme.SP: SequentialScoreboard,
-    UpdateScheme.SGX_SP: SGXPathScoreboard,
-    UpdateScheme.PIPELINE: PipelineScoreboard,
-    UpdateScheme.UNORDERED: UnorderedScoreboard,
-    UpdateScheme.O3: OutOfOrderScoreboard,
-    UpdateScheme.COALESCING: CoalescingScoreboard,
-    UpdateScheme.TRIAD_NVM: TriadNVMScoreboard,
-    UpdateScheme.PHOENIX: PhoenixScoreboard,
-    UpdateScheme.SECPM_WT: SecPMScoreboard,
-    UpdateScheme.ANUBIS: AnubisScoreboard,
-}
-"""Skip-ahead scoreboard class per scheme (``secure_wb`` maps to SP)."""
+        cls = STEPPED[cls]
+    spec = scheme.spec
+    kwargs = {}
+    if spec.uses_epochs:
+        kwargs.update(ett_capacity=ett_capacity, wpq_ring=wpq_ring)
+    if spec.extra_persists == EXTRA_FRONTIER:
+        kwargs["persist_levels"] = triad_levels
+    return cls(geometry, mac_latency, bmt_miss_latency, metadata, telemetry, **kwargs)

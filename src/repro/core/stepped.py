@@ -3,10 +3,11 @@
 The skip-ahead scoreboards in :mod:`repro.core.schedulers` advance the
 clock directly to the next completion event.  This module provides the
 reference family that consumes every cycle one at a time, the way the
-original stepper did: each class here overrides **only** the two clock
-primitives — :meth:`~repro.core.schedulers.ScoreboardBase._wait_until`
-and :meth:`~repro.core.schedulers.ScoreboardBase._elapse` — with loops
-that tick the clock cycle by cycle.  All scheduling decisions (lane
+original stepper did: :data:`STEPPED` derives, for every scoreboard
+class, a twin that overrides **only** the two clock primitives —
+:meth:`~repro.core.schedulers.ScoreboardBase._wait_until` and
+:meth:`~repro.core.schedulers.ScoreboardBase._elapse` — with loops that
+tick the clock cycle by cycle.  All scheduling decisions (lane
 selection, epoch gating, WPQ admission, coalescing) run the exact same
 code in both families, so the stepped engine serves as the oracle: the
 differential harness (``tests/test_engine_differential.py``) asserts
@@ -22,19 +23,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.core.schedulers import (
-    AnubisScoreboard,
-    CoalescingScoreboard,
-    OutOfOrderScoreboard,
-    PhoenixScoreboard,
-    PipelineScoreboard,
-    SecPMScoreboard,
-    SequentialScoreboard,
-    SGXPathScoreboard,
-    TriadNVMScoreboard,
-    UnorderedScoreboard,
-)
-from repro.core.schemes import UpdateScheme
+from repro.core.schedulers import SCOREBOARDS
 
 
 class SteppedClockMixin:
@@ -63,56 +52,13 @@ class SteppedClockMixin:
         return now
 
 
-class SteppedSequentialScoreboard(SteppedClockMixin, SequentialScoreboard):
-    """Per-cycle reference for sp / secure_wb."""
-
-
-class SteppedSGXPathScoreboard(SteppedClockMixin, SGXPathScoreboard):
-    """Per-cycle reference for the SGX counter-tree extension."""
-
-
-class SteppedPipelineScoreboard(SteppedClockMixin, PipelineScoreboard):
-    """Per-cycle reference for pipelined SP."""
-
-
-class SteppedUnorderedScoreboard(SteppedClockMixin, UnorderedScoreboard):
-    """Per-cycle reference for the unordered strawman."""
-
-
-class SteppedOutOfOrderScoreboard(SteppedClockMixin, OutOfOrderScoreboard):
-    """Per-cycle reference for OOO epoch persistency."""
-
-
-class SteppedCoalescingScoreboard(SteppedClockMixin, CoalescingScoreboard):
-    """Per-cycle reference for OOO + LCA coalescing."""
-
-
-class SteppedTriadNVMScoreboard(SteppedClockMixin, TriadNVMScoreboard):
-    """Per-cycle reference for Triad-NVM selective persistence."""
-
-
-class SteppedPhoenixScoreboard(SteppedClockMixin, PhoenixScoreboard):
-    """Per-cycle reference for Phoenix persistent counter tree."""
-
-
-class SteppedSecPMScoreboard(SteppedClockMixin, SecPMScoreboard):
-    """Per-cycle reference for SecPM write-through counters."""
-
-
-class SteppedAnubisScoreboard(SteppedClockMixin, AnubisScoreboard):
-    """Per-cycle reference for Anubis shadow-metadata tracking."""
-
-
-STEPPED_SCOREBOARDS: Dict[UpdateScheme, type] = {
-    UpdateScheme.SP: SteppedSequentialScoreboard,
-    UpdateScheme.SGX_SP: SteppedSGXPathScoreboard,
-    UpdateScheme.PIPELINE: SteppedPipelineScoreboard,
-    UpdateScheme.UNORDERED: SteppedUnorderedScoreboard,
-    UpdateScheme.O3: SteppedOutOfOrderScoreboard,
-    UpdateScheme.COALESCING: SteppedCoalescingScoreboard,
-    UpdateScheme.TRIAD_NVM: SteppedTriadNVMScoreboard,
-    UpdateScheme.PHOENIX: SteppedPhoenixScoreboard,
-    UpdateScheme.SECPM_WT: SteppedSecPMScoreboard,
-    UpdateScheme.ANUBIS: SteppedAnubisScoreboard,
+STEPPED: Dict[type, type] = {
+    cls: type(
+        f"Stepped{cls.__name__}",
+        (SteppedClockMixin, cls),
+        {"__module__": __name__, "__doc__": f"Per-cycle reference for {cls.__name__}."},
+    )
+    for cls in dict.fromkeys(SCOREBOARDS.values())
 }
-"""Stepped reference class per scheme (``secure_wb`` maps to SP)."""
+"""The stepped twin of every skip-ahead scoreboard class in
+:data:`~repro.core.schedulers.SCOREBOARDS`."""

@@ -3,20 +3,25 @@
 This is the faithful model of the paper's §V hardware: persists live in
 a :class:`~repro.core.ptt.PersistTrackingTable`, epochs in an
 :class:`~repro.core.ett.EpochTrackingTable`, and a per-cycle scheduler
-decides which persist may update which BMT level.  The scheduling rules
-per scheme:
+decides which persist may update which BMT level.  The scheduling rule
+is the scheme spec's issue discipline (``SchemeSpec.issue``):
 
-* ``sp`` — only the oldest persist makes progress; a persist walks its
-  path leaf-to-root sequentially.
-* ``pipeline`` — a persist may start updating level L only after the
-  next-older persist has *completed* its level-L update.  Stalls (BMT
-  cache misses) create bubbles that propagate to younger persists.
-* ``o3`` — persists of the same epoch progress independently (pipelined
-  MAC units issue one update per cycle); a BMT level may only be updated
-  by one epoch at a time, enforced through the ETT frontier.
-* ``coalescing`` — as ``o3``, plus paired coalescing: a persist may stop
-  below the LCA it shares with its successor and delegate the rest.
-* ``unordered`` — the strawman: no ordering or epoch constraints at all.
+* ``head`` (``sp`` and every other serial walk: ``secure_wb``,
+  ``sgx_sp``, ``triad_nvm``, ``phoenix``, ``secpm_wt``) — only the
+  oldest persist makes progress; a persist walks its path leaf-to-root
+  sequentially.
+* ``level`` (``pipeline``, ``anubis``) — a persist may start updating
+  level L only after the next-older persist has *completed* its level-L
+  update.  Stalls (BMT cache misses) create bubbles that propagate to
+  younger persists.
+* ``epoch`` (``o3``, ``coalescing``) — persists of the same epoch
+  progress independently (pipelined MAC units issue one update per
+  cycle); a BMT level may only be updated by one epoch at a time,
+  enforced through the ETT frontier.  With LCA coalescing
+  (``SchemeSpec.coalesced``) a persist may stop below the LCA it shares
+  with its successor and delegate the rest.
+* ``free`` (``unordered``) — the strawman: no ordering or epoch
+  constraints at all.
 
 The engine is intended for unit-scale validation (hundreds to a few
 thousand persists); the trace-scale simulations use the closed-form
@@ -32,7 +37,13 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 from repro.core.coalescing import CoalescingUnit
 from repro.core.ett import EpochTrackingTable, ETTFullError
 from repro.core.ptt import PersistTrackingTable, PTTEntry, PTTFullError
-from repro.core.schemes import UpdateScheme
+from repro.core.schemes import (
+    ISSUE_EPOCH,
+    ISSUE_FREE,
+    ISSUE_HEAD,
+    ISSUE_LEVEL,
+    UpdateScheme,
+)
 from repro.crypto.bmt import BMTGeometry
 from repro.mem.metadata_cache import MetadataCaches
 from repro.telemetry.events import EventKind, level_track
@@ -88,6 +99,7 @@ class CycleAccurateEngine:
         """
         self.geometry = geometry
         self.config = config or EngineConfig()
+        self._spec = self.config.scheme.spec
         self.metadata = metadata
         self.telemetry = telemetry
         self.ptt = PersistTrackingTable(
@@ -117,7 +129,7 @@ class CycleAccurateEngine:
         """Whether a persist of ``epoch_id`` can be submitted right now."""
         if self.ptt.full:
             return False
-        if self.config.scheme.uses_epochs and epoch_id not in self._known_epochs:
+        if self._spec.uses_epochs and epoch_id not in self._known_epochs:
             if self.ett.full:
                 return False
         return True
@@ -136,7 +148,7 @@ class CycleAccurateEngine:
         """
         if not self.can_accept(epoch_id):
             return False
-        if self.config.scheme.uses_epochs and epoch_id not in self._known_epochs:
+        if self._spec.uses_epochs and epoch_id not in self._known_epochs:
             self.ett.open_epoch(deepest_level=self.geometry.depth)
             self._known_epochs.add(epoch_id)
             tel = self.telemetry
@@ -154,7 +166,7 @@ class CycleAccurateEngine:
         )
         self._submit_cycle[persist_id] = self.now
         self._updates_done[persist_id] = 0
-        if self.config.scheme is UpdateScheme.COALESCING:
+        if self._spec.coalesced:
             self._try_coalesce(entry, leaf_index)
         return True
 
@@ -300,8 +312,7 @@ class CycleAccurateEngine:
     # -- phase 2: start new node updates --------------------------------
 
     def _schedule_starts(self) -> None:
-        scheme = self.config.scheme
-        issue_budget = 1 if scheme in (UpdateScheme.O3, UpdateScheme.COALESCING) else None
+        issue_budget = 1 if self._spec.issue == ISSUE_EPOCH else None
         entries = list(self.ptt)
         for position, entry in enumerate(entries):
             if issue_budget is not None and issue_budget <= 0:
@@ -337,21 +348,16 @@ class CycleAccurateEngine:
         entries: List[PTTEntry],
         level: int,
     ) -> bool:
-        """Scheme-specific: may ``entry`` start an update at ``level``?"""
-        scheme = self.config.scheme
-        if scheme is UpdateScheme.UNORDERED:
+        """The scheme's issue discipline: may ``entry`` start at ``level``?"""
+        issue = self._spec.issue
+        if issue == ISSUE_FREE:
             return True
-        if scheme in (
-            UpdateScheme.SP,
-            # The zoo's serial-walk schemes share sp's one-at-a-time
-            # engine discipline; their extra persists are timing-only.
-            UpdateScheme.TRIAD_NVM,
-            UpdateScheme.PHOENIX,
-            UpdateScheme.SECPM_WT,
-        ):
+        if issue == ISSUE_HEAD:
+            # Serial-walk schemes (the zoo's extra persists are
+            # timing-only) progress one persist at a time.
             head = self.ptt.head()
             return head is not None and head.persist_id == entry.persist_id
-        if scheme in (UpdateScheme.PIPELINE, UpdateScheme.ANUBIS):
+        if issue == ISSUE_LEVEL:
             if position == 0:
                 return True
             older = entries[position - 1]
@@ -411,7 +417,7 @@ class CycleAccurateEngine:
         # they complete via _finish_persist, so plain FIFO retire works.
         for retired in self.ptt.retire_ready_heads():
             self._started.discard(retired.persist_id)
-        if self.config.scheme.uses_epochs:
+        if self._spec.uses_epochs:
             self._close_finished_epochs()
 
     def _close_finished_epochs(self) -> None:

@@ -35,7 +35,14 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Set
 
-from repro.core.schemes import UpdateScheme
+from repro.core.schemes import (
+    RECOVER_FRONTIER,
+    RECOVER_LAZY_PATH,
+    RECOVER_REBUILD,
+    RECOVER_ROOT_CHECK,
+    RECOVER_SHADOW,
+    UpdateScheme,
+)
 from repro.crypto.bmt import BMTGeometry, BonsaiMerkleTree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -229,7 +236,8 @@ class RecoveryTimeModel:
           and checks the root block only.
         """
         geometry = self.geometry
-        if scheme is UpdateScheme.TRIAD_NVM:
+        strategy = scheme.spec.recovery
+        if strategy == RECOVER_FRONTIER:
             if triad_persist_levels <= 0:
                 raise ValueError("triad_persist_levels must be positive")
             persisted = min(triad_persist_levels, geometry.levels)
@@ -237,19 +245,19 @@ class RecoveryTimeModel:
             # frontier, rebuilt from the frontier level's nodes.
             frontier_level = geometry.levels - 1 - persisted
             if frontier_level < 0:
-                return self._estimate_from_counts("triad_frontier", 1, 1)
+                return self._estimate_from_counts(strategy, 1, 1)
             reads = geometry.nodes_at_level(frontier_level + 1)
             nodes = sum(
                 geometry.nodes_at_level(level)
                 for level in range(frontier_level + 1)
             )
-            return self._estimate_from_counts("triad_frontier", reads, nodes)
-        if scheme is UpdateScheme.PHOENIX:
+            return self._estimate_from_counts(strategy, reads, nodes)
+        if strategy == RECOVER_LAZY_PATH:
             # Lazy restoration: upfront cost is one leaf-to-root path
             # verification; subtree restores overlap execution.
             depth = geometry.levels
-            return self._estimate_from_counts("lazy_path", depth, depth)
-        if scheme is UpdateScheme.ANUBIS:
+            return self._estimate_from_counts(strategy, depth, depth)
+        if strategy == RECOVER_SHADOW:
             if shadow_entries <= 0:
                 raise ValueError("shadow_entries must be positive")
             # Shadow-table replay: bounded by the persisted shadow
@@ -257,11 +265,11 @@ class RecoveryTimeModel:
             # entry plus the ancestor paths of the replayed leaves.
             entries = min(shadow_entries, geometry.num_leaves)
             nodes = entries + geometry.levels - 1
-            return self._estimate_from_counts("shadow_replay", entries, nodes)
-        if scheme is UpdateScheme.SGX_SP:
+            return self._estimate_from_counts(strategy, entries, nodes)
+        if strategy == RECOVER_ROOT_CHECK:
             # The whole path persisted with each store: recovery only
             # validates the stored root.
-            return self._estimate_from_counts("root_check", 1, 1)
+            return self._estimate_from_counts(strategy, 1, 1)
         if touched_pages is not None:
             return self.estimate("touched", touched_pages)
         return self.estimate("full")
@@ -377,22 +385,23 @@ def measure_recovery(
     model = model or RecoveryTimeModel(geometry)
     counters: Dict[int, bytes] = dict(mem.nvm.counters)
     durable = mem.durable_root.value
+    strategy = scheme.spec.recovery if scheme is not None else RECOVER_REBUILD
 
-    if scheme is UpdateScheme.SGX_SP:
+    if strategy == RECOVER_ROOT_CHECK:
         # Every path node persisted in place: recovery reads the stored
         # root block and compares it to the on-chip register — no
         # recomputation at all.
         reference = BonsaiMerkleTree(geometry, mem.keys)
         reference.rebuild_from_counters(counters)
         return MeasuredRecovery(
-            strategy="root_check",
+            strategy=strategy,
             counter_blocks_read=1,
             nodes_recomputed=0,
             root_ok=reference.root == durable,
-            estimate=model._estimate_from_counts("root_check", 1, 0),
+            estimate=model._estimate_from_counts(strategy, 1, 0),
         )
 
-    if scheme is UpdateScheme.TRIAD_NVM:
+    if strategy == RECOVER_FRONTIER:
         if triad_persist_levels <= 0:
             raise ValueError("triad_persist_levels must be positive")
         persisted = min(triad_persist_levels, geometry.levels)
@@ -405,11 +414,11 @@ def measure_recovery(
         reference.rebuild_from_counters(counters)
         if frontier_level < 0:
             return MeasuredRecovery(
-                strategy="triad_frontier",
+                strategy=strategy,
                 counter_blocks_read=1,
                 nodes_recomputed=0,
                 root_ok=reference.root == durable,
-                estimate=model._estimate_from_counts("triad_frontier", 1, 0),
+                estimate=model._estimate_from_counts(strategy, 1, 0),
             )
         tree = _CountingTree(geometry, mem.keys)
         frontier_nodes = [
@@ -434,16 +443,14 @@ def measure_recovery(
                     next_dirty.add(geometry.parent(label))
             dirty = next_dirty
         return MeasuredRecovery(
-            strategy="triad_frontier",
+            strategy=strategy,
             counter_blocks_read=reads,
             nodes_recomputed=tree.hash_count,
             root_ok=tree.root == durable,
-            estimate=model._estimate_from_counts(
-                "triad_frontier", reads, tree.hash_count
-            ),
+            estimate=model._estimate_from_counts(strategy, reads, tree.hash_count),
         )
 
-    if scheme is UpdateScheme.PHOENIX:
+    if strategy == RECOVER_LAZY_PATH:
         # Lazy restoration's upfront cost: verify one leaf-to-root path
         # against the on-chip register; everything else overlaps
         # execution.  Sibling hashes come from the persisted metadata
@@ -465,16 +472,14 @@ def measure_recovery(
             reads += 1
             label = parent
         return MeasuredRecovery(
-            strategy="lazy_path",
+            strategy=strategy,
             counter_blocks_read=reads,
             nodes_recomputed=tree.hash_count,
             root_ok=current == durable,
-            estimate=model._estimate_from_counts(
-                "lazy_path", reads, tree.hash_count
-            ),
+            estimate=model._estimate_from_counts(strategy, reads, tree.hash_count),
         )
 
-    if scheme is UpdateScheme.ANUBIS:
+    if strategy == RECOVER_SHADOW:
         if shadow_entries <= 0:
             raise ValueError("shadow_entries must be positive")
         # Shadow-table replay: the shadow region records which metadata
@@ -484,12 +489,12 @@ def measure_recovery(
         tree = _CountingTree(geometry, mem.keys)
         tree.rebuild_from_counters({page: counters[page] for page in entries})
         return MeasuredRecovery(
-            strategy="shadow_replay",
+            strategy=strategy,
             counter_blocks_read=len(entries),
             nodes_recomputed=tree.hash_count,
             root_ok=tree.root == durable and len(entries) == len(counters),
             estimate=model._estimate_from_counts(
-                "shadow_replay", len(entries), tree.hash_count
+                strategy, len(entries), tree.hash_count
             ),
         )
 

@@ -61,8 +61,8 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.core.coalescing import CoalescingUnit
-from repro.core.schemes import UpdateScheme
 from repro.persistency.epochs import Epoch
+from repro.persistency.models import PersistencyModel
 from repro.system import timing
 from repro.workloads.trace import KIND_SFENCE, MemoryTrace, TraceChunk
 
@@ -92,27 +92,35 @@ class ReplayShape(NamedTuple):
     walk: str
 
 
+_PREPASS_CLASS = {
+    PersistencyModel.NONE: "wb",
+    PersistencyModel.STRICT: "wt",
+    PersistencyModel.EPOCH: "ep",
+}
+
+
 def replay_shape(config) -> ReplayShape:
     """The replay shape of a run under ``config``.
 
     The only code that maps a scheme to replay behaviour: the prepass,
     the metadata replay and both memo keys are built from it, on the
-    memoized and streamed paths alike.  Every scheme other
-    than ``secure_wb`` and ``coalescing`` walks the full path once per
-    persist (DESIGN.md §4g, scheme-zoo invariant 2), so they share the
-    ``WALK_FULL`` policy; a scheme whose scoreboard walks a truncated
-    path needs a policy of its own here.
+    memoized and streamed paths alike.  It reads the scheme's spec: the
+    prepass class is the persistency model the hardware runs, and the
+    walk is write-back without a model, LCA-truncated under coalescing
+    and the full path otherwise — every other scheme walks the full
+    path once per persist (DESIGN.md §4g, scheme-zoo invariant 2).  A
+    scheme whose scoreboard truncates its walk some other way needs a
+    policy of its own here.
     """
-    scheme = config.scheme
-    if scheme is UpdateScheme.SECURE_WB:
+    spec = config.scheme.spec
+    if not spec.persistent:
         walk = WALK_WRITEBACK
-    elif scheme is UpdateScheme.COALESCING:
+    elif spec.coalesced:
         walk = WALK_LCA
     else:
         walk = WALK_FULL
-    if scheme.uses_epochs:
-        return ReplayShape("ep", config.epoch_size, walk)
-    return ReplayShape("wt" if scheme.write_through else "wb", None, walk)
+    epoch_size = config.epoch_size if spec.uses_epochs else None
+    return ReplayShape(_PREPASS_CLASS[spec.model], epoch_size, walk)
 
 
 class PrepassResult:

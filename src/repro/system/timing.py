@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.core.schedulers import OccupancyRing, make_scoreboard
-from repro.core.schemes import UpdateScheme
+from repro.core.schemes import EXTRA_FRONTIER, EXTRA_NONE, EXTRA_ONE, EXTRA_PATH
 from repro.mem.hierarchy import CacheHierarchy
 from repro.mem.metadata_cache import MetadataCaches
 from repro.mem.nvm import NVMModel
@@ -175,6 +175,7 @@ class TraceSimulator:
         "_load_stall",
         "_flush_stall",
         "_extra_persist_writes",
+        "_writeback_persists",
     )
 
     def __init__(self, config: SystemConfig) -> None:
@@ -239,20 +240,17 @@ class TraceSimulator:
         )
         # NVM writes issued per persist beyond the data/counter/MAC
         # tuple: the tree nodes (or shadow entries) each zoo scheme
-        # pushes into the persistence domain.  sgx_sp writes its whole
-        # path; triad_nvm its lowest N levels; phoenix every counter
-        # leaf; anubis one shadow-table entry; all others none.
-        scheme = self.scheme
-        if scheme.persists_whole_path:
-            self._extra_persist_writes = self.geometry.levels - 1
-        elif scheme is UpdateScheme.TRIAD_NVM:
-            self._extra_persist_writes = min(
-                config.triad_persist_levels, self.geometry.levels
-            )
-        elif scheme in (UpdateScheme.PHOENIX, UpdateScheme.ANUBIS):
-            self._extra_persist_writes = 1
-        else:
-            self._extra_persist_writes = 0
+        # pushes into the persistence domain.
+        spec = self.scheme.spec
+        self._extra_persist_writes = {
+            EXTRA_NONE: 0,
+            EXTRA_ONE: 1,
+            EXTRA_FRONTIER: min(config.triad_persist_levels, self.geometry.levels),
+            EXTRA_PATH: self.geometry.levels - 1,
+        }[spec.extra_persists]
+        # With no persistency model (secure_wb), persists happen on
+        # natural write-backs, each a sequential BMT update.
+        self._writeback_persists = not spec.persistent
         self.epochs = (
             EpochTracker(config.epoch_size) if self.scheme.uses_epochs else None
         )
@@ -477,8 +475,8 @@ class TraceSimulator:
             self._track_dirty(block)
         if not persistent:
             return
-        if self.scheme is UpdateScheme.SECURE_WB:
-            return  # persists happen on natural write-backs
+        if self._writeback_persists:
+            return
         if self.epochs is not None:  # epoch persistency (o3 / coalescing)
             closed = self.epochs.record_store(block)
             if closed is not None:
@@ -649,10 +647,9 @@ class TraceSimulator:
         now = int(self._clock())
         arrival = self._metadata_update(block, now)
         self._tuple_writes(block, now)
-        if self.scheme is not UpdateScheme.SECURE_WB:
+        if not self._writeback_persists:
             return
-        # secure_WB performs sequential BMT updates for evicted blocks;
-        # the WPQ gates how far the core can run ahead of the engine.
+        # The WPQ gates how far the core can run ahead of the engine.
         admit = self.wpq_ring.admit(now)
         if admit > now:
             self._wpq_stall.add(admit - now)

@@ -12,7 +12,9 @@ from repro.analysis.campaign import (
     table2,
     verify_campaign,
 )
+from repro.analysis.recovery import RECOVERY_TABLE_SCHEMES
 from repro.campaign import (
+    APP_CAMPAIGN_SCHEMES,
     CAMPAIGN_SCHEMES,
     DROP_SUBSETS,
     SINGLETON_SUBSETS,
@@ -31,7 +33,10 @@ from repro.campaign.engine import (
     OUTCOME_RECOVERED,
     OUTCOME_SILENT_CORRUPTION,
 )
+from repro.core.schemes import UpdateScheme
+from repro.sim.batched import replay_shape
 from repro.sweep import code_version
+from repro.system.config import SystemConfig
 
 
 # ----------------------------------------------------------------------
@@ -102,10 +107,75 @@ def test_scenario_key_depends_on_every_dimension():
     assert len(keys) == 6
 
 
-def test_semantics_compliance_matches_scheme_registry():
-    for scheme in CAMPAIGN_SCHEMES:
-        sem = semantics_for(scheme)
-        assert sem.compliant == sem.scheme.crash_recoverable
+# The scheme table, written out by hand, one row per scheme.
+SCHEME_TABLE = {
+    # scheme:     (model,    compliant, relaxed, coalesced, write-through,
+    #                replay walk, recovery strategy, extra persists, issue)
+    "secure_wb":  ("none",   False, False, False, False,
+                   "writeback", "rebuild", "none", "head"),
+    "unordered":  ("strict", False, False, False, True,
+                   "full", "rebuild", "none", "free"),
+    "sp":         ("strict", True, False, False, True,
+                   "full", "rebuild", "none", "head"),
+    "pipeline":   ("strict", True, False, False, True,
+                   "full", "rebuild", "none", "level"),
+    "o3":         ("epoch",  True, False, False, False,
+                   "full", "rebuild", "none", "epoch"),
+    "coalescing": ("epoch",  True, False, True, False,
+                   "lca", "rebuild", "none", "epoch"),
+    "sgx_sp":     ("strict", True, False, False, True,
+                   "full", "root_check", "path", "head"),
+    "triad_nvm":  ("strict", False, True, False, True,
+                   "full", "triad_frontier", "frontier", "head"),
+    "phoenix":    ("strict", False, True, False, True,
+                   "full", "lazy_path", "one", "head"),
+    "secpm_wt":   ("strict", True, False, False, True,
+                   "full", "rebuild", "none", "head"),
+    "anubis":     ("strict", True, False, False, True,
+                   "full", "shadow_replay", "one", "level"),
+}
+
+
+def test_scheme_table_rows():
+    assert [scheme.value for scheme in UpdateScheme] == list(SCHEME_TABLE)
+    for scheme in UpdateScheme:
+        spec = scheme.spec
+        row = (
+            spec.model.value,
+            spec.compliant,
+            spec.relaxed,
+            spec.coalesced,
+            spec.write_through,
+            replay_shape(SystemConfig(scheme=scheme)).walk,
+            spec.recovery,
+            spec.extra_persists,
+            spec.issue,
+        )
+        assert row == SCHEME_TABLE[scheme.value], scheme
+        assert scheme.crash_recoverable == spec.compliant
+        assert scheme.relaxes_root_order == spec.relaxed
+
+
+def test_rosters_are_derived_from_the_table():
+    assert CAMPAIGN_SCHEMES == (
+        "secure_wb", "unordered", "sp", "pipeline", "o3", "coalescing",
+        "triad_nvm", "phoenix", "secpm_wt", "anubis",
+    )
+    assert APP_CAMPAIGN_SCHEMES == (
+        "sp", "pipeline", "o3", "coalescing",
+        "triad_nvm", "phoenix", "secpm_wt", "anubis",
+    )
+    assert RECOVERY_TABLE_SCHEMES == (
+        UpdateScheme.SP,
+        UpdateScheme.PIPELINE,
+        UpdateScheme.O3,
+        UpdateScheme.COALESCING,
+        UpdateScheme.TRIAD_NVM,
+        UpdateScheme.PHOENIX,
+        UpdateScheme.SECPM_WT,
+        UpdateScheme.ANUBIS,
+    )
+    assert all(semantics_for(n) is UpdateScheme(n).spec for n in CAMPAIGN_SCHEMES)
 
 
 # ----------------------------------------------------------------------

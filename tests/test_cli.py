@@ -89,6 +89,11 @@ def test_sweep_unknown_param_fails(capsys):
         (("app-campaign", "--idioms", "nope"), "unknown idiom 'nope'"),
         (("app-campaign", "--workloads", "nope"), "unknown app workload 'nope'"),
         (("app-campaign", "--schemes", "secure_wb"), "journals nothing"),
+        (
+            ("app-campaign", "--schemes", "sgx_sp"),
+            "(supported: unordered, sp, pipeline, o3, coalescing, "
+            "triad_nvm, phoenix, secpm_wt, anubis)",
+        ),
         (("timeline", "gamess", "--ki", "0"), "--ki must be positive"),
         (("recovery-table", "--ki", "0"), "--ki must be positive"),
         (
@@ -120,6 +125,7 @@ def test_sweep_unknown_param_fails(capsys):
         "app-campaign-unknown-idiom",
         "app-campaign-unknown-workload",
         "app-campaign-non-journaling-scheme",
+        "app-campaign-whole-path-scheme",
         "timeline-zero-ki",
         "recovery-table-zero-ki",
         "sweep-zero-load-mlp",

@@ -4,7 +4,9 @@ Guards against broken `__all__` lists, stale re-exports, and modules
 that only break when first imported.
 """
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -63,3 +65,84 @@ def test_top_level_api_is_usable():
         "PersistencyModel",
     ):
         assert hasattr(repro, name)
+
+
+# ----------------------------------------------------------------------
+# the scheme table is the one place that names schemes
+# ----------------------------------------------------------------------
+
+SRC = pathlib.Path(repro.__file__).parent
+
+SCHEME_MEMBER_ALLOWLIST = {
+    # The scheme -> scoreboard-class link (the table cannot import the
+    # scoreboards without a cycle).
+    ("core/schedulers.py", "SCOREBOARDS"),
+    # Default arguments and the normalization baseline.
+    ("system/config.py", "SystemConfig.scheme"),
+    ("core/update_engine.py", "EngineConfig.scheme"),
+    ("core/controller.py", "MemoryControllerPipeline.__init__:defaults"),
+    ("analysis/recovery.py", "BASELINE_SCHEME"),
+}
+
+
+def _owned_statements(body, prefix=""):
+    """(owner label, AST node) per statement, descending into classes;
+    a function's default arguments are owned apart from its body."""
+    for stmt in body:
+        if isinstance(stmt, ast.ClassDef):
+            yield from _owned_statements(stmt.body, f"{prefix}{stmt.name}.")
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            label = f"{prefix}{stmt.name}"
+            defaults = stmt.args.defaults + [d for d in stmt.args.kw_defaults if d]
+            for default in defaults:
+                yield f"{label}:defaults", default
+            for inner in stmt.body + stmt.decorator_list:
+                yield label, inner
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            yield f"{prefix}{names[0] if names else '<assign>'}", stmt
+        else:
+            yield f"{prefix}<statement>", stmt
+
+
+def _scheme_member_refs():
+    members = {scheme.name for scheme in repro.UpdateScheme}
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        if module == "core/schemes.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for owner, stmt in _owned_statements(tree.body):
+            for node in ast.walk(stmt):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in members
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "UpdateScheme"
+                ):
+                    found.add((module, owner))
+    return found
+
+
+def test_only_the_scheme_table_names_schemes():
+    stray = _scheme_member_refs() - SCHEME_MEMBER_ALLOWLIST
+    assert not stray, f"schemes named outside core/schemes.py: {sorted(stray)}"
+
+
+def test_no_scheme_roster_literals_in_campaign_or_recovery():
+    names = {scheme.value for scheme in repro.UpdateScheme}
+    paths = sorted((SRC / "campaign").glob("*.py")) + [SRC / "analysis" / "recovery.py"]
+    rosters = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                values = [
+                    e.value
+                    for e in node.elts
+                    if isinstance(e, ast.Constant) and e.value in names
+                ]
+                if len(values) >= 2:
+                    rosters.append((path.relative_to(SRC).as_posix(), node.lineno))
+    assert not rosters, f"hand-kept scheme rosters: {rosters}"

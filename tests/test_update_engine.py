@@ -172,3 +172,21 @@ def test_drain_guard_raises_on_deadlock_window():
     engine.submit(0, 0)
     with pytest.raises(RuntimeError):
         engine.run_until_drained(max_cycles=5)
+
+
+# Schemes whose scoreboards walk one persist at a time (sequential
+# recurrences); the cycle engine gives them sp's head-only discipline.
+HEAD_ONLY = {"secure_wb", "sp", "sgx_sp", "triad_nvm", "phoenix", "secpm_wt"}
+
+
+@pytest.mark.parametrize("scheme", list(UpdateScheme), ids=lambda s: s.value)
+def test_every_scheme_drains(scheme):
+    engine = make_engine(scheme)
+    for i in range(4):
+        assert engine.submit(i, leaf_index=(i * 13) % 64, epoch_id=0)
+    engine.run_until_drained(max_cycles=100_000)
+    assert sorted(engine.completions) == [0, 1, 2, 3]
+    if scheme.value in HEAD_ONLY:
+        assert [event.persist_id for event in engine.events] == [0, 1, 2, 3]
+        assert completions_in_order(engine.completions)
+        assert len(set(engine.completions.values())) == 4
