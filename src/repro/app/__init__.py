@@ -24,7 +24,6 @@ from repro.app.kvstore import (
 )
 from repro.app.workloads import (
     APP_WORKLOADS,
-    CROSSCHECK_WORKLOAD,
     app_memory_trace,
     resolve_workload,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "AppTrace",
     "AppWorkload",
     "COMMIT_ROLES",
-    "CROSSCHECK_WORKLOAD",
     "IDIOMS",
     "IDIOM_SNAPSHOT",
     "IDIOM_UNDOLOG",

@@ -3,8 +3,9 @@
 The workload roster spans the scenario family the app campaign opens:
 transaction sizes (``txn``), fsync placement (``deferred_fsync``), and
 torn multi-block values (``torn``).  ``smoke`` is deliberately tiny —
-it is the exhaustive cross-check trace, where every one of the
-``1 + 16 * n`` crash cells is actually run.
+it is the unit tests' and the bench gate's exhaustive cross-check
+trace, where every one of the ``1 + 16 * n`` crash cells is actually
+run.
 
 :func:`app_memory_trace` lowers an idiom x workload pair into the
 columnar :class:`~repro.workloads.trace.MemoryTrace` the timing
@@ -22,7 +23,7 @@ from repro.crypto.primitives import BLOCK_SIZE
 from repro.workloads.trace import KIND_LOAD, KIND_SFENCE, KIND_STORE, MemoryTrace
 
 APP_WORKLOADS: Dict[str, AppWorkload] = {
-    # Tiny: 3 ops, single-block values — the exhaustive cross-check trace.
+    # Tiny: 3 ops, single-block values — the tests' cross-check trace.
     "smoke": AppWorkload(
         "smoke",
         ops=(
@@ -78,10 +79,6 @@ APP_WORKLOADS: Dict[str, AppWorkload] = {
         log_fsync=False,
     ),
 }
-
-CROSSCHECK_WORKLOAD = "smoke"
-"""The workload small enough to run its full exhaustive crash space."""
-
 
 def resolve_workload(workload) -> AppWorkload:
     """Accept either a roster name or an :class:`AppWorkload` object."""

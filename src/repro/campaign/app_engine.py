@@ -7,8 +7,9 @@ program could legally be in?
 
 For one :class:`AppScenario` the engine:
 
-1. lowers the KV workload under its durability idiom and replays it on
-   a fresh functional secure memory (journaling the persists);
+1. copies the memory the KV workload leaves, lowered under its
+   durability idiom and replayed once per program
+   (:func:`app_program`), journal included;
 2. reuses the memory engine's WPQ drive
    (:func:`~repro.campaign.engine.drive_wpq`) to decide what the crash
    leaves durable for the scenario's victim/drops;
@@ -38,12 +39,18 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.app.kvstore import AppTrace, AppWorkload, lower, recover_app, replay_app
 from repro.app.workloads import resolve_workload
 from repro.campaign.engine import build_injector, drive_wpq
-from repro.campaign.grid import CAMPAIGN_SCHEMES, build_memory, semantics_for
+from repro.campaign.grid import (
+    CAMPAIGN_SCHEMES,
+    PROGRAM_MEMO_SIZE,
+    build_memory,
+    semantics_for,
+)
 from repro.core.schemes import SchemeSpec, UpdateScheme
 from repro.crypto.primitives import BLOCK_SIZE
 from repro.mem.wpq import TupleItem
@@ -53,7 +60,7 @@ from repro.recovery.checker import (
     RecoveryChecker,
     classify_app_state,
 )
-from repro.system.secure_memory import IntegrityError
+from repro.system.secure_memory import FunctionalSecureMemory, IntegrityError
 
 from repro.app.kvstore import IDIOMS
 
@@ -186,6 +193,36 @@ def persist_map(sem: SchemeSpec, trace: AppTrace) -> List[PersistInfo]:
     return infos
 
 
+class AppProgram(NamedTuple):
+    """One (scheme, idiom, workload) program, journaled and mapped."""
+
+    memory: FunctionalSecureMemory
+    """The memory after the replay; cells crash a :meth:`copy` of it."""
+    trace: AppTrace
+    pmap: List[PersistInfo]
+
+
+@lru_cache(maxsize=PROGRAM_MEMO_SIZE)
+def app_program(scheme: str, idiom: str, workload: AppWorkload) -> AppProgram:
+    """Lower, replay and map one program, once while it stays memoized.
+
+    Keyed on the workload's content, so generated workloads that share
+    a name never share an entry.
+    """
+    sem = app_semantics_for(scheme)
+    trace = lower(idiom, workload)
+    mem = build_memory(sem)
+    replay_app(mem, trace)
+    pmap = persist_map(sem, trace)
+    if len(pmap) != mem.pending_persists:
+        raise RuntimeError(
+            f"persist map ({len(pmap)}) disagrees with the journal "
+            f"({mem.pending_persists}); the lowering replay drifted from "
+            "the functional memory"
+        )
+    return AppProgram(mem, trace, pmap)
+
+
 def encode_state(state: Optional[Dict[int, bytes]]) -> Optional[List[List[str]]]:
     """JSON-primitive encoding of a KV state (sorted ``[key, hex]`` pairs)."""
     if state is None:
@@ -209,10 +246,9 @@ def run_app_scenario(
     """
     sem = app_semantics_for(scenario.scheme)
     wl = workload if workload is not None else resolve_workload(scenario.workload)
-    trace = lower(scenario.idiom, wl)
-
-    mem = build_memory(sem)
-    replay_app(mem, trace)
+    program = app_program(scenario.scheme, scenario.idiom, wl)
+    trace, pmap = program.trace, program.pmap
+    mem = program.memory.copy()
     journal = mem.journal
     n = len(journal)
     if scenario.victim >= n:
@@ -220,12 +256,6 @@ def run_app_scenario(
             f"victim {scenario.victim} out of range: "
             f"({scenario.scheme}, {scenario.idiom}, {wl.name}) "
             f"journals {n} persists"
-        )
-    pmap = persist_map(sem, trace)
-    if len(pmap) != n:
-        raise RuntimeError(
-            f"persist map ({len(pmap)}) disagrees with the journal ({n}); "
-            "the lowering replay drifted from the functional memory"
         )
 
     # ---- crash: same WPQ drive as the memory campaign ----------------
@@ -301,11 +331,8 @@ def run_app_scenario(
 
 def app_journal_plan(scheme: str, idiom: str, workload) -> int:
     """How many persists a (scheme, idiom, workload) triple journals."""
-    sem = semantics_for(scheme)
-    wl = resolve_workload(workload)
-    mem = build_memory(sem)
-    replay_app(mem, lower(idiom, wl))
-    return len(mem.journal)
+    program = app_program(scheme, idiom, resolve_workload(workload))
+    return program.memory.pending_persists
 
 
 def app_scenario_key(scenario: AppScenario, code: str) -> str:

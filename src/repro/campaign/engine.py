@@ -2,8 +2,10 @@
 
 For one :class:`~repro.campaign.grid.Scenario` the engine:
 
-1. replays the workload on a fresh functional secure memory, producing
-   the persist journal (the writer's intent);
+1. copies the memory the workload leaves before the crash, journal
+   (the writer's intent) included — each program is replayed once
+   (:func:`~repro.campaign.grid.journaled_memory`) and every cell
+   crashes its own copy;
 2. derives each persist's delivered tuple components from the scheme's
    crash semantics (2SP locking, Invariant-2 ordering, EP epochs, LCA
    coalescing delegation) and the scenario's victim/drops;
@@ -33,7 +35,7 @@ Outcome taxonomy:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.coalescing import CoalescingUnit
 from repro.core.invariants import check_tuple_complete
@@ -42,13 +44,7 @@ from repro.crypto.bmt import BMTGeometry
 from repro.mem.wpq import TupleItem, WritePendingQueue
 from repro.recovery.checker import RecoveryChecker
 from repro.recovery.crash import CrashInjector
-from repro.campaign.grid import (
-    Scenario,
-    WORKLOADS,
-    build_memory,
-    replay,
-    semantics_for,
-)
+from repro.campaign.grid import Scenario, journaled_memory, semantics_for
 
 OUTCOME_RECOVERED = "recovered"
 OUTCOME_DETECTED = "detected_failure"
@@ -166,6 +162,21 @@ def _delivery_plan(
     ]
 
 
+def drop_group(victim: int, drops: Set[TupleItem]) -> Tuple[int, bool, bool]:
+    """The facts about a cell's drops that its 2SP flush can observe.
+
+    :func:`_delivery_plan` reads ``drops`` twice: the victim's gathered
+    NVM items and its own root work.  A dropped item of either kind
+    leaves the victim's entry incomplete; a dropped root ack also
+    withholds every ack delegated or chained to it.  Under 2SP every
+    entry is locked, so the WPQ persists exactly its complete entries,
+    and cells that agree on these facts persist the same entries.
+    Three groups per victim: nothing dropped, the root ack dropped,
+    NVM items only.
+    """
+    return victim, bool(drops), TupleItem.ROOT_ACK in drops
+
+
 @dataclass
 class FlushOutcome:
     """What the WPQ power-failure flush decided for one crash cell.
@@ -267,8 +278,7 @@ def run_scenario(scenario: Scenario, telemetry=None) -> CampaignCell:
             against the bus's logical clock.
     """
     sem = semantics_for(scenario.scheme)
-    mem = build_memory(sem)
-    replay(mem, WORKLOADS[scenario.workload])
+    mem = journaled_memory(scenario.scheme, scenario.workload).copy()
     journal = mem.journal
     n = len(journal)
     if scenario.victim >= n:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.schemes import SchemeSpec, UpdateScheme
@@ -31,6 +32,12 @@ from repro.system.secure_memory import FunctionalSecureMemory, PersistRecord
 
 CAMPAIGN_PAGES = 64
 """Pages in the campaign's functional memory (64-leaf, 8-ary BMT)."""
+
+PROGRAM_MEMO_SIZE = 1
+"""Journaled programs each campaign memo keeps.  Enumeration visits a
+program's cells one after another, so keeping the last program
+journals every program once per pass; more entries only raise the
+peak RSS."""
 
 ITEM_ORDER: Tuple[TupleItem, ...] = (
     TupleItem.DATA,
@@ -162,16 +169,25 @@ def replay(mem: FunctionalSecureMemory, ops: Sequence[Tuple]) -> None:
             raise ValueError(f"unknown workload op {op[0]!r}")
 
 
+@lru_cache(maxsize=PROGRAM_MEMO_SIZE)
+def journaled_memory(scheme: str, workload: str) -> FunctionalSecureMemory:
+    """The memory a (scheme, workload) program leaves before any crash.
+
+    Replayed once while it stays in the memo; shared by every caller,
+    so a cell must crash its own :meth:`FunctionalSecureMemory.copy`.
+    """
+    mem = build_memory(semantics_for(scheme))
+    replay(mem, WORKLOADS[workload])
+    return mem
+
+
 def journal_plan(scheme: str, workload: str) -> Tuple[PersistRecord, ...]:
     """The persist journal a (scheme, workload) pair produces.
 
     Used by the grid enumeration to find every crash point, and by the
     engine to drive the WPQ.  Persist IDs equal journal indices.
     """
-    sem = semantics_for(scheme)
-    mem = build_memory(sem)
-    replay(mem, WORKLOADS[workload])
-    return mem.journal
+    return journaled_memory(scheme, workload).journal
 
 
 def enumerate_grid(

@@ -9,8 +9,12 @@ of those cells cannot change what the application recovers:
   journal *prefix* — persists younger than an in-flight victim never
   even gather.  The post-crash NVM image, and with it the recovered
   application state, is a pure function of the durable prefix length
-  ``k``; all 16 drop subsets of a victim collapse onto at most two
-  distinct ``k`` values.
+  ``k``; all 16 drop subsets of a victim collapse onto its three drop
+  groups (:func:`~repro.campaign.engine.drop_group`: nothing dropped,
+  the root ack dropped, NVM items only), so onto at most three
+  distinct ``k`` values.  A dropped root ack is a group of its own:
+  under coalescing it also withholds the acks delegated to the victim,
+  so it can shorten the prefix below the victim.
 * Within one prefix length, what recovery returns is decided by the
   idiom's *mechanism* at the first missing persist: which operation is
   in flight, the persist's protocol role (``snap_slot`` vs the
@@ -20,20 +24,23 @@ of those cells cannot change what the application recovers:
   recover identically.
 
 The pruner therefore computes each exhaustive cell's durable outcome
-*combinatorially* — one crypto replay to journal the workload, then a
-cheap WPQ drive per cell, no encryption, no recovery — groups cells by
+*combinatorially* — the program's memoized journal
+(:func:`~repro.campaign.app_engine.app_program`), then one WPQ drive
+per victim drop group, no encryption, no recovery — groups cells by
 equivalence class, and emits one representative plan per class.  For
 non-atomic schemes (the opt-in ``unordered`` strawman) the prefix
-argument does not hold, so classes degrade to the exact durable-damage
-signature: only genuinely identical outcomes merge.
+argument does not hold, so every cell is driven and classes degrade to
+the exact durable-damage signature: only genuinely identical outcomes
+merge.
 
 :func:`crosscheck_pruning` is the soundness instrument: it *runs* every
 exhaustive cell through the real engine and verifies each one classifies
 identically to its class representative — in particular, that no
-mismatch-producing plan was pruned away.  The property test in
+mismatch-producing plan was pruned away — and drives each cell's WPQ on
+its own to check the grouped key.  The property test in
 ``tests/test_app_campaign.py`` hammers this on hypothesis-generated
-workloads; the bench gate and ``plp-repro app-campaign --exhaustive``
-run it on the ``smoke`` trace.
+workloads; the bench gate runs it on the ``smoke`` trace and
+``plp-repro app-campaign --exhaustive`` on every workload it ran.
 """
 
 from __future__ import annotations
@@ -41,18 +48,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.app.kvstore import AppWorkload, lower
+from repro.app.kvstore import COMMIT_ROLES, AppWorkload
 from repro.app.workloads import resolve_workload
 from repro.campaign.app_engine import (
+    AppProgram,
     AppScenario,
     PersistInfo,
+    app_journal_plan,
+    app_program,
     app_semantics_for,
-    persist_map,
     run_app_scenario,
 )
-from repro.campaign.engine import build_injector, drive_wpq
-from repro.campaign.grid import DROP_SUBSETS, build_memory, semantics_for
-from repro.app.kvstore import replay_app
+from repro.campaign.engine import build_injector, drive_wpq, drop_group
+from repro.campaign.grid import DROP_SUBSETS
+from repro.core.schemes import SchemeSpec
 from repro.mem.wpq import TupleItem
 
 
@@ -148,6 +157,50 @@ def _damage_signature(n: int, injector) -> str:
     return f"sig:{parts!r}"
 
 
+def _cell_key(
+    sem: SchemeSpec, program: AppProgram, victim: int, drops: Tuple[str, ...]
+) -> str:
+    """One cell's class key, from a WPQ drive of that exact cell."""
+    journal = program.memory.journal
+    drop_items = {TupleItem(value) for value in drops}
+    outcome = drive_wpq(sem, journal, victim, drop_items, program.memory.geometry)
+    if sem.atomic:
+        return _atomic_class_key(
+            len(outcome.persisted_ids), len(journal), program.pmap, COMMIT_ROLES
+        )
+    return _damage_signature(len(journal), build_injector(sem, outcome))
+
+
+def cell_keys(
+    scheme: str,
+    idiom: str,
+    workload,
+    subsets: Optional[Sequence[Tuple[str, ...]]] = None,
+) -> List[Tuple[int, Tuple[str, ...], str]]:
+    """Every exhaustive cell with the pruner's class key, in order.
+
+    Under 2SP the key depends on a cell's drops only through its
+    :func:`~repro.campaign.engine.drop_group`, so the WPQ is driven
+    once per group and every cell of the group takes that key.  The
+    non-atomic fallback drives every cell.
+    """
+    sem = app_semantics_for(scheme)
+    program = app_program(scheme, idiom, resolve_workload(workload))
+    subset_list = list(subsets) if subsets is not None else list(DROP_SUBSETS)
+    keyed: List[Tuple[int, Tuple[str, ...], str]] = []
+    group_keys: Dict[Tuple[int, bool, bool], str] = {}
+    for victim, drops in exhaustive_cells(program.memory.pending_persists, subset_list):
+        if sem.atomic:
+            group = drop_group(victim, {TupleItem(value) for value in drops})
+            key = group_keys.get(group)
+            if key is None:
+                key = group_keys[group] = _cell_key(sem, program, victim, drops)
+        else:
+            key = _cell_key(sem, program, victim, drops)
+        keyed.append((victim, drops, key))
+    return keyed
+
+
 def generate_plans(
     scheme: str,
     idiom: str,
@@ -167,53 +220,39 @@ def generate_plans(
         each equivalence class, in enumeration order, each annotated
         with how many cells it represents.
     """
-    from repro.app.kvstore import COMMIT_ROLES
-
-    sem = app_semantics_for(scheme)
     wl = resolve_workload(workload)
-    trace = lower(idiom, wl)
-    mem = build_memory(sem)
-    replay_app(mem, trace)
-    journal = mem.journal
-    n = len(journal)
-    pmap = persist_map(sem, trace)
-    subset_list = list(subsets) if subsets is not None else list(DROP_SUBSETS)
+    return _plan_set(scheme, idiom, wl, cell_keys(scheme, idiom, wl, subsets))
 
-    cells = exhaustive_cells(n, subset_list)
+
+def _plan_set(
+    scheme: str,
+    idiom: str,
+    wl: AppWorkload,
+    keyed: Sequence[Tuple[int, Tuple[str, ...], str]],
+) -> PlanSet:
+    """One plan per class of the keyed cells: its first cell."""
     classes: Dict[str, List[Tuple[int, Tuple[str, ...]]]] = {}
-    order: List[str] = []
-    for victim, drops in cells:
-        drop_items = {TupleItem(value) for value in drops}
-        outcome = drive_wpq(sem, journal, victim, drop_items, mem.geometry)
-        if sem.atomic:
-            key = _atomic_class_key(
-                len(outcome.persisted_ids), n, pmap, COMMIT_ROLES
-            )
-        else:
-            key = _damage_signature(n, build_injector(sem, outcome))
-        if key not in classes:
-            classes[key] = []
-            order.append(key)
-        classes[key].append((victim, drops))
+    for victim, drops, key in keyed:
+        classes.setdefault(key, []).append((victim, drops))
 
     plans = tuple(
         CrashPlan(
             scheme=scheme,
             idiom=idiom,
             workload=wl.name,
-            victim=classes[key][0][0],
-            drops=classes[key][0][1],
+            victim=members[0][0],
+            drops=members[0][1],
             class_key=key,
-            represented=len(classes[key]),
+            represented=len(members),
         )
-        for key in order
+        for key, members in classes.items()
     )
     return PlanSet(
         scheme=scheme,
         idiom=idiom,
         workload=wl.name,
-        total_persists=n,
-        exhaustive_cells=len(cells),
+        total_persists=app_journal_plan(scheme, idiom, wl),
+        exhaustive_cells=len(keyed),
         plans=plans,
     )
 
@@ -227,8 +266,9 @@ def crosscheck_pruning(
     """Prove pruning soundness by running the whole exhaustive space.
 
     Every exhaustive cell is run through the real crash/recovery engine
-    and compared against its class representative's classification.  A
-    sound pruner produces zero disagreements — in particular, zero
+    and compared against its class representative's classification,
+    and its WPQ is driven on its own to check the pruner's grouped key.
+    A sound pruner produces zero disagreements — in particular, zero
     mismatch-producing plans hiding in a class whose representative
     classified clean.
 
@@ -238,47 +278,30 @@ def crosscheck_pruning(
         (empty when sound).
     """
     wl = resolve_workload(workload)
-    plan_set = generate_plans(scheme, idiom, wl, subsets=subsets)
-    subset_list = list(subsets) if subsets is not None else list(DROP_SUBSETS)
+    sem = app_semantics_for(scheme)
+    program = app_program(scheme, idiom, wl)
+    keyed = cell_keys(scheme, idiom, wl, subsets)
+    plan_set = _plan_set(scheme, idiom, wl, keyed)
 
     rep_class: Dict[str, str] = {}
     for plan in plan_set.plans:
         cell = run_app_scenario(plan.scenario, workload=wl)
         rep_class[plan.class_key] = cell.classification
 
-    # Re-derive each exhaustive cell's class key exactly as the pruner
-    # did, then run the cell for real and compare.
-    from repro.app.kvstore import COMMIT_ROLES
-
-    sem = semantics_for(scheme)
-    trace = lower(idiom, wl)
-    mem = build_memory(sem)
-    replay_app(mem, trace)
-    journal = mem.journal
-    n = len(journal)
-    pmap = persist_map(sem, trace)
-
     disagreements: List[Dict] = []
     missed_mismatches = 0
-    cells = exhaustive_cells(n, subset_list)
-    for victim, drops in cells:
-        drop_items = {TupleItem(value) for value in drops}
-        outcome = drive_wpq(sem, journal, victim, drop_items, mem.geometry)
-        if sem.atomic:
-            key = _atomic_class_key(
-                len(outcome.persisted_ids), n, pmap, COMMIT_ROLES
-            )
-        else:
-            key = _damage_signature(n, build_injector(sem, outcome))
+    for victim, drops, key in keyed:
+        own_key = _cell_key(sem, program, victim, drops)
         scenario = AppScenario(scheme, idiom, wl.name, victim, drops)
         actual = run_app_scenario(scenario, workload=wl).classification
         expected = rep_class[key]
-        if actual != expected:
+        if own_key != key or actual != expected:
             disagreements.append(
                 {
                     "victim": victim,
                     "drops": list(drops),
                     "class_key": key,
+                    "cell_key": own_key,
                     "expected": expected,
                     "actual": actual,
                 }
@@ -289,7 +312,7 @@ def crosscheck_pruning(
         "scheme": scheme,
         "idiom": idiom,
         "workload": wl.name,
-        "cells": len(cells),
+        "cells": len(keyed),
         "plans": len(plan_set.plans),
         "skipped": plan_set.skipped_cells,
         "prune_ratio": plan_set.prune_ratio,

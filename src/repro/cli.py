@@ -376,7 +376,7 @@ def cmd_app_campaign(args: argparse.Namespace) -> int:
         summarize_app,
         verify_campaign,
     )
-    from repro.app.workloads import APP_WORKLOADS, CROSSCHECK_WORKLOAD
+    from repro.app.workloads import APP_WORKLOADS
     from repro.campaign import (
         APP_CAMPAIGN_SCHEMES,
         crosscheck_pruning,
@@ -424,16 +424,15 @@ def cmd_app_campaign(args: argparse.Namespace) -> int:
     crosschecks = []
     if args.exhaustive:
         print()
-        for scheme in schemes:
-            for idiom in idioms:
-                result = crosscheck_pruning(scheme, idiom, CROSSCHECK_WORKLOAD)
-                crosschecks.append(result)
-                verdict = "sound" if result["agree"] else "UNSOUND"
-                print(
-                    f"cross-check {scheme}/{idiom}/{CROSSCHECK_WORKLOAD}: "
-                    f"{result['cells']} cells vs {result['plans']} plans -> "
-                    f"{verdict} ({result['missed_mismatches']} missed mismatches)"
-                )
+        for ps in plan_sets:
+            result = crosscheck_pruning(ps.scheme, ps.idiom, ps.workload)
+            crosschecks.append(result)
+            verdict = "sound" if result["agree"] else "UNSOUND"
+            print(
+                f"cross-check {ps.scheme}/{ps.idiom}/{ps.workload}: "
+                f"{result['cells']} cells vs {result['plans']} plans -> "
+                f"{verdict} ({result['missed_mismatches']} missed mismatches)"
+            )
 
     if args.out:
         payload = {
@@ -707,7 +706,8 @@ def build_parser() -> argparse.ArgumentParser:
     app_campaign.add_argument(
         "--exhaustive",
         action="store_true",
-        help="also run the exhaustive pruning cross-check on the smoke workload",
+        help="also run every exhaustive cell of the selected workloads and "
+        "cross-check the pruning against them",
     )
     app_campaign.add_argument("--jobs", type=int, default=1, help="worker processes")
     app_campaign.add_argument(

@@ -21,7 +21,8 @@ Two compliance modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from copy import copy as _shallow_copy
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.crypto.bmt import BMTGeometry, BonsaiMerkleTree
@@ -43,9 +44,10 @@ class IntegrityError(RuntimeError):
     """Raised when a load fails MAC or BMT verification."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class PersistRecord:
-    """One persist's journaled memory tuple."""
+    """One persist's journaled memory tuple (immutable, so copies of a
+    memory can share their journals)."""
 
     persist_id: int
     epoch_id: int
@@ -377,6 +379,28 @@ class FunctionalSecureMemory:
     def _check_live(self) -> None:
         if self.crashed:
             raise RuntimeError("system has crashed; call recover() first")
+
+    def copy(self) -> "FunctionalSecureMemory":
+        """An independent copy, pending journal and durable state included.
+
+        Crashing, storing to or recovering the copy leaves this memory
+        untouched.  The two share only what neither mutates: the
+        journaled records, the keys, the geometry and the stateless
+        encryptor and MAC.
+        """
+        dup = _shallow_copy(self)
+        dup._counters = CounterStore(self.num_pages)
+        dup._counters.restore(self._counters.snapshot())
+        dup._bmt = BonsaiMerkleTree(self.geometry, self.keys)
+        dup._bmt.restore(self._bmt.snapshot())
+        dup.nvm = self.nvm.snapshot()
+        dup.durable_root = replace(self.durable_root)
+        dup._volatile_data = dict(self._volatile_data)
+        dup._journal = list(self._journal)
+        dup._epoch_dirty = dict(self._epoch_dirty)
+        dup._committed = dict(self._committed)
+        dup._epoch_committed = dict(self._epoch_committed)
+        return dup
 
     # ------------------------------------------------------------------
     # introspection (tests, examples)

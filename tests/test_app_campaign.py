@@ -2,9 +2,11 @@
 
 Covers the KV store's block encodings and lowering, the idioms'
 recovery procedures, the persist map against the real journal, the
-crash-plan pruner (including the exhaustive soundness cross-check and a
-hypothesis-generated workload arm), the app-state differential
-classifier, and the loud-failure gate in ``verify_campaign``.
+crash-plan pruner (its per-drop-group keys against a WPQ drive of every
+cell, the exhaustive soundness cross-check and a hypothesis-generated
+workload arm), cell isolation from the memoized program, the app-state
+differential classifier, and the loud-failure gate in
+``verify_campaign``.
 """
 
 import pytest
@@ -30,13 +32,28 @@ from repro.app.workloads import APP_WORKLOADS, app_memory_trace, resolve_workloa
 from repro.campaign.app_engine import (
     APP_CAMPAIGN_SCHEMES,
     AppScenario,
+    app_program,
     persist_map,
     run_app_scenario,
 )
-from repro.campaign.grid import DROP_SUBSETS, build_memory, semantics_for
-from repro.campaign.plans import crosscheck_pruning, exhaustive_cells, generate_plans
+from repro.campaign.engine import build_injector, drive_wpq
+from repro.campaign.grid import (
+    DROP_SUBSETS,
+    PROGRAM_MEMO_SIZE,
+    build_memory,
+    semantics_for,
+)
+from repro.campaign.plans import (
+    _atomic_class_key,
+    _damage_signature,
+    cell_keys,
+    crosscheck_pruning,
+    exhaustive_cells,
+    generate_plans,
+)
 from repro.campaign.runner import AppCampaignCache, run_app_campaign
 from repro.crypto.primitives import BLOCK_SIZE
+from repro.mem.wpq import TupleItem
 
 
 # ----------------------------------------------------------------------
@@ -231,6 +248,68 @@ def test_pruning_soundness_non_atomic_fallback():
     assert result["missed_mismatches"] == 0
 
 
+def _driven_cell_keys(scheme, idiom, workload):
+    """Oracle: a fresh replay and one WPQ drive per exhaustive cell."""
+    sem = semantics_for(scheme)
+    wl = resolve_workload(workload)
+    trace = lower(idiom, wl)
+    mem = build_memory(sem)
+    replay_app(mem, trace)
+    journal = mem.journal
+    n = len(journal)
+    pmap = persist_map(sem, trace)
+    keyed = []
+    for victim, drops in exhaustive_cells(n, list(DROP_SUBSETS)):
+        drop_items = {TupleItem(value) for value in drops}
+        outcome = drive_wpq(sem, journal, victim, drop_items, mem.geometry)
+        if sem.atomic:
+            key = _atomic_class_key(len(outcome.persisted_ids), n, pmap, COMMIT_ROLES)
+        else:
+            key = _damage_signature(n, build_injector(sem, outcome))
+        keyed.append((victim, drops, key))
+    return keyed
+
+
+@pytest.mark.parametrize("scheme", APP_CAMPAIGN_SCHEMES)
+def test_grouped_keys_match_a_drive_of_every_cell(scheme):
+    """Driving the WPQ once per victim drop group gives every exhaustive
+    cell the key a drive of that very cell gives, and the plans built
+    from the grouped keys are the plans the per-cell keys imply."""
+    for workload in APP_WORKLOADS:
+        for idiom in ("snapshot", "undolog"):
+            oracle = _driven_cell_keys(scheme, idiom, workload)
+            assert cell_keys(scheme, idiom, workload) == oracle, (workload, idiom)
+            classes = {}
+            for victim, drops, key in oracle:
+                classes.setdefault(key, []).append((victim, drops))
+            expected = [
+                (members[0][0], members[0][1], key, len(members))
+                for key, members in classes.items()
+            ]
+            plans = generate_plans(scheme, idiom, workload).plans
+            assert [
+                (p.victim, p.drops, p.class_key, p.represented) for p in plans
+            ] == expected, (workload, idiom)
+
+
+def test_dropped_root_ack_is_its_own_group():
+    """Regression: in coalescing/undolog/smoke persist 0 delegates its
+    root ack to victim 1 (the ``log_head`` persist), so the three drop
+    groups of victim 1 leave three different durable prefixes.  A
+    grouping split only on whether the tuple is complete merges the
+    last two."""
+    keys = {
+        drops: key
+        for victim, drops, key in cell_keys("coalescing", "undolog", "smoke")
+        if victim == 1
+    }
+    assert keys[()] == "op0:slot_write:c1"  # prefix 2
+    assert keys[("data",)] == "op0:log_head:c0"  # prefix 1
+    assert keys[("data", "counter", "mac")] == "op0:log_head:c0"
+    assert keys[("root_ack",)] == "op0:log_rec:c0"  # prefix 0
+    assert keys[("data", "root_ack")] == "op0:log_rec:c0"
+
+
 _hyp_values = st.binary(min_size=1, max_size=48)
 _hyp_keys = st.integers(min_value=0, max_value=2)
 _hyp_ops = st.lists(
@@ -258,11 +337,13 @@ _hyp_ops = st.lists(
 @given(ops=_hyp_ops)
 def test_pruning_sound_on_generated_workloads(idiom, ops):
     """Property arm: the pruner stays sound on arbitrary small
-    workloads, not just the curated roster."""
+    workloads, not just the curated roster, with and without root-ack
+    delegation."""
     wl = AppWorkload("hyp", tuple(ops), num_keys=3)
-    result = crosscheck_pruning("sp", idiom, wl)
-    assert result["agree"], result["disagreements"]
-    assert result["missed_mismatches"] == 0
+    for scheme in ("sp", "coalescing"):
+        result = crosscheck_pruning(scheme, idiom, wl)
+        assert result["agree"], (scheme, result["disagreements"])
+        assert result["missed_mismatches"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -284,6 +365,30 @@ def test_first_victim_is_pre_op():
     assert cell.classification == "pre_op"
     assert cell.in_flight_op == 0
     assert cell.durable_persists == 0
+
+
+def _program_view(program):
+    mem = program.memory
+    root = mem.durable_root
+    return mem.journal, dict(mem.nvm.data), root.value, root.update_count
+
+
+def test_app_cells_crash_their_own_copy():
+    """Every cell of one app program, forward and in reverse, classifies
+    the same, and the memoized program's memory keeps its journal."""
+    wl = resolve_workload("smoke")
+    program = app_program("coalescing", "undolog", wl)
+    before = _program_view(program)
+    scenarios = [
+        AppScenario("coalescing", "undolog", "smoke", victim, drops)
+        for victim, drops in exhaustive_cells(len(before[0]), list(DROP_SUBSETS))
+    ]
+    forward = [run_app_scenario(s) for s in scenarios]
+    backward = [run_app_scenario(s) for s in reversed(scenarios)]
+    assert forward == backward[::-1]
+    assert app_program("coalescing", "undolog", wl) is program
+    assert _program_view(program) == before
+    assert app_program.cache_info().currsize <= PROGRAM_MEMO_SIZE
 
 
 def test_non_persistent_scheme_rejected():

@@ -33,6 +33,7 @@ from repro.campaign.engine import (
     OUTCOME_RECOVERED,
     OUTCOME_SILENT_CORRUPTION,
 )
+from repro.campaign.grid import PROGRAM_MEMO_SIZE, journaled_memory
 from repro.core.schemes import UpdateScheme
 from repro.sim.batched import replay_shape
 from repro.sweep import code_version
@@ -244,6 +245,39 @@ def test_open_epoch_tail_store_is_not_expected_durable():
 def test_victim_out_of_range_raises():
     with pytest.raises(ValueError):
         run_scenario(Scenario("sp", "overwrite", 99, ("mac",)))
+
+
+def _durable_view(mem):
+    nvm = mem.nvm
+    root = mem.durable_root
+    return (
+        mem.journal,
+        (dict(nvm.data), dict(nvm.counters), dict(nvm.macs)),
+        (root.value, root.update_count),
+    )
+
+
+@pytest.mark.parametrize(
+    "scheme, workload",
+    [
+        ("unordered", "ordered_pair"),
+        ("coalescing", "epoch_mix"),
+        ("triad_nvm", "epoch_mix"),
+    ],
+)
+def test_cells_crash_their_own_copy(scheme, workload):
+    """Cells share one journaled program but crash private copies: run
+    forward or in reverse they agree, and the memoized memory is left as
+    the replay left it."""
+    grid = enumerate_grid(schemes=[scheme], workloads=[workload])
+    memoized = journaled_memory(scheme, workload)
+    before = _durable_view(memoized)
+    forward = [run_scenario(s) for s in grid]
+    backward = [run_scenario(s) for s in reversed(grid)]
+    assert forward == backward[::-1]
+    assert journaled_memory(scheme, workload) is memoized
+    assert _durable_view(memoized) == before
+    assert journaled_memory.cache_info().currsize <= PROGRAM_MEMO_SIZE
 
 
 # ----------------------------------------------------------------------

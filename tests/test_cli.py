@@ -299,6 +299,25 @@ def test_crash_campaign_filtered_schemes_skips_tables(capsys):
     assert "verify: zero silent corruptions" in out
 
 
+def test_app_campaign_exhaustive_checks_the_selected_workloads(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "app-campaign",
+        "--workloads",
+        "basic",
+        "--schemes",
+        "sp",
+        "--idioms",
+        "snapshot",
+        "--exhaustive",
+        "--no-cache",
+    )
+    assert code == 0
+    assert "cross-check sp/snapshot/basic: " in out
+    assert "-> sound (0 missed mismatches)" in out
+    assert "smoke" not in out
+
+
 def test_trace_inspect_is_header_only(capsys, tmp_path):
     path = tmp_path / "t.plptrace"
     code, out, _ = run_cli(

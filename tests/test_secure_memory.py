@@ -169,6 +169,25 @@ def test_atomic_mode_older_value_restored():
     assert mem.load(addr(5)) == make_block(1)
 
 
+def test_crashing_a_copy_leaves_the_original_intact():
+    mem = make_memory(atomic_tuples=True)
+    mem.store(addr(0), make_block(0))
+    victim = mem.store(addr(1), make_block(1))
+    journal = mem.journal
+    dup = mem.copy()
+    dup.crash(CrashInjector().drop(victim, TupleItem.MAC))
+    assert dup.recover().recovered
+    assert 1 not in dup.committed_state
+    dup.store(addr(2), make_block(2))
+    # The original keeps its journal and commitments, and still drains.
+    assert mem.journal == journal and not mem.crashed
+    assert mem.committed_state == {0: make_block(0), 1: make_block(1)}
+    mem.crash()
+    assert mem.recover().recovered
+    assert mem.load(addr(1)) == make_block(1)
+    assert mem.load(addr(2)) == bytes(64)
+
+
 # ----------------------------------------------------------------------
 # epoch persistency
 # ----------------------------------------------------------------------
