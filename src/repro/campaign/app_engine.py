@@ -55,12 +55,12 @@ from repro.core.schemes import SchemeSpec, UpdateScheme
 from repro.crypto.primitives import BLOCK_SIZE
 from repro.mem.wpq import TupleItem
 from repro.persistency.models import PersistencyModel
-from repro.recovery.checker import (
-    APP_DETECTED,
-    RecoveryChecker,
-    classify_app_state,
+from repro.recovery.checker import APP_DETECTED, classify_app_state
+from repro.system.secure_memory import (
+    FunctionalSecureMemory,
+    IntegrityError,
+    PersistRecord,
 )
-from repro.system.secure_memory import FunctionalSecureMemory, IntegrityError
 
 from repro.app.kvstore import IDIOMS
 
@@ -200,6 +200,8 @@ class AppProgram(NamedTuple):
     """The memory after the replay; cells crash a :meth:`copy` of it."""
     trace: AppTrace
     pmap: List[PersistInfo]
+    journal: Tuple[PersistRecord, ...]
+    """The memory's pending persist journal, read once."""
 
 
 @lru_cache(maxsize=PROGRAM_MEMO_SIZE)
@@ -220,7 +222,7 @@ def app_program(scheme: str, idiom: str, workload: AppWorkload) -> AppProgram:
             f"({mem.pending_persists}); the lowering replay drifted from "
             "the functional memory"
         )
-    return AppProgram(mem, trace, pmap)
+    return AppProgram(mem, trace, pmap, mem.journal)
 
 
 def encode_state(state: Optional[Dict[int, bytes]]) -> Optional[List[List[str]]]:
@@ -247,9 +249,8 @@ def run_app_scenario(
     sem = app_semantics_for(scenario.scheme)
     wl = workload if workload is not None else resolve_workload(scenario.workload)
     program = app_program(scenario.scheme, scenario.idiom, wl)
-    trace, pmap = program.trace, program.pmap
+    trace, pmap, journal = program.trace, program.pmap, program.journal
     mem = program.memory.copy()
-    journal = mem.journal
     n = len(journal)
     if scenario.victim >= n:
         raise ValueError(
@@ -260,20 +261,14 @@ def run_app_scenario(
 
     # ---- crash: same WPQ drive as the memory campaign ----------------
     outcome = drive_wpq(
-        sem, journal, scenario.victim, set(scenario.drop_items), mem.geometry,
-        telemetry,
+        sem, journal, scenario.victim, scenario.drop_items, mem.geometry, telemetry
     )
     problems = outcome.problems
     persisted_ids = outcome.persisted_ids
     injector = build_injector(sem, outcome)
 
     mem.crash(injector)
-    if sem.rebuild_root:
-        # Documented relaxation (triad_nvm/phoenix): adopt the root
-        # rebuilt from the persisted, MAC-protected counters.
-        checker = RecoveryChecker(mem.geometry, mem.keys)
-        mem.durable_root.commit(checker.rebuild_root(mem.nvm))
-    report = mem.recover(expected={})
+    report = mem.recover(expected={}, adopt_root=sem.rebuild_root)
 
     # ---- the differential frame: which op was in flight? -------------
     op_count = trace.op_count

@@ -35,14 +35,14 @@ Outcome taxonomy:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from functools import lru_cache
+from typing import AbstractSet, Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.core.coalescing import CoalescingUnit
 from repro.core.invariants import check_tuple_complete
 from repro.core.schemes import SchemeSpec
 from repro.crypto.bmt import BMTGeometry
-from repro.mem.wpq import TupleItem, WritePendingQueue
-from repro.recovery.checker import RecoveryChecker
+from repro.mem.wpq import NVM_ITEMS, TupleItem, WritePendingQueue
 from repro.recovery.crash import CrashInjector
 from repro.campaign.grid import Scenario, journaled_memory, semantics_for
 
@@ -58,6 +58,8 @@ OUTCOMES = (
 )
 
 _NVM_ITEMS = (TupleItem.DATA, TupleItem.COUNTER, TupleItem.MAC)
+_ACK = frozenset({TupleItem.ROOT_ACK})
+_NOTHING: FrozenSet[TupleItem] = frozenset()
 
 
 @dataclass
@@ -92,13 +94,52 @@ class CampaignCell:
         raise KeyError(f"block {block} was not checked in this cell")
 
 
+OWNER_MEMO_SIZE = 16
+"""Journal placements :func:`root_ack_owners` keeps.  A program's plan
+drives and cells run back to back, so a few entries serve them all."""
+
+
+@lru_cache(maxsize=OWNER_MEMO_SIZE)
+def root_ack_owners(
+    geometry: BMTGeometry, placement: Tuple[Tuple[int, int], ...]
+) -> Tuple[int, ...]:
+    """Whose root work acknowledges each persist under LCA coalescing.
+
+    Coalescing delegates a leading persist's root ack to the trailing
+    persist of its pair, per epoch, in journal order
+    (:meth:`~repro.core.coalescing.CoalescingUnit.resolve_delegates`).
+    That depends only on each persist's ``(epoch_id, page)`` and the
+    tree's geometry, so every drive of one journal shares one
+    resolution.
+
+    Args:
+        geometry: The memory's BMT geometry.
+        placement: ``(epoch_id, page)`` per journaled persist, in order.
+
+    Returns:
+        The owning persist's journal index, per persist.
+    """
+    unit = CoalescingUnit(geometry, policy="paired")
+    by_epoch: Dict[int, List[int]] = {}
+    for p, (epoch_id, _page) in enumerate(placement):
+        by_epoch.setdefault(epoch_id, []).append(p)
+    owners = list(range(len(placement)))
+    for indices in by_epoch.values():
+        finals = unit.resolve_delegates(
+            unit.coalesce_epoch([(p, placement[p][1]) for p in indices])
+        )
+        for p in indices:
+            owners[p] = finals[p]
+    return tuple(owners)
+
+
 def _delivery_plan(
     sem: SchemeSpec,
     journal: Sequence,
     victim: int,
-    drops: Set[TupleItem],
+    drops: AbstractSet[TupleItem],
     geometry: BMTGeometry,
-) -> List[Set[TupleItem]]:
+) -> List[FrozenSet[TupleItem]]:
     """Which tuple components arrive at the WPQ for each persist.
 
     The WPQ is the serialization point of the functional model: under
@@ -109,60 +150,36 @@ def _delivery_plan(
     non-victim persist lands in full — Tables I & II.
     """
     n = len(journal)
-    last_issued = n - 1 if victim == -1 else victim
-
-    # Step 1: non-root components gathered per persist.
-    gathered: List[Set[TupleItem]] = []
-    for p in range(n):
-        if sem.atomic and p > last_issued:
-            gathered.append(set())
-        elif p == victim:
-            gathered.append(set(_NVM_ITEMS) - drops)
-        else:
-            gathered.append(set(_NVM_ITEMS))
-
-    # Step 2: whose own BMT root work finished.
-    root_done: List[bool] = []
-    for p in range(n):
-        if sem.atomic and p > last_issued:
-            root_done.append(False)
-        elif p == victim:
-            root_done.append(TupleItem.ROOT_ACK not in drops)
-        else:
-            root_done.append(True)
-
-    # Step 3: coalescing delegates a leading persist's root ack to the
-    # trailing persist of its pair — per epoch, in journal order.
-    resolve = list(range(n))
+    # Persists that gather at all: under 2SP none younger than the victim.
+    issued = victim + 1 if sem.atomic and victim != -1 else n
+    victim_root_done = TupleItem.ROOT_ACK not in drops
+    victim_items = NVM_ITEMS - drops
+    # Whose root work acknowledges each persist (coalescing delegates).
+    owners: Sequence[int] = range(n)
     if sem.coalesced and n:
-        unit = CoalescingUnit(geometry, policy="paired")
-        by_epoch: Dict[int, List[int]] = {}
-        for p, record in enumerate(journal):
-            by_epoch.setdefault(record.epoch_id, []).append(p)
-        for indices in by_epoch.values():
-            coalesced = unit.coalesce_epoch(
-                [(p, journal[p].page) for p in indices]
-            )
-            finals = unit.resolve_delegates(coalesced)
-            for p in indices:
-                resolve[p] = finals[p]
+        owners = root_ack_owners(
+            geometry, tuple((record.epoch_id, record.page) for record in journal)
+        )
 
-    # Step 4: root acks, chained per Invariant 2 when the scheme orders
-    # root updates.
-    acked: List[bool] = []
+    plan: List[FrozenSet[TupleItem]] = []
+    acked = True
     for p in range(n):
-        ok = root_done[resolve[p]]
-        if sem.ordered_root and p > 0:
-            ok = ok and acked[p - 1]
-        acked.append(ok)
+        if p >= issued:
+            items = _NOTHING
+        elif p == victim:
+            items = victim_items
+        else:
+            items = NVM_ITEMS
+        # Root acks, chained per Invariant 2 when the scheme orders
+        # root updates.
+        owner = owners[p]
+        done = owner < issued and (owner != victim or victim_root_done)
+        acked = done and (acked or not sem.ordered_root)
+        plan.append(items | _ACK if acked else items)
+    return plan
 
-    return [
-        gathered[p] | ({TupleItem.ROOT_ACK} if acked[p] else set())
-        for p in range(n)
-    ]
 
-
-def drop_group(victim: int, drops: Set[TupleItem]) -> Tuple[int, bool, bool]:
+def drop_group(victim: int, drops: AbstractSet[TupleItem]) -> Tuple[int, bool, bool]:
     """The facts about a cell's drops that its 2SP flush can observe.
 
     :func:`_delivery_plan` reads ``drops`` twice: the victim's gathered
@@ -204,7 +221,7 @@ def drive_wpq(
     sem: SchemeSpec,
     journal: Sequence,
     victim: int,
-    drops: Set[TupleItem],
+    drops: AbstractSet[TupleItem],
     geometry: BMTGeometry,
     telemetry=None,
 ) -> FlushOutcome:
@@ -286,11 +303,10 @@ def run_scenario(scenario: Scenario, telemetry=None) -> CampaignCell:
             f"victim {scenario.victim} out of range: "
             f"({scenario.scheme}, {scenario.workload}) journals {n} persists"
         )
-    drops = set(scenario.drop_items)
 
     # ---- drive a real WPQ through the power failure ------------------
     outcome = drive_wpq(
-        sem, journal, scenario.victim, drops, mem.geometry, telemetry
+        sem, journal, scenario.victim, scenario.drop_items, mem.geometry, telemetry
     )
     problems = outcome.problems
     epochs_complete = outcome.epochs_complete
@@ -311,14 +327,7 @@ def run_scenario(scenario: Scenario, telemetry=None) -> CampaignCell:
 
     # ---- crash, recover, classify ------------------------------------
     mem.crash(injector)
-    if sem.rebuild_root:
-        # The documented relaxation (triad_nvm/phoenix): recovery does
-        # not trust the register's ordering — it re-derives the root
-        # from the persisted, MAC-protected counters and adopts it, so
-        # verification rests on the per-block MACs.
-        checker = RecoveryChecker(mem.geometry, mem.keys)
-        mem.durable_root.commit(checker.rebuild_root(mem.nvm))
-    report = mem.recover(expected=intent)
+    report = mem.recover(expected=intent, adopt_root=sem.rebuild_root)
 
     intent_ok = all(b.plaintext_correct for b in report.blocks)
     if problems or (sem.recovers and not (report.consistent and intent_ok)):

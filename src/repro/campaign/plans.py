@@ -46,7 +46,7 @@ workloads; the bench gate runs it on the ``smoke`` trace and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.app.kvstore import COMMIT_ROLES, AppWorkload
 from repro.app.workloads import resolve_workload
@@ -157,12 +157,22 @@ def _damage_signature(n: int, injector) -> str:
     return f"sig:{parts!r}"
 
 
+def _drop_items(
+    subsets: Sequence[Tuple[str, ...]]
+) -> Dict[Tuple[str, ...], FrozenSet[TupleItem]]:
+    """Each drop subset's tuple items, keyed by the subset; the
+    boundary cell's empty subset is always included."""
+    return {
+        tuple(subset): frozenset(TupleItem(value) for value in subset)
+        for subset in [(), *subsets]
+    }
+
+
 def _cell_key(
-    sem: SchemeSpec, program: AppProgram, victim: int, drops: Tuple[str, ...]
+    sem: SchemeSpec, program: AppProgram, victim: int, drop_items: FrozenSet[TupleItem]
 ) -> str:
     """One cell's class key, from a WPQ drive of that exact cell."""
-    journal = program.memory.journal
-    drop_items = {TupleItem(value) for value in drops}
+    journal = program.journal
     outcome = drive_wpq(sem, journal, victim, drop_items, program.memory.geometry)
     if sem.atomic:
         return _atomic_class_key(
@@ -187,16 +197,18 @@ def cell_keys(
     sem = app_semantics_for(scheme)
     program = app_program(scheme, idiom, resolve_workload(workload))
     subset_list = list(subsets) if subsets is not None else list(DROP_SUBSETS)
+    items_of = _drop_items(subset_list)
     keyed: List[Tuple[int, Tuple[str, ...], str]] = []
     group_keys: Dict[Tuple[int, bool, bool], str] = {}
-    for victim, drops in exhaustive_cells(program.memory.pending_persists, subset_list):
+    for victim, drops in exhaustive_cells(len(program.journal), subset_list):
+        drop_items = items_of[drops]
         if sem.atomic:
-            group = drop_group(victim, {TupleItem(value) for value in drops})
+            group = drop_group(victim, drop_items)
             key = group_keys.get(group)
             if key is None:
-                key = group_keys[group] = _cell_key(sem, program, victim, drops)
+                key = group_keys[group] = _cell_key(sem, program, victim, drop_items)
         else:
-            key = _cell_key(sem, program, victim, drops)
+            key = _cell_key(sem, program, victim, drop_items)
         keyed.append((victim, drops, key))
     return keyed
 
@@ -282,6 +294,7 @@ def crosscheck_pruning(
     program = app_program(scheme, idiom, wl)
     keyed = cell_keys(scheme, idiom, wl, subsets)
     plan_set = _plan_set(scheme, idiom, wl, keyed)
+    items_of = _drop_items(DROP_SUBSETS if subsets is None else subsets)
 
     rep_class: Dict[str, str] = {}
     for plan in plan_set.plans:
@@ -291,7 +304,7 @@ def crosscheck_pruning(
     disagreements: List[Dict] = []
     missed_mismatches = 0
     for victim, drops, key in keyed:
-        own_key = _cell_key(sem, program, victim, drops)
+        own_key = _cell_key(sem, program, victim, items_of[drops])
         scenario = AppScenario(scheme, idiom, wl.name, victim, drops)
         actual = run_app_scenario(scenario, workload=wl).classification
         expected = rep_class[key]

@@ -81,7 +81,7 @@ def check_tuple_complete(entries: Iterable[WPQEntry]) -> List[str]:
     """
     problems = []
     for entry in entries:
-        if entry.complete and entry.missing():
+        if entry.complete and not REQUIRED_ITEMS <= entry.arrived:
             missing = ", ".join(sorted(item.value for item in entry.missing()))
             problems.append(
                 f"persist {entry.persist_id} marked complete but missing: {missing}"

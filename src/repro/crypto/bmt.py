@@ -19,6 +19,7 @@ Two views of the tree live here:
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.keys import KeySchedule
@@ -229,6 +230,34 @@ class BMTGeometry:
         )
 
 
+def _leaf_hash(key: bytes, counter_block: bytes) -> bytes:
+    return keyed_hash(key, b"leaf", counter_block, digest_size=HASH_SIZE)
+
+
+def _node_hash(key: bytes, child_hashes: Sequence[bytes]) -> bytes:
+    return keyed_hash(key, b"node", *child_hashes, digest_size=HASH_SIZE)
+
+
+DEFAULTS_MEMO_SIZE = 16
+"""(key, tree shape) pairs :func:`default_hashes` keeps; a process
+builds trees of a handful of shapes under a handful of keys."""
+
+
+@lru_cache(maxsize=DEFAULTS_MEMO_SIZE)
+def default_hashes(key: bytes, arity: int, depth: int) -> Tuple[bytes, ...]:
+    """Default node hash per level, root first, for all-zero counter
+    subtrees of an ``arity``-ary tree whose leaves sit at ``depth``.
+
+    They depend only on the BMT key and the tree's shape, so every tree
+    with the same pair shares one tuple.
+    """
+    defaults = [b""] * (depth + 1)
+    defaults[depth] = _leaf_hash(key, bytes(64))
+    for level in range(depth - 1, -1, -1):
+        defaults[level] = _node_hash(key, [defaults[level + 1]] * arity)
+    return tuple(defaults)
+
+
 class BonsaiMerkleTree:
     """A sparse functional BMT over counter blocks.
 
@@ -243,27 +272,17 @@ class BonsaiMerkleTree:
         self.geometry = geometry
         self._key = keys.bmt_key
         self._nodes: Dict[int, bytes] = {}
-        self._default_leaf_block = bytes(64)
-        self._defaults = self._compute_defaults()
-
-    def _compute_defaults(self) -> List[bytes]:
-        """Default node hash per level for all-zero counter subtrees."""
-        defaults = [b""] * self.geometry.levels
-        defaults[self.geometry.depth] = self._hash_leaf(self._default_leaf_block)
-        for level in range(self.geometry.depth - 1, -1, -1):
-            child = defaults[level + 1]
-            defaults[level] = self._hash_children([child] * self.geometry.arity)
-        return defaults
+        self._defaults = default_hashes(self._key, geometry.arity, geometry.depth)
 
     # ------------------------------------------------------------------
     # hashing
     # ------------------------------------------------------------------
 
     def _hash_leaf(self, counter_block: bytes) -> bytes:
-        return keyed_hash(self._key, b"leaf", counter_block, digest_size=HASH_SIZE)
+        return _leaf_hash(self._key, counter_block)
 
     def _hash_children(self, child_hashes: Sequence[bytes]) -> bytes:
-        return keyed_hash(self._key, b"node", *child_hashes, digest_size=HASH_SIZE)
+        return _node_hash(self._key, child_hashes)
 
     # ------------------------------------------------------------------
     # node access

@@ -8,11 +8,16 @@ others.  Derivation is a keyed hash of the root key and a role label.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from repro.crypto.primitives import keyed_hash
 
 
 class KeySchedule:
-    """Derives role-separated keys from a single on-chip root key."""
+    """Derives role-separated keys from a single on-chip root key.
+
+    Each role key is derived once per schedule, on first use.
+    """
 
     def __init__(self, root_key: bytes = b"plp-reproduction-root-key") -> None:
         if not root_key:
@@ -22,17 +27,17 @@ class KeySchedule:
     def _derive(self, role: str) -> bytes:
         return keyed_hash(self._root_key, role.encode("ascii"), digest_size=32)
 
-    @property
+    @cached_property
     def encryption_key(self) -> bytes:
         """Key for counter-mode pad generation."""
         return self._derive("encrypt")
 
-    @property
+    @cached_property
     def mac_key(self) -> bytes:
         """Key for per-block stateful MACs."""
         return self._derive("mac")
 
-    @property
+    @cached_property
     def bmt_key(self) -> bytes:
         """Key for Bonsai Merkle Tree node hashes."""
         return self._derive("bmt")

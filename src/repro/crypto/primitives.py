@@ -81,4 +81,6 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     """XOR two equal-length byte strings."""
     if len(a) != len(b):
         raise ValueError("xor_bytes requires equal-length inputs")
-    return bytes(x ^ y for x, y in zip(a, b))
+    # One big-integer XOR instead of a Python-level loop over the bytes.
+    value = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
+    return value.to_bytes(len(a), "little")

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.telemetry.events import EventKind
 
@@ -73,8 +73,15 @@ class TupleItem(enum.Enum):
     MAC = "mac"
     ROOT_ACK = "root_ack"
 
+    # Members are singletons (unpickling returns the same object), so
+    # identity hashing agrees with equality and runs in C; ``Enum``'s
+    # own ``__hash__`` hashes the name in Python on every set operation.
+    __hash__ = object.__hash__
+
 
 REQUIRED_ITEMS = frozenset({TupleItem.DATA, TupleItem.COUNTER, TupleItem.MAC, TupleItem.ROOT_ACK})
+NVM_ITEMS = REQUIRED_ITEMS - {TupleItem.ROOT_ACK}
+"""The items that drain to NVM; the root ack is a signal, not a block."""
 
 
 class WPQFullError(RuntimeError):
@@ -93,8 +100,8 @@ class WPQEntry:
     complete: bool = False
     drained: Set[TupleItem] = field(default_factory=set)
 
-    def missing(self) -> Set[TupleItem]:
-        return set(REQUIRED_ITEMS) - self.arrived
+    def missing(self) -> FrozenSet[TupleItem]:
+        return REQUIRED_ITEMS - self.arrived
 
 
 class WritePendingQueue:
@@ -183,13 +190,14 @@ class WritePendingQueue:
     ) -> WPQEntry:
         """Deliver one tuple component (or the BMT-root ack) to an entry."""
         entry = self.entry(persist_id)
-        entry.arrived.add(item)
+        arrived = entry.arrived
+        arrived.add(item)
         if payload is not None:
             entry.payloads[item] = payload
         if not entry.locked and item is not TupleItem.ROOT_ACK:
             # EP: unlocked components drain to NVM as they arrive.
             entry.drained.add(item)
-        if not entry.missing():
+        if REQUIRED_ITEMS <= arrived:
             self._mark_complete(entry)
         return entry
 
@@ -214,17 +222,11 @@ class WritePendingQueue:
             head = self._entries[head_id]
             if not head.complete:
                 break
-            head.drained = {
-                item for item in head.arrived if item is not TupleItem.ROOT_ACK
-            }
+            head.drained = head.arrived & NVM_ITEMS
             released.append(self._entries.popitem(last=False)[1])
             if self._telemetry is not None:
                 self._emit(EventKind.WPQ_RELEASE, head.persist_id)
         return released
-
-    def epoch_known(self, epoch_id: int) -> bool:
-        """Whether any entry was ever allocated under this epoch id."""
-        return epoch_id in self._known_epochs
 
     def epoch_complete(self, epoch_id: int) -> bool:
         """True when no resident entry of the epoch is still incomplete.
@@ -243,21 +245,6 @@ class WritePendingQueue:
             if entry.epoch_id == epoch_id
         )
 
-    def unlock_epoch(self, epoch_id: int) -> None:
-        """Unlock a future epoch's entries once the prior epoch completed."""
-        for entry in self._entries.values():
-            if entry.epoch_id == epoch_id and entry.locked:
-                entry.locked = False
-                entry.drained.update(
-                    item for item in entry.arrived if item is not TupleItem.ROOT_ACK
-                )
-                if self._telemetry is not None:
-                    self._emit(
-                        EventKind.WPQ_UNLOCK,
-                        entry.persist_id,
-                        args={"epoch": epoch_id},
-                    )
-
     # ------------------------------------------------------------------
     # crash semantics (ADR)
     # ------------------------------------------------------------------
@@ -274,9 +261,7 @@ class WritePendingQueue:
         invalidated: List[WPQEntry] = []
         for entry in self._entries.values():
             if entry.complete:
-                entry.drained = {
-                    item for item in entry.arrived if item is not TupleItem.ROOT_ACK
-                }
+                entry.drained = entry.arrived & NVM_ITEMS
                 persisted.append(entry)
             elif not entry.locked and entry.drained:
                 persisted.append(entry)

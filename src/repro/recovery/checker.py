@@ -152,17 +152,15 @@ class RecoveryChecker:
         self.keys = keys
         self._encryptor = CounterModeEncryptor(keys)
         self._mac = StatefulMAC(keys)
-
-    def rebuild_root(self, image: NVMImage) -> bytes:
-        """Recompute the BMT root from the persisted counter blocks."""
-        tree = BonsaiMerkleTree(self.geometry, self.keys)
-        return tree.rebuild_from_counters(dict(image.counters))
+        self.tree: Optional[BonsaiMerkleTree] = None
+        """The tree the last :meth:`check` rebuilt."""
 
     def check(
         self,
         image: NVMImage,
         durable_root: DurableRoot,
         expected: Dict[int, bytes],
+        adopt_root: bool = False,
     ) -> RecoveryReport:
         """Run recovery.
 
@@ -171,11 +169,21 @@ class RecoveryChecker:
             durable_root: On-chip persistent root register.
             expected: ``block -> plaintext`` the crash recovery observer
                 expects (the values whose persists were completed).
+            adopt_root: The relaxed-root recovery of Triad-NVM and
+                Phoenix: do not trust the register's ordering; commit
+                the root rebuilt from the persisted, MAC-protected
+                counters into it first, so verification rests on the
+                per-block MACs.
 
         Returns:
-            A :class:`RecoveryReport`.
+            A :class:`RecoveryReport`.  The tree rebuilt from the
+            persisted counter blocks is left in :attr:`tree`, so a
+            recovering memory adopts it instead of rebuilding it again.
         """
-        rebuilt = self.rebuild_root(image)
+        self.tree = BonsaiMerkleTree(self.geometry, self.keys)
+        rebuilt = self.tree.rebuild_from_counters(dict(image.counters))
+        if adopt_root:
+            durable_root.commit(rebuilt)
         bmt_ok = durable_root.value is not None and rebuilt == durable_root.value
         report = RecoveryReport(bmt_ok=bmt_ok)
         for block, want in sorted(expected.items()):

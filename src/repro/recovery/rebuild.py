@@ -334,10 +334,9 @@ class _CountingTree(BonsaiMerkleTree):
     """A functional BMT that counts every hash it computes."""
 
     def __init__(self, geometry: BMTGeometry, keys) -> None:
-        self.hash_count = 0
+        # The per-level default hashes are shared constants
+        # (``default_hashes``), not recovery work.
         super().__init__(geometry, keys)
-        # The per-level default hashes are precomputed constants, not
-        # recovery work.
         self.hash_count = 0
 
     def _hash_leaf(self, counter_block: bytes) -> bytes:

@@ -339,7 +339,9 @@ class FunctionalSecureMemory:
         self._counters = CounterStore(self.num_pages)
         self.crashed = True
 
-    def recover(self, expected: Optional[Dict[int, bytes]] = None) -> RecoveryReport:
+    def recover(
+        self, expected: Optional[Dict[int, bytes]] = None, adopt_root: bool = False
+    ) -> RecoveryReport:
         """Run post-crash recovery and verification.
 
         Args:
@@ -347,6 +349,10 @@ class FunctionalSecureMemory:
                 to the persists completed before the crash (strict
                 persistency) or the last epoch boundary (epoch
                 persistency).
+            adopt_root: Commit the root rebuilt from the persisted
+                counters into the root register before verifying — the
+                relaxed-root recovery of Triad-NVM and Phoenix (see
+                :meth:`RecoveryChecker.check`).
 
         Returns:
             The recovery report; on success the volatile state is
@@ -355,12 +361,16 @@ class FunctionalSecureMemory:
         if expected is None:
             expected = self._expected_durable()
         checker = RecoveryChecker(self.geometry, self.keys)
-        report = checker.check(self.nvm, self.durable_root, expected)
+        report = checker.check(self.nvm, self.durable_root, expected, adopt_root)
         # Rebuild on cryptographic consistency: a vacuous report (nothing
         # was expected durable) with a verifying BMT is a legitimate
-        # post-crash state, not a recovery failure.
+        # post-crash state, not a recovery failure.  The checker's tree
+        # was rebuilt from the same counters: adopt it.
         if report.recovered or (report.vacuous and report.bmt_ok):
-            self._rebuild_volatile()
+            self._bmt = checker.tree
+            for page, raw in self.nvm.counters.items():
+                self._counters.set_page(page, SplitCounter.from_bytes(raw))
+            self.crashed = False
         return report
 
     def _expected_durable(self) -> Dict[int, bytes]:
@@ -369,12 +379,6 @@ class FunctionalSecureMemory:
         if self.persistency is PersistencyModel.EPOCH:
             return dict(self._epoch_committed)
         return dict(self._committed)
-
-    def _rebuild_volatile(self) -> None:
-        self._bmt.rebuild_from_counters(dict(self.nvm.counters))
-        for page, raw in self.nvm.counters.items():
-            self._counters.set_page(page, SplitCounter.from_bytes(raw))
-        self.crashed = False
 
     def _check_live(self) -> None:
         if self.crashed:

@@ -20,7 +20,6 @@ class EventKind(enum.IntEnum):
     WPQ_ENQUEUE = 1
     WPQ_RELEASE = 2
     WPQ_INVALIDATE = 3
-    WPQ_UNLOCK = 4
 
     # Persist tracking table.
     PTT_ALLOCATE = 10

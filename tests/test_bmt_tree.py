@@ -121,3 +121,36 @@ def test_key_separation(small_geometry):
 def test_set_node_hash_validates_width(small_tree):
     with pytest.raises(ValueError):
         small_tree.set_node_hash(0, b"short")
+
+
+def test_trees_with_one_geometry_and_key_hash_the_defaults_once(monkeypatch, keys):
+    """The per-level default hashes are computed once per (key, tree
+    shape) and shared; another root key gets its own defaults."""
+    import repro.crypto.bmt as bmt
+
+    hashed = []
+    original = bmt.keyed_hash
+
+    def counting(*args, **kwargs):
+        hashed.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bmt, "keyed_hash", counting)
+    bmt.default_hashes.cache_clear()
+    geometry = BMTGeometry(num_leaves=64, arity=8)
+    trees = [BonsaiMerkleTree(geometry, keys) for _ in range(3)]
+    trees.append(BonsaiMerkleTree(BMTGeometry(num_leaves=64, arity=8), keys))
+    # One leaf default plus one per interior level, for all four trees.
+    assert hashed == [b"leaf"] + [b"node"] * (geometry.levels - 1)
+    assert len({tree.root for tree in trees}) == 1
+
+    other = BonsaiMerkleTree(geometry, KeySchedule(b"another-root-key"))
+    assert len(hashed) == 2 * geometry.levels
+    assert other.root != trees[0].root
+    monkeypatch.undo()
+    # Shared defaults are the ones a cold tree computes.
+    bmt.default_hashes.cache_clear()
+    assert BonsaiMerkleTree(geometry, keys).root == trees[0].root
+    other.update_leaf(3, make_block(7))
+    assert other.verify_leaf(3, make_block(7))
+    assert bmt.default_hashes.cache_info().maxsize == bmt.DEFAULTS_MEMO_SIZE

@@ -4,6 +4,7 @@ Tables I & II regenerate from campaign cells, and parallel results are
 bit-identical to sequential runs — cold and warm cache."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.campaign import (
     CampaignViolation,
@@ -28,16 +29,29 @@ from repro.campaign import (
     scenario_key,
     semantics_for,
 )
+from repro.campaign.app_engine import AppScenario, run_app_scenario
 from repro.campaign.engine import (
     OUTCOME_DETECTED,
     OUTCOME_RECOVERED,
     OUTCOME_SILENT_CORRUPTION,
+    OWNER_MEMO_SIZE,
+    root_ack_owners,
 )
-from repro.campaign.grid import PROGRAM_MEMO_SIZE, journaled_memory
+from repro.campaign.grid import (
+    CAMPAIGN_PAGES,
+    PROGRAM_MEMO_SIZE,
+    journaled_memory,
+    payload,
+)
+from repro.core.coalescing import CoalescingUnit
 from repro.core.schemes import UpdateScheme
+from repro.crypto.bmt import BMTGeometry, BonsaiMerkleTree
+from repro.crypto.primitives import BLOCK_SIZE
+from repro.persistency.models import PersistencyModel
 from repro.sim.batched import replay_shape
 from repro.sweep import code_version
 from repro.system.config import SystemConfig
+from repro.system.secure_memory import FunctionalSecureMemory
 
 
 # ----------------------------------------------------------------------
@@ -278,6 +292,103 @@ def test_cells_crash_their_own_copy(scheme, workload):
     assert journaled_memory(scheme, workload) is memoized
     assert _durable_view(memoized) == before
     assert journaled_memory.cache_info().currsize <= PROGRAM_MEMO_SIZE
+
+
+@pytest.mark.parametrize("scheme", ["triad_nvm", "phoenix"])
+def test_relaxed_root_cells_rebuild_the_tree_once(monkeypatch, scheme):
+    """A relaxed-root cell adopts the root from its recovery's own
+    rebuild: one ``rebuild_from_counters`` per cell, tuple or app."""
+    tuple_scenario = Scenario(scheme, "ordered_pair", 1, ("root_ack",))
+    app_scenario = AppScenario(scheme, "undolog", "smoke", 1, ("root_ack",))
+    expected = (run_scenario(tuple_scenario), run_app_scenario(app_scenario))
+    calls = []
+    original = BonsaiMerkleTree.rebuild_from_counters
+
+    def counting(self, counter_blocks):
+        calls.append(self)
+        return original(self, counter_blocks)
+
+    monkeypatch.setattr(BonsaiMerkleTree, "rebuild_from_counters", counting)
+    for run, scenario, want in zip(
+        (run_scenario, run_app_scenario), (tuple_scenario, app_scenario), expected
+    ):
+        calls.clear()
+        cell = run(scenario)
+        assert len(calls) == 1
+        assert cell == want
+        assert cell.relaxed and cell.bmt_ok
+
+
+# ----------------------------------------------------------------------
+# engine: memoized root-ack owners
+# ----------------------------------------------------------------------
+
+OWNER_GEOMETRY = BMTGeometry(CAMPAIGN_PAGES, arity=8)
+
+
+def reference_owners(geometry, placement):
+    """Each persist's root-ack owner from a fresh coalescing of every
+    epoch, resolved persist by persist."""
+    owners = list(range(len(placement)))
+    by_epoch = {}
+    for p, (epoch_id, _page) in enumerate(placement):
+        by_epoch.setdefault(epoch_id, []).append(p)
+    for indices in by_epoch.values():
+        unit = CoalescingUnit(geometry, policy="paired")
+        persists = unit.coalesce_epoch([(p, placement[p][1]) for p in indices])
+        for p in indices:
+            owners[p] = CoalescingUnit.resolve_delegate(persists, p)
+    return tuple(owners)
+
+
+def epoch_journal(blocks, barriers_after):
+    """The journal of an EP memory storing ``blocks`` in order, with a
+    barrier after each listed store and at the end."""
+    mem = FunctionalSecureMemory(
+        num_pages=CAMPAIGN_PAGES,
+        persistency=PersistencyModel.EPOCH,
+        epoch_size=None,
+        geometry=OWNER_GEOMETRY,
+    )
+    for i, block in enumerate(blocks):
+        mem.store(block * BLOCK_SIZE, payload(i + 1))
+        if i in barriers_after:
+            mem.barrier()
+    mem.barrier()
+    return mem.journal
+
+
+def placement_of(journal):
+    return tuple((record.epoch_id, record.page) for record in journal)
+
+
+def test_root_ack_owners_tell_epoch_splits_apart():
+    """Same pages, different epochs: one epoch pairs the two persists,
+    two epochs leave each its own root ack."""
+    one_epoch = ((0, 0), (0, 1))
+    two_epochs = ((0, 0), (1, 1))
+    assert root_ack_owners(OWNER_GEOMETRY, one_epoch) == (1, 1)
+    assert root_ack_owners(OWNER_GEOMETRY, two_epochs) == (0, 1)
+    assert root_ack_owners(OWNER_GEOMETRY, one_epoch) == (1, 1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    blocks=st.lists(
+        st.integers(0, CAMPAIGN_PAGES * 64 - 1), unique=True, min_size=1, max_size=9
+    ),
+    splits=st.lists(st.sets(st.integers(0, 8)), min_size=2, max_size=3),
+)
+def test_root_ack_owners_match_resolve_delegate(blocks, splits):
+    """Journals with one store order and several epoch splits share
+    their page sequence; the memo must key on the epochs too."""
+    for barriers_after in splits + splits:
+        placement = placement_of(epoch_journal(blocks, barriers_after))
+        assert [page for _, page in placement] == [b // 64 for b in blocks]
+        assert root_ack_owners(OWNER_GEOMETRY, placement) == reference_owners(
+            OWNER_GEOMETRY, placement
+        )
+    assert root_ack_owners.cache_info().maxsize == OWNER_MEMO_SIZE
 
 
 # ----------------------------------------------------------------------

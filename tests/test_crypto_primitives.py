@@ -1,6 +1,7 @@
 """Tests for keyed hashing, pads, and XOR helpers."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.crypto.primitives import (
     BLOCK_SIZE,
@@ -74,3 +75,15 @@ def test_xor_bytes_involution():
 def test_xor_bytes_length_mismatch():
     with pytest.raises(ValueError):
         xor_bytes(b"ab", b"a")
+
+
+@given(st.data())
+def test_xor_bytes_matches_the_bytewise_loop(data):
+    """Same bytes as XORing pair by pair, leading/trailing zeros and the
+    empty string included."""
+    a = data.draw(st.binary(max_size=130))
+    b = data.draw(st.binary(min_size=len(a), max_size=len(a)))
+    out = xor_bytes(a, b)
+    assert type(out) is bytes
+    assert out == bytes(x ^ y for x, y in zip(a, b))
+    assert xor_bytes(bytearray(a), b) == out

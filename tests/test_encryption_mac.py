@@ -101,6 +101,30 @@ def test_key_schedule_role_separation():
     assert ks.encryption_key != KeySchedule(b"other").encryption_key
 
 
+def test_key_schedule_derives_each_role_once(monkeypatch):
+    import repro.crypto.keys as keys_module
+
+    derived = []
+    original = keys_module.keyed_hash
+
+    def counting(*args, **kwargs):
+        derived.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(keys_module, "keyed_hash", counting)
+    ks = KeySchedule(b"root")
+    first = (ks.encryption_key, ks.mac_key, ks.bmt_key)
+    for _ in range(3):
+        assert (ks.encryption_key, ks.mac_key, ks.bmt_key) == first
+    assert sorted(derived) == [b"bmt", b"encrypt", b"mac"]
+    monkeypatch.undo()
+    assert first == (
+        KeySchedule(b"root").encryption_key,
+        KeySchedule(b"root").mac_key,
+        KeySchedule(b"root").bmt_key,
+    )
+
+
 def test_key_schedule_rejects_empty_key():
     with pytest.raises(ValueError):
         KeySchedule(b"")

@@ -160,7 +160,8 @@ def test_outcome_row_unknown_block_raises(small_geometry, keys):
 def test_rebuild_root_matches_functional_tree(small_geometry, keys):
     image, durable, payload = build_consistent_image(small_geometry, keys)
     checker = RecoveryChecker(small_geometry, keys)
-    assert checker.rebuild_root(image) == durable.value
+    assert checker.check(image, durable, expected={}).bmt_ok
+    assert checker.tree.root == durable.value
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto.bmt import BonsaiMerkleTree
 from repro.mem.wpq import TupleItem
 from repro.persistency.models import PersistencyModel
 from repro.recovery.crash import CrashInjector
@@ -284,3 +285,69 @@ def test_overflow_emits_extra_persists():
     mem.store(addr(0), make_block(127))  # 128th increment: overflow
     # The trigger persist plus two sibling re-encryptions.
     assert mem._next_persist_id - mid == 3
+
+
+# ----------------------------------------------------------------------
+# recovery rebuilds the tree once
+# ----------------------------------------------------------------------
+
+
+def count_rebuilds(monkeypatch):
+    """Record every tree that ``rebuild_from_counters`` runs on."""
+    trees = []
+    original = BonsaiMerkleTree.rebuild_from_counters
+
+    def counting(self, counter_blocks):
+        trees.append(self)
+        return original(self, counter_blocks)
+
+    monkeypatch.setattr(BonsaiMerkleTree, "rebuild_from_counters", counting)
+    return trees
+
+
+def fresh_rebuild(mem):
+    tree = BonsaiMerkleTree(mem.geometry, mem.keys)
+    tree.rebuild_from_counters(dict(mem.nvm.counters))
+    return tree
+
+
+@pytest.mark.parametrize("adopt_root", [False, True])
+def test_recover_rebuilds_the_tree_once_and_adopts_it(monkeypatch, adopt_root):
+    mem = make_memory()
+    for tag, block in enumerate((0, 64, 130, 0)):
+        mem.store(addr(block), make_block(tag + 1))
+    mem.crash()
+    trees = count_rebuilds(monkeypatch)
+    report = mem.recover(adopt_root=adopt_root)
+    assert report.recovered
+    assert len(trees) == 1
+    monkeypatch.undo()
+    # The checker's tree is the memory's volatile tree, node for node
+    # what a fresh rebuild of the same image gives.
+    fresh = fresh_rebuild(mem)
+    assert mem._bmt is trees[0]
+    assert trees[0].snapshot() == fresh.snapshot()
+    assert trees[0].root == fresh.root == mem.durable_root.value
+    assert mem.load(addr(130)) == make_block(3)
+    assert mem.load(addr(0)) == make_block(4)
+
+
+def test_adopt_root_accepts_a_lagging_register_with_one_rebuild(monkeypatch):
+    """The relaxed-root recovery (Triad-NVM, Phoenix) commits the
+    rebuilt root instead of trusting the register, in the same rebuild."""
+
+    def crashed():
+        mem = make_memory(atomic_tuples=False)
+        mem.store(addr(0), make_block(1))
+        mem.store(addr(64), make_block(2))
+        mem.crash(CrashInjector().drop(1, TupleItem.ROOT_ACK))
+        return mem
+
+    assert not crashed().recover().bmt_ok
+    mem = crashed()
+    trees = count_rebuilds(monkeypatch)
+    report = mem.recover(adopt_root=True)
+    assert len(trees) == 1
+    assert report.bmt_ok and report.recovered
+    assert mem.durable_root.value == trees[0].root
+    assert mem.load(addr(64)) == make_block(2)

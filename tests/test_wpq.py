@@ -1,8 +1,11 @@
 """Tests for the write pending queue and 2SP semantics."""
 
+import pickle
+
 import pytest
 
 from repro.mem.wpq import (
+    NVM_ITEMS,
     REQUIRED_ITEMS,
     TupleItem,
     WPQFullError,
@@ -94,8 +97,6 @@ def test_epoch_complete_rejects_unknown_epoch():
     full_delivery(wpq, 0, epoch=0, locked=False)
     with pytest.raises(KeyError):
         wpq.epoch_complete(7)
-    assert wpq.epoch_known(0)
-    assert not wpq.epoch_known(7)
 
 
 def test_epoch_complete_on_empty_wpq_rejects_any_epoch():
@@ -111,16 +112,6 @@ def test_epoch_stays_known_after_drain():
     wpq.drain_completed()
     assert len(wpq) == 0
     assert wpq.epoch_complete(0)
-
-
-def test_unlock_epoch_drains_gathered_items():
-    wpq = WritePendingQueue()
-    wpq.allocate(0, epoch_id=1, locked=True)
-    wpq.deliver(0, TupleItem.DATA)
-    wpq.unlock_epoch(1)
-    entry = wpq.entry(0)
-    assert not entry.locked
-    assert TupleItem.DATA in entry.drained
 
 
 def test_crash_invalidates_incomplete_locked_entries():
@@ -178,3 +169,26 @@ def test_unknown_persist_raises():
 def test_invalid_capacity():
     with pytest.raises(ValueError):
         WritePendingQueue(capacity=0)
+
+
+def test_tuple_item_sets_and_pickles_behave_as_before():
+    """Identity-hashed items: lookups by value, copies and pickled
+    members all land on the same singleton, inside and outside sets."""
+    assert NVM_ITEMS == REQUIRED_ITEMS - {TupleItem.ROOT_ACK}
+    assert frozenset(TupleItem) == REQUIRED_ITEMS
+    for item in TupleItem:
+        clone = pickle.loads(pickle.dumps(item))
+        assert clone is item is TupleItem(item.value)
+        assert hash(clone) == hash(item)
+        assert clone in REQUIRED_ITEMS
+        assert {clone: 1}[item] == 1
+        assert (clone in NVM_ITEMS) == (item is not TupleItem.ROOT_ACK)
+    assert pickle.loads(pickle.dumps(REQUIRED_ITEMS)) == REQUIRED_ITEMS
+    assert pickle.loads(pickle.dumps({TupleItem.MAC})) == {TupleItem.MAC}
+    assert TupleItem("mac") in {TupleItem.MAC} and "mac" not in REQUIRED_ITEMS
+
+    wpq = WritePendingQueue()
+    full_delivery(wpq, 0)
+    entry = pickle.loads(pickle.dumps(wpq.entry(0)))
+    assert entry == wpq.entry(0)
+    assert entry.arrived == REQUIRED_ITEMS and not entry.missing()

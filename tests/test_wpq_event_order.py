@@ -86,16 +86,6 @@ def test_crash_flush_events_follow_enqueue():
     assert _check_order(tel) == 2
 
 
-def test_epoch_unlock_events_follow_enqueue():
-    tel = _fresh_bus()
-    wpq = WritePendingQueue(capacity=8, telemetry=tel)
-    wpq.allocate(0, epoch_id=1, locked=True)
-    wpq.deliver(0, TupleItem.DATA)
-    wpq.unlock_epoch(1)
-    events = [e.kind for e in tel.events() if e.track == "wpq"]
-    assert events.index(EventKind.WPQ_ENQUEUE) < events.index(EventKind.WPQ_UNLOCK)
-
-
 @pytest.mark.parametrize("victim", [0, 1, -1])
 def test_campaign_crash_paths_never_release_before_enqueue(victim):
     """Every campaign cell's WPQ stream obeys gather-before-release."""
