@@ -27,13 +27,14 @@ cost of observability.  The sequential stage itself doubles as the
 telemetry-*off* regression guard — the subsystem's disabled path must
 stay within noise of pre-telemetry builds.
 
-A fifth stage, ``engine_batched``, times every timing-engine family
+A fifth stage, ``engine_batched``, times both timing-engine families
 (``SystemConfig.engine``): the array-native batched engine (the
-default) and the scalar skip-ahead engine against the per-cycle
-stepped reference on the quick matrix, then batched vs skip-ahead
-again on the standard 25 KI matrix, in alternating rounds to a fixed
-time budget.  All three must be bit-identical, and the median
-per-round speedups must clear the ``FLOORS`` gates.
+default) against the scalar skip-ahead reference, on the quick matrix
+and (full runs) on the standard 25 KI matrix, in alternating rounds to
+a fixed time budget.  Both must be bit-identical, and the median
+per-round speedup with warm memos must clear the ``FLOORS`` gate.  The
+same ratio with cold memos (every rep reloads its traces, as a fresh
+process does) is recorded beside it, not gated.
 
 All simulating stages must produce bit-identical results (the full
 ``SimResult`` is compared field by field); the harness fails hard if
@@ -69,6 +70,7 @@ import time
 from pathlib import Path
 
 import repro.sweep.runner as sweep_runner
+import repro.system.config as system_config
 from repro.sweep import SweepJob, TraceCache, code_version, generator_version, run_jobs
 from repro.telemetry import TelemetryConfig
 from repro.workloads.spec_profiles import profile_trace
@@ -88,12 +90,6 @@ FLOORS = {
     # per-round ratio (_engine_rounds).  Measured 3.14-3.35x on the
     # quick matrix and ~4.0x on the full 25 KI matrix (2-vCPU VM).
     "engine_batched_vs_skip_ahead": 3.0,
-    # Batched engine vs the per-cycle stepped oracle (quick matrix only
-    # — stepped is deliberately O(cycles waited)).  Measured ~20x.
-    "engine_batched_vs_stepped": 10.0,
-    # The scalar skip-ahead engine must also stay well ahead of the
-    # oracle (the pre-batched floor).  Measured ~6x.
-    "engine_skip_ahead_vs_stepped": 3.0,
     # Cold parallel runner vs the sequential stage.  The persistent
     # fork pool inherits the parent's warm prepass memos, so even on a
     # single core the cold runner must beat sequential.  Enforced on
@@ -204,7 +200,18 @@ def run_trace_stages(benchmarks, ki: int, cache_root: Path) -> list:
     return stages
 
 
-def _engine_rounds(engines, benchmarks, schemes, ki: int, budget_s: float, min_rounds: int):
+def _forget_memos() -> None:
+    """Drop the runner's in-process traces, and with them their prepass,
+    script and tick memos, and the shared BMT geometries with their
+    label memos: the next rep loads its traces from the on-disk trace
+    cache and builds every memo, as a fresh process does."""
+    sweep_runner._trace_cache.clear()
+    system_config._GEOMETRY_CACHE.clear()
+
+
+def _engine_rounds(
+    engines, benchmarks, schemes, ki: int, budget_s: float, min_rounds: int, cold: bool = False
+):
     """Per-round sequential walls of each engine on one matrix.
 
     A warm-up rep per engine warms the batched engine's per-trace
@@ -214,7 +221,8 @@ def _engine_rounds(engines, benchmarks, schemes, ki: int, budget_s: float, min_r
     that reverses round by round, until ``budget_s`` has passed and at
     least ``min_rounds`` rounds ran.  Each timed rep starts with
     ``gc.collect()``, so a collection of an earlier rep's garbage never
-    lands inside it.
+    lands inside it; with ``cold`` it also starts from fresh memos
+    (:func:`_forget_memos`), so the walls include building them.
     """
     jobs = {
         engine: [
@@ -230,6 +238,8 @@ def _engine_rounds(engines, benchmarks, schemes, ki: int, budget_s: float, min_r
     start = time.perf_counter()
     while rounds < min_rounds or time.perf_counter() - start < budget_s:
         for engine in engines if rounds % 2 == 0 else engines[::-1]:
+            if cold:
+                _forget_memos()
             gc.collect()
             t0 = time.perf_counter()
             run_jobs(jobs[engine], workers=1, cache=False)
@@ -247,38 +257,29 @@ def _ratio(slow, fast):
 
 
 def run_engine_stage(quick: bool) -> dict:
-    """Differential perf stage: all three timing-engine families.
+    """Differential perf stage: batched vs the skip-ahead reference.
 
-    The quick matrix runs batched, skip-ahead, *and* the per-cycle
-    stepped oracle (stepped is deliberately O(total cycles waited), so
-    it never sees the full 25 KI matrix); the full run then re-times
-    batched vs skip-ahead on the standard 25 KI matrix.  All engines
-    must be bit-identical, and every ``FLOORS`` entry is a hard gate on
-    the median of the per-round speedups (:func:`_engine_rounds`);
-    their interquartile ranges are recorded beside them.
+    The quick matrix times both engines with warm memos; the full run
+    then re-times them on the standard 25 KI matrix.  Both engines must
+    be bit-identical, and the ``FLOORS`` entry is a hard gate on the
+    median of the warm per-round speedups (:func:`_engine_rounds`);
+    their interquartile ranges are recorded beside them.  The gated
+    matrix is then timed again with cold memos (``*_cold``), recorded
+    but not gated.
     """
     # Batched vs skip-ahead alternate to a time budget: a ~10 ms matrix
-    # needs tens of pairs for a stable median.  Stepped is ~20x slower
-    # and clears its floors by a wide margin, so three rounds suffice.
-    walls, _ = _engine_rounds(
+    # needs tens of pairs for a stable median.
+    walls, results = _engine_rounds(
         ("batched", "skip_ahead"), QUICK_BENCHMARKS, QUICK_SCHEMES, QUICK_KI, 2.0, 10
     )
-    stepped_walls, results = _engine_rounds(
-        ("batched", "skip_ahead", "stepped"), QUICK_BENCHMARKS, QUICK_SCHEMES, QUICK_KI, 0.0, 3
-    )
-    golden = fingerprints(results["batched"])
-    for engine in ("skip_ahead", "stepped"):
-        if fingerprints(results[engine]) != golden:
-            _fail(f"engine {engine!r} diverged from the batched engine")
+    if fingerprints(results["skip_ahead"]) != fingerprints(results["batched"]):
+        _fail("engine 'skip_ahead' diverged from the batched engine")
 
     speedups = {}
     spreads = {}
-    for key, rounds, slow, fast in (
-        ("batched_vs_skip_ahead_quick", walls, "skip_ahead", "batched"),
-        ("batched_vs_stepped", stepped_walls, "stepped", "batched"),
-        ("skip_ahead_vs_stepped", stepped_walls, "stepped", "skip_ahead"),
-    ):
-        speedups[key], spreads[key] = _ratio(rounds[slow], rounds[fast])
+    speedups["batched_vs_skip_ahead_quick"], spreads["batched_vs_skip_ahead_quick"] = _ratio(
+        walls["skip_ahead"], walls["batched"]
+    )
     stage = {
         "name": "engine_batched",
         "matrix": {
@@ -287,10 +288,8 @@ def run_engine_stage(quick: bool) -> dict:
             "kilo_instructions": QUICK_KI,
         },
         "rounds": len(walls["batched"]),
-        "rounds_stepped": len(stepped_walls["stepped"]),
         "wall_seconds": round(statistics.median(walls["batched"]), 6),
         "wall_seconds_skip_ahead": round(statistics.median(walls["skip_ahead"]), 6),
-        "wall_seconds_stepped": round(statistics.median(stepped_walls["stepped"]), 6),
         "results_identical": True,
     }
 
@@ -314,21 +313,35 @@ def run_engine_stage(quick: bool) -> dict:
         # CI smoke: the quick matrix stands in for the 25 KI gate.
         speedups["batched_vs_skip_ahead"] = speedups["batched_vs_skip_ahead_quick"]
         spreads["batched_vs_skip_ahead"] = spreads["batched_vs_skip_ahead_quick"]
+
+    # The gated matrix again, every rep from fresh memos: the regime of
+    # a fresh process running each job once.
+    cold_matrix = (QUICK_BENCHMARKS, QUICK_SCHEMES, QUICK_KI) if quick else (
+        SUBSET, FULL_SCHEMES, TRACE_KI
+    )
+    cold_walls, cold_results = _engine_rounds(
+        ("batched", "skip_ahead"), *cold_matrix, 2.0 if quick else 5.0, 5, cold=True
+    )
+    if fingerprints(cold_results["skip_ahead"]) != fingerprints(cold_results["batched"]):
+        _fail("engines diverged with cold memos")
+    speedups["batched_vs_skip_ahead_cold"], spreads["batched_vs_skip_ahead_cold"] = _ratio(
+        cold_walls["skip_ahead"], cold_walls["batched"]
+    )
+    stage["rounds_cold"] = len(cold_walls["batched"])
+    stage["wall_seconds_cold"] = round(statistics.median(cold_walls["batched"]), 6)
+    stage["wall_seconds_cold_skip_ahead"] = round(
+        statistics.median(cold_walls["skip_ahead"]), 6
+    )
     stage["speedups"] = speedups
     stage["speedup_iqr"] = spreads
 
-    for floor_key, measured_key in (
-        ("engine_batched_vs_skip_ahead", "batched_vs_skip_ahead"),
-        ("engine_batched_vs_stepped", "batched_vs_stepped"),
-        ("engine_skip_ahead_vs_stepped", "skip_ahead_vs_stepped"),
-    ):
-        floor = FLOORS[floor_key]
-        measured = speedups[measured_key]
-        if measured < floor:
-            _fail(
-                f"{measured_key} median speedup {measured}x "
-                f"(IQR {spreads[measured_key]}) is below the {floor}x floor"
-            )
+    floor = FLOORS["engine_batched_vs_skip_ahead"]
+    measured = speedups["batched_vs_skip_ahead"]
+    if measured < floor:
+        _fail(
+            f"batched_vs_skip_ahead median speedup {measured}x "
+            f"(IQR {spreads['batched_vs_skip_ahead']}) is below the {floor}x floor"
+        )
     return stage
 
 
@@ -655,9 +668,9 @@ def main(argv=None) -> int:
             "telemetry_on", telemetry_jobs, workers=1, cache=False
         )
         stages.append((tel_stage, tel_results))
-        # Engine differential: batched vs skip-ahead vs the per-cycle
-        # stepped reference, on its own matrices (compared internally,
-        # not against the sequential golden results).
+        # Engine differential: batched vs the skip-ahead reference, on
+        # its own matrices (compared internally, not against the
+        # sequential golden results).
         engine_stage = run_engine_stage(args.quick)
         # Streaming: bounded-RSS 10M-op streamed run, pipelined and
         # pinned to one CPU (its own trace, compared internally).
@@ -717,7 +730,7 @@ def main(argv=None) -> int:
         "trace_stages": trace_stages,
         "engine": {
             "default": "batched",
-            "reference": "stepped",
+            "reference": "skip_ahead",
             "speedups": engine_stage["speedups"],
             "speedup_iqr": engine_stage["speedup_iqr"],
             "results_identical": True,
@@ -771,7 +784,7 @@ def main(argv=None) -> int:
     print(
         f"  {engine_stage['name']:12s} {engine_stage['wall_seconds']:8.3f}s  "
         f"{speedups['batched_vs_skip_ahead']:>7}x vs skip_ahead  "
-        f"{speedups['batched_vs_stepped']}x vs stepped"
+        f"({speedups['batched_vs_skip_ahead_cold']}x with cold memos)"
     )
     report["stages"].append(stream_stage)
     print(

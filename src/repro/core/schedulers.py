@@ -21,15 +21,10 @@ addition:
 * unordered:         the strawman — stores do not wait for the root at
   all (completion == arrival); node updates still occupy the engine.
 
-Every wait and every latency flows through two clock primitives —
-:meth:`ScoreboardBase._wait_until` and :meth:`ScoreboardBase._elapse` —
-which the skip-ahead family resolves with plain arithmetic.  The
-per-cycle reference family in :mod:`repro.core.stepped` overrides only
-those primitives to consume cycles one at a time, so both families make
-identical scheduling decisions and the differential harness
-(``tests/test_engine_differential.py``) can assert bit-identical
-results and telemetry streams.  :func:`make_scoreboard` selects the
-family via ``engine=`` (``SystemConfig.engine``).
+Every wait is a ``max`` and every latency an addition, written inline
+in each scoreboard's ``submit``; :func:`make_scoreboard` builds the
+scoreboard for a scheme.  Telemetry spans are emitted only when a bus
+is attached, so a run with telemetry off pays no emission calls.
 
 All scoreboards share the BMT cache for miss modelling, and report node
 update counts, so coalescing's update reduction (~26 % in the paper) is
@@ -52,13 +47,12 @@ from repro.telemetry.events import EventKind, level_track
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.bus import Telemetry
 
-ENGINE_KINDS = ("batched", "skip_ahead", "stepped")
+ENGINE_KINDS = ("batched", "skip_ahead")
 """Timing-engine families: the array-native batched engine (default,
-see :mod:`repro.sim.batched`), the scalar skip-ahead event-queue
-engine, and the per-cycle reference oracle (see
-:mod:`repro.core.stepped`).  The batched engine dispatches its eventful
-ops through the skip-ahead scoreboards, so both map to the same
-scoreboard classes here."""
+see :mod:`repro.sim.batched`) and the scalar skip-ahead event-queue
+engine.  The batched engine dispatches its eventful ops through the
+skip-ahead scoreboards, so both map to the same scoreboard classes
+here."""
 
 _RING_COMPACT_THRESHOLD = 1024
 """Released-slot prefix length that triggers ring-buffer compaction."""
@@ -67,6 +61,8 @@ _RING_COMPACT_THRESHOLD = 1024
 @dataclass
 class PersistTiming:
     """Timing outcome for one persist."""
+
+    __slots__ = ("persist_id", "arrival", "completion", "node_updates")
 
     persist_id: int
     arrival: int
@@ -152,20 +148,6 @@ class ScoreboardBase:
         self.node_update_count = 0
         self.bmt_cache_misses = 0
 
-    # ------------------------------------------------------------------
-    # clock primitives (the only place the two engine families differ)
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _wait_until(now: int, ready: int) -> int:
-        """Advance the clock directly to a pending event (skip-ahead)."""
-        return ready if ready > now else now
-
-    @staticmethod
-    def _elapse(start: int, cycles: int) -> int:
-        """Complete ``cycles`` of latency in one jump (skip-ahead)."""
-        return start + cycles
-
     def _emit_serial_spans(
         self, persist_id: int, start: int, costs: Sequence[int]
     ) -> None:
@@ -173,12 +155,10 @@ class ScoreboardBase:
 
         The path runs leaf (level = depth) toward the root (level 0);
         each node's update occupies its level for ``costs[i]`` cycles
-        starting when the previous node finished.
+        starting when the previous node finished.  Callers check that a
+        bus is attached first.
         """
-        tel = self.telemetry
-        if tel is None:
-            return
-        tel.span_walk(
+        self.telemetry.span_walk(
             EventKind.BMT_LEVEL_SPAN, start, costs, persist_id, self.geometry.depth
         )
 
@@ -203,9 +183,6 @@ class ScoreboardBase:
         self.node_update_count += len(path)
         return costs
 
-    def _record(self, persist_id: int, arrival: int, completion: int, updates: int) -> PersistTiming:
-        return PersistTiming(persist_id, arrival, completion, updates)
-
     def engine_busy_until(self) -> int:
         """Cycle until which the verification engine is occupied.
 
@@ -227,11 +204,12 @@ class SequentialScoreboard(ScoreboardBase):
         path = self.geometry.path_tuple(leaf_index)
         costs = self._level_costs(path)
         # One lane: wait for the engine to free, then walk the path.
-        start = self._wait_until(arrival, self._engine_free)
-        completion = self._elapse(start, sum(costs))
-        self._engine_free = completion
-        self._emit_serial_spans(persist_id, start, costs)
-        return self._record(persist_id, arrival, completion, len(path))
+        free = self._engine_free
+        start = free if free > arrival else arrival
+        completion = self._engine_free = start + sum(costs)
+        if self.telemetry is not None:
+            self._emit_serial_spans(persist_id, start, costs)
+        return PersistTiming(persist_id, arrival, completion, len(path))
 
     def engine_busy_until(self) -> int:
         return self._engine_free
@@ -252,15 +230,13 @@ class PipelineScoreboard(ScoreboardBase):
         t = arrival
         level_done = self._level_done
         tel = self.telemetry
-        wait_until = self._wait_until
-        elapse = self._elapse
         # The path runs leaf (depth) to root (0), so the level of
         # path[i] is simply depth - i — no label arithmetic needed.
         level = self.geometry.depth
         for cost in costs:
-            start = wait_until(t, level_done[level])
-            t = elapse(start, cost)
-            level_done[level] = t
+            ready = level_done[level]
+            start = ready if ready > t else t
+            t = level_done[level] = start + cost
             if tel is not None:
                 tel.emit(
                     EventKind.BMT_LEVEL_SPAN,
@@ -270,7 +246,7 @@ class PipelineScoreboard(ScoreboardBase):
                     duration=cost,
                 )
             level -= 1
-        return self._record(persist_id, arrival, t, len(path))
+        return PersistTiming(persist_id, arrival, t, len(path))
 
     def engine_busy_until(self) -> int:
         # A demand verification enters at the leaf stage.
@@ -294,13 +270,14 @@ class SGXPathScoreboard(SequentialScoreboard):
     def submit(self, persist_id: int, leaf_index: int, arrival: int) -> PersistTiming:
         path = self.geometry.path_tuple(leaf_index)
         costs = self._level_costs(path)
-        start = self._wait_until(arrival, self._engine_free)
+        free = self._engine_free
+        start = free if free > arrival else arrival
         persist_cost = len(path) * self.node_persist_cycles
-        completion = self._elapse(start, sum(costs) + persist_cost)
-        self._engine_free = completion
+        completion = self._engine_free = start + sum(costs) + persist_cost
         self.path_persists += len(path)
-        self._emit_serial_spans(persist_id, start, costs)
-        return self._record(persist_id, arrival, completion, len(path))
+        if self.telemetry is not None:
+            self._emit_serial_spans(persist_id, start, costs)
+        return PersistTiming(persist_id, arrival, completion, len(path))
 
 
 class TriadNVMScoreboard(SequentialScoreboard):
@@ -330,17 +307,19 @@ class TriadNVMScoreboard(SequentialScoreboard):
     def submit(self, persist_id: int, leaf_index: int, arrival: int) -> PersistTiming:
         path = self.geometry.path_tuple(leaf_index)
         costs = self._level_costs(path)
-        start = self._wait_until(arrival, self._engine_free)
+        free = self._engine_free
+        start = free if free > arrival else arrival
         persisted = min(self.persist_levels, len(path))
         # Ack once the persisted frontier (leaf upward) is durable ...
-        completion = self._elapse(
-            start, sum(costs[:persisted]) + persisted * self.node_persist_cycles
+        completion = (
+            start + sum(costs[:persisted]) + persisted * self.node_persist_cycles
         )
         # ... while the relaxed upper levels keep the engine busy.
-        self._engine_free = self._elapse(completion, sum(costs[persisted:]))
+        self._engine_free = completion + sum(costs[persisted:])
         self.path_persists += persisted
-        self._emit_serial_spans(persist_id, start, costs)
-        return self._record(persist_id, arrival, completion, len(path))
+        if self.telemetry is not None:
+            self._emit_serial_spans(persist_id, start, costs)
+        return PersistTiming(persist_id, arrival, completion, len(path))
 
 
 class PhoenixScoreboard(TriadNVMScoreboard):
@@ -378,12 +357,13 @@ class SecPMScoreboard(SequentialScoreboard):
     def submit(self, persist_id: int, leaf_index: int, arrival: int) -> PersistTiming:
         path = self.geometry.path_tuple(leaf_index)
         costs = self._level_costs(path)
-        start = self._wait_until(arrival, self._engine_free)
-        completion = self._elapse(start, sum(costs) + self.node_persist_cycles)
-        self._engine_free = completion
+        free = self._engine_free
+        start = free if free > arrival else arrival
+        completion = self._engine_free = start + sum(costs) + self.node_persist_cycles
         self.counter_persists += 1
-        self._emit_serial_spans(persist_id, start, costs)
-        return self._record(persist_id, arrival, completion, len(path))
+        if self.telemetry is not None:
+            self._emit_serial_spans(persist_id, start, costs)
+        return PersistTiming(persist_id, arrival, completion, len(path))
 
 
 class AnubisScoreboard(PipelineScoreboard):
@@ -410,13 +390,11 @@ class AnubisScoreboard(PipelineScoreboard):
         t = arrival
         level_done = self._level_done
         tel = self.telemetry
-        wait_until = self._wait_until
-        elapse = self._elapse
         level = self.geometry.depth
         for cost in costs:
-            start = wait_until(t, level_done[level])
-            t = elapse(start, cost)
-            level_done[level] = t
+            ready = level_done[level]
+            start = ready if ready > t else t
+            t = level_done[level] = start + cost
             if tel is not None:
                 tel.emit(
                     EventKind.BMT_LEVEL_SPAN,
@@ -426,7 +404,7 @@ class AnubisScoreboard(PipelineScoreboard):
                     duration=cost,
                 )
             level -= 1
-        return self._record(persist_id, arrival, t, len(path))
+        return PersistTiming(persist_id, arrival, t, len(path))
 
 
 class UnorderedScoreboard(ScoreboardBase):
@@ -435,8 +413,9 @@ class UnorderedScoreboard(ScoreboardBase):
     def submit(self, persist_id: int, leaf_index: int, arrival: int) -> PersistTiming:
         path = self.geometry.path_tuple(leaf_index)
         costs = self._level_costs(path)
-        self._emit_serial_spans(persist_id, arrival, costs)
-        return self._record(persist_id, arrival, arrival, len(path))
+        if self.telemetry is not None:
+            self._emit_serial_spans(persist_id, arrival, costs)
+        return PersistTiming(persist_id, arrival, arrival, len(path))
 
 
 class OutOfOrderScoreboard(ScoreboardBase):
@@ -506,7 +485,8 @@ class OutOfOrderScoreboard(ScoreboardBase):
         issues almost never collide (the pipelined MAC units give o3 its
         one-update-per-cycle throughput, §IV-B1).
         """
-        first = self._wait_until(start, self._port_free)
+        free = self._port_free
+        first = free if free > start else start
         self._port_free = first + 1
         return first
 
@@ -523,26 +503,24 @@ class OutOfOrderScoreboard(ScoreboardBase):
             Per-persist timings (root-ack completion times).
         """
         admission, root_gate = self._epoch_gates()
-        start_floor = self._wait_until(arrival, admission)
+        start_floor = admission if admission > arrival else arrival
         epoch_span = self._open_epoch_span(start_floor)
         results = []
         epoch_frontier = start_floor
-        wait_until = self._wait_until
-        elapse = self._elapse
+        tel = self.telemetry
         for persist_id, leaf_index in persists:
             start = self._admit_wpq(start_floor)
             path = self.geometry.path_tuple(leaf_index)
             costs = self._level_costs(path)
             first_issue = self._issue(start, len(path))
-            path_done = elapse(first_issue, sum(costs))
-            completion = wait_until(path_done, root_gate)
+            path_done = first_issue + sum(costs)
+            completion = root_gate if root_gate > path_done else path_done
             if completion > epoch_frontier:
                 epoch_frontier = completion
             self._release_wpq(completion)
-            self._emit_serial_spans(persist_id, first_issue, costs)
-            results.append(
-                self._record(persist_id, arrival, completion, len(path))
-            )
+            if tel is not None:
+                self._emit_serial_spans(persist_id, first_issue, costs)
+            results.append(PersistTiming(persist_id, arrival, completion, len(path)))
         self._drain_epoch_span(epoch_span, epoch_frontier)
         self._epoch_done.append(epoch_frontier)
         return results
@@ -553,7 +531,8 @@ class OutOfOrderScoreboard(ScoreboardBase):
             if floor > self.last_issue_time:
                 self.last_issue_time = floor
             return floor
-        admit = self._wait_until(floor, self.wpq_ring.admit(floor))
+        ready = self.wpq_ring.admit(floor)
+        admit = ready if ready > floor else floor
         if admit > self.last_issue_time:
             self.last_issue_time = admit
         return admit
@@ -577,7 +556,7 @@ class CoalescingScoreboard(OutOfOrderScoreboard):
         self, persists: Sequence[Tuple[int, int]], arrival: int
     ) -> List[PersistTiming]:
         admission, root_gate = self._epoch_gates()
-        start_floor = self._wait_until(arrival, admission)
+        start_floor = admission if admission > arrival else arrival
         epoch_span = self._open_epoch_span(start_floor)
         self._coalescer.now = start_floor
         coalesced = self._coalescer.coalesce_epoch(persists)
@@ -587,14 +566,15 @@ class CoalescingScoreboard(OutOfOrderScoreboard):
 
         # First pass: own-path completion for every persist.
         own_done: Dict[int, int] = {}
-        elapse = self._elapse
+        tel = self.telemetry
         for persist in coalesced:
             start = self._admit_wpq(start_floor)
             if persist.path:
                 costs = self._level_costs(persist.path)
                 first_issue = self._issue(start, len(persist.path))
-                own_done[persist.persist_id] = elapse(first_issue, sum(costs))
-                self._emit_serial_spans(persist.persist_id, first_issue, costs)
+                own_done[persist.persist_id] = first_issue + sum(costs)
+                if tel is not None:
+                    self._emit_serial_spans(persist.persist_id, first_issue, costs)
             else:
                 own_done[persist.persist_id] = start
 
@@ -602,19 +582,18 @@ class CoalescingScoreboard(OutOfOrderScoreboard):
         # delegate's root update; root ordering gated on the prior epoch.
         results = []
         epoch_frontier = start_floor
-        wait_until = self._wait_until
         finals = CoalescingUnit.resolve_delegates(coalesced)
         for persist in coalesced:
-            final = finals[persist.persist_id]
-            path_done = wait_until(own_done[persist.persist_id], own_done[final])
-            completion = wait_until(path_done, root_gate)
+            # Own path done, then the final delegate's root update, then
+            # the previous epoch's root.
+            completion = max(
+                own_done[persist.persist_id], own_done[finals[persist.persist_id]], root_gate
+            )
             if completion > epoch_frontier:
                 epoch_frontier = completion
             self._release_wpq(completion)
             results.append(
-                self._record(
-                    persist.persist_id, arrival, completion, persist.update_count
-                )
+                PersistTiming(persist.persist_id, arrival, completion, persist.update_count)
             )
         self._drain_epoch_span(epoch_span, epoch_frontier)
         self._epoch_done.append(epoch_frontier)
@@ -656,22 +635,16 @@ def make_scoreboard(
 
     The class comes from :data:`SCOREBOARDS`; its extra constructor
     arguments from the scheme's spec (epoch schemes take the ETT and
-    WPQ ring, the Triad-NVM frontier its depth).  ``engine`` selects the
-    timing family: ``"batched"`` and ``"skip_ahead"`` share the
+    WPQ ring, the Triad-NVM frontier its depth).  ``engine`` names the
+    timing family; ``"batched"`` and ``"skip_ahead"`` share the
     event-queue scoreboards (the batched engine only changes how the
-    trace walk reaches them), while ``"stepped"`` selects the per-cycle
-    reference oracle from :mod:`repro.core.stepped`; all produce
-    bit-identical timings.
+    trace walk reaches them).
     """
     if engine not in ENGINE_KINDS:
         raise ValueError(
             f"engine must be one of {ENGINE_KINDS}, got {engine!r}"
         )
     cls = SCOREBOARDS[scheme]
-    if engine == "stepped":
-        from repro.core.stepped import STEPPED
-
-        cls = STEPPED[cls]
     spec = scheme.spec
     kwargs = {}
     if spec.uses_epochs:

@@ -24,6 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.keys import KeySchedule
 from repro.crypto.primitives import HASH_SIZE, int_bytes, keyed_hash
+from repro.sim.memo import remember
 
 
 class BMTGeometry:
@@ -61,8 +62,9 @@ class BMTGeometry:
         # Label-arithmetic memo caches.  Geometries are immutable, so a
         # leaf's update path / a label's ancestor chain / an LCA never
         # change; the trace simulators hammer these on every persist and
-        # every verified load fill.  Hit/miss counters support the memo
-        # unit tests and the perf harness.
+        # every verified load fill.  Geometries are shared process-wide,
+        # so each memo is bounded (repro.sim.memo.remember).  Hit/miss
+        # counters support the memo unit tests and the perf harness.
         self._path_cache: Dict[int, Tuple[int, ...]] = {}
         self._ancestor_cache: Dict[int, Tuple[int, ...]] = {}
         self._lca_cache: Dict[Tuple[int, int], int] = {}
@@ -146,9 +148,7 @@ class BMTGeometry:
         while label:
             label = (label - 1) // arity
             path.append(label)
-        cached = tuple(path)
-        self._path_cache[leaf_index] = cached
-        return cached
+        return remember(self._path_cache, leaf_index, tuple(path))
 
     def ancestors(self, label: int) -> List[int]:
         """Labels strictly above ``label`` up to and including the root."""
@@ -162,7 +162,7 @@ class BMTGeometry:
         while walk != self.ROOT_LABEL:
             walk = self.parent(walk)
             out.append(walk)
-        self._ancestor_cache[label] = tuple(out)
+        remember(self._ancestor_cache, label, tuple(out))
         return out
 
     def lca(self, label_a: int, label_b: int) -> int:
@@ -187,8 +187,7 @@ class BMTGeometry:
         while label_a != label_b:
             label_a = self.parent(label_a)
             label_b = self.parent(label_b)
-        self._lca_cache[key] = label_a
-        return label_a
+        return remember(self._lca_cache, key, label_a)
 
     def memo_info(self) -> Dict[str, int]:
         """Memo-cache statistics (see the perf harness / memo tests)."""

@@ -16,7 +16,20 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterator, List, Optional, Tuple
 
-from repro.sim.stats import StatsRegistry
+from repro.sim.stats import Counter, StatsRegistry
+
+COUNTER_KINDS = ("hits", "misses", "evictions", "dirty_evictions")
+"""The counters every cache registers, in registration order."""
+
+
+def cache_counters(name: str, registry: StatsRegistry) -> List[Counter]:
+    """Cache ``name``'s :data:`COUNTER_KINDS` counters in ``registry``.
+
+    Engines that replay a cache instead of building it register (and
+    later add to) the same counters through here, so a result's stats
+    carry the same keys, in the same order, either way.
+    """
+    return [registry.counter(f"{name}.{kind}") for kind in COUNTER_KINDS]
 
 
 class CacheLine:
@@ -78,10 +91,12 @@ class Cache:
         # fall back to a modulo only for odd sweep values.
         self._mask = self.num_sets - 1 if self.num_sets & (self.num_sets - 1) == 0 else None
         registry = stats if stats is not None else StatsRegistry()
-        self._hits = registry.counter(f"{name}.hits")
-        self._misses = registry.counter(f"{name}.misses")
-        self._evictions = registry.counter(f"{name}.evictions")
-        self._dirty_evictions = registry.counter(f"{name}.dirty_evictions")
+        (
+            self._hits,
+            self._misses,
+            self._evictions,
+            self._dirty_evictions,
+        ) = cache_counters(name, registry)
 
     def _set_index(self, block: int) -> int:
         if self._mask is not None:

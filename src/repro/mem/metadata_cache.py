@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.crypto.bmt import BMTGeometry
-from repro.mem.cache import Cache
+from repro.mem.cache import Cache, cache_counters
 from repro.sim.stats import StatsRegistry
 from repro.telemetry.bus import Telemetry
 from repro.telemetry.events import EventKind
@@ -78,6 +78,22 @@ class MetadataCaches:
         # class methods — zero overhead, not even a dead branch.
         if telemetry is not None and telemetry.config.cache_events and not ideal:
             self._instrument(telemetry)
+
+    @classmethod
+    def counters_only(cls, stats: StatsRegistry) -> "MetadataCaches":
+        """Metadata caches with no sets, for a run that scripts every access.
+
+        A scripted batched run (:func:`repro.system.timing.scripts_metadata`)
+        replays each metadata-cache outcome from a precomputed script,
+        whose feed installs the access methods, so it needs only the
+        ctr/mac/bmt counters, registered in the order the live caches
+        register them.
+        """
+        caches = cls.__new__(cls)
+        caches.ideal = False
+        for name in ("ctr", "mac", "bmt"):
+            cache_counters(name, stats)
+        return caches
 
     def _instrument(self, telemetry: Telemetry) -> None:
         """Shadow the access methods with event-emitting closures."""

@@ -71,11 +71,12 @@ class NVMModel:
         cfg = self.config
         return self._transfer(
             self._read_completions, cfg.read_queue_size, cfg.read_latency,
-            self._read_stalls, self._reads, now,
+            self._read_stalls, self._reads, now, 1,
         )
 
-    def write(self, now: int) -> int:
-        """Issue a write; returns the cycle it is durable in the media.
+    def write(self, now: int, count: int = 1) -> int:
+        """Issue ``count`` writes at ``now``, one after another; returns
+        the cycle the last is durable in the media.
 
         Note that with ADR the WPQ is already in the persistence domain,
         so persist *completion* does not wait for this time — but channel
@@ -84,41 +85,53 @@ class NVMModel:
         cfg = self.config
         return self._transfer(
             self._write_completions, cfg.write_queue_size, cfg.write_latency,
-            self._write_stalls, self._writes, now,
+            self._write_stalls, self._writes, now, count,
         )
 
     def _transfer(
-        self, completions: Deque[int], capacity: int, latency: int, stalls, count, now: int
+        self,
+        completions: Deque[int],
+        capacity: int,
+        latency: int,
+        stalls,
+        counter,
+        now: int,
+        count: int,
     ) -> int:
-        """One transfer through a bounded queue; returns its completion.
+        """``count`` transfers through a bounded queue, each issued at
+        ``now`` after the one before; returns the last completion.
 
-        Waits for a free queue slot (charging the wait to ``stalls``),
-        issues on the least-loaded channel for one burst, and records the
-        completion in the queue's sorted completion deque.  Written as
-        one body because every timed handler funnels through it.
+        Each waits for a free queue slot (charging the wait to
+        ``stalls``), issues on the least-loaded channel for one burst,
+        and records its completion in the queue's sorted completion
+        deque.  Written as one body because every timed handler funnels
+        through it.
         """
-        while completions and completions[0] <= now:
-            completions.popleft()
-        admit = now
-        if len(completions) >= capacity:
-            admit = completions[len(completions) - capacity]
-            if admit > now:
-                stalls.value += admit - now
         channels = self._channel_free
         # Table III models one channel; skip the arg-min entirely.
-        if len(channels) == 1:
-            index = 0
-        else:
-            index = min(range(len(channels)), key=channels.__getitem__)
-        free = channels[index]
-        issue = admit if admit >= free else free
-        channels[index] = issue + self.config.burst_cycles
-        completion = issue + latency
-        if not completions or completion >= completions[-1]:
-            completions.append(completion)  # completions are nearly FIFO
-        else:
-            insort(completions, completion)
-        count.value += 1
+        single = len(channels) == 1
+        burst = self.config.burst_cycles
+        for _ in range(count):
+            while completions and completions[0] <= now:
+                completions.popleft()
+            admit = now
+            if len(completions) >= capacity:
+                admit = completions[len(completions) - capacity]
+                if admit > now:
+                    stalls.value += admit - now
+            if single:
+                index = 0
+            else:
+                index = min(range(len(channels)), key=channels.__getitem__)
+            free = channels[index]
+            issue = admit if admit >= free else free
+            channels[index] = issue + burst
+            completion = issue + latency
+            if not completions or completion >= completions[-1]:
+                completions.append(completion)  # completions are nearly FIFO
+            else:
+                insort(completions, completion)
+        counter.value += count
         return completion
 
     @property

@@ -1,11 +1,11 @@
 """Array-native batched execution engine (``SystemConfig.engine="batched"``).
 
-The scalar engines walk a trace one op at a time, paying a Python-level
-dispatch for every op even though the overwhelming majority of ops are
-*silent*: they hit in the L1, touch no queue, no scoreboard, and no
-metadata cache — their only effect on the simulation is advancing the
-core clock and the cache-replacement state.  The batched engine
-exploits that:
+The scalar skip-ahead engine walks a trace one op at a time, paying a
+Python-level dispatch for every op even though the overwhelming
+majority of ops are *silent*: they hit in the L1, touch no queue, no
+scoreboard, and no metadata cache — their only effect on the
+simulation is advancing the core clock and the cache-replacement
+state.  The batched engine exploits that:
 
 1. **Functional prepass** (per trace × cache/persistency shape,
    memoized on the trace): replay only the *functional* state — the
@@ -16,18 +16,24 @@ exploits that:
    separated by *eventful* ops (NVM fills, write-backs, WPQ persists,
    epoch flushes) whose cross-op hazards (2SP stalls, coalescing
    delegation, WPQ pressure) need the full scoreboard machinery.
+   Loads that touch their L1 set's MRU block again are found with
+   ``numpy`` and only counted (:func:`_mru_repeat_loads`).  A
+   *metadata replay* then turns the events into a script of
+   metadata-cache and write-combiner outcomes
+   (:class:`MetadataScript`), also memoized on the trace.
 
 2. **Array kernels** resolve everything the silent spans contribute:
    the tick of every eventful op and the instruction counts come from
    ``numpy`` sums over the packed ``PLPTRACE`` columns
-   (:func:`chunk_ticks`), so the clock can jump straight from one
-   eventful op to the next.
+   (:func:`chunk_ticks`, memoized beside the prepass), so the clock can
+   jump straight from one eventful op to the next.
 
 3. **Scalar fallback per eventful op**: each eventful op is dispatched
    through the *same* timed handlers the skip-ahead scalar loop uses
    (``_load_timed`` / ``_persist_store`` / ``_flush_timed`` /
    ``_handle_writeback`` on :class:`~repro.system.timing.TraceSimulator`),
-   against the same live NVM / WPQ / scoreboard / metadata-cache state.
+   against the same live NVM / WPQ / scoreboard state, with the
+   metadata caches and the write-combiner read from the script.
 
 Pass 2 (:func:`run_pass2`) is the only code that dispatches prepass
 events.  The memoized run (:func:`run_batched`) hands it the whole
@@ -43,8 +49,8 @@ last stall, so bulk-jumping over a silent span reproduces the exact
 float the scalar loop would have accumulated — including for the
 non-dyadic CPIs in the SPEC profile table — and the timed handlers are
 shared code, not a reimplementation.  The differential harness
-(``tests/test_engine_differential.py``) asserts batched ≡ skip_ahead ≡
-stepped on ``SimResult``s *and* telemetry streams for all schemes.
+(``tests/test_engine_differential.py``) asserts batched ≡ skip_ahead
+on ``SimResult``s *and* telemetry streams for all schemes.
 """
 
 from __future__ import annotations
@@ -61,10 +67,12 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.core.coalescing import CoalescingUnit
+from repro.mem.cache import cache_counters
 from repro.persistency.epochs import Epoch
 from repro.persistency.models import PersistencyModel
+from repro.sim.memo import Memo
 from repro.system import timing
-from repro.workloads.trace import KIND_SFENCE, MemoryTrace, TraceChunk
+from repro.workloads.trace import KIND_LOAD, KIND_SFENCE, MemoryTrace, TraceChunk
 
 _EV_LOAD = 0
 _EV_STORE = 1
@@ -152,11 +160,29 @@ def _cache_dims(size_bytes: int, assoc: int) -> Tuple[int, Optional[int], int]:
     return num_sets, mask, assoc
 
 
-def _blocks_of_column(addresses) -> List[int]:
-    if not len(addresses):
-        return []
-    blocks = np.frombuffer(memoryview(addresses), dtype=np.uint64)
-    return (blocks >> np.uint64(6)).tolist()
+def _mru_repeat_loads(kinds: np.ndarray, blocks: np.ndarray, dims) -> np.ndarray:
+    """Mask of the loads that touch their L1 set's MRU block again.
+
+    Every access leaves its block MRU in its L1 set, and nothing else
+    moves an L1 line: fills and evictions come only from accesses to
+    the set, and cleans flip dirty bits in place.  So a load whose
+    block is the block of the previous access to its set, within these
+    columns, is a hit that neither moves nor dirties a line and raises
+    no event.  The first access to each set is never marked: the MRU
+    block there depends on earlier columns.
+    """
+    num_sets, mask, _ = dims
+    access = np.flatnonzero(kinds != KIND_SFENCE)
+    touched = blocks[access]
+    sets = touched & np.uint64(mask) if mask is not None else touched % np.uint64(num_sets)
+    # Stable: each set's accesses stay in trace order, adjacent.  The
+    # narrowest dtype that holds a set index lets numpy radix-sort.
+    order = np.argsort(sets.astype(np.min_scalar_type(num_sets - 1)), kind="stable")
+    in_order = touched[order]
+    again = access[order[1:][in_order[1:] == in_order[:-1]]]
+    repeats = np.zeros(len(kinds), dtype=bool)
+    repeats[again[kinds[again] == KIND_LOAD]] = True
+    return repeats
 
 
 class FunctionalPrepass:
@@ -231,12 +257,25 @@ class FunctionalPrepass:
 
         Event tuples carry absolute op indices, so chunked feeding and
         a single whole-trace feed produce the identical event stream.
+        The chunk's MRU-repeat loads (:func:`_mru_repeat_loads`) are
+        counted as L1 hits, not replayed.
         """
-        return self._replay(
-            kind_codes.tolist(),
-            _blocks_of_column(addresses),
-            persistent_flags.tolist(),
+        n = len(kind_codes)
+        start = self._next_idx
+        if not n:
+            return []
+        kinds = _column(kind_codes, np.uint8)
+        blocks = _column(addresses, np.uint64) >> np.uint64(6)
+        replayed = np.flatnonzero(~_mru_repeat_loads(kinds, blocks, self._dims1))
+        self._l1c[0] += n - len(replayed)
+        events = self._replay(
+            (replayed + start).tolist(),
+            kinds[replayed].tolist(),
+            blocks[replayed].tolist(),
+            _column(persistent_flags, np.uint8)[replayed].tolist(),
         )
+        self._next_idx = start + n
+        return events
 
     def finish(self) -> List[tuple]:
         """End-of-trace drain: flush a trailing partial epoch.
@@ -270,7 +309,9 @@ class FunctionalPrepass:
         if d.get(block):
             d[block] = False
 
-    def _replay(self, kinds: List[int], blocks: List[int], flags: List[int]) -> List[tuple]:
+    def _replay(
+        self, indices: List[int], kinds: List[int], blocks: List[int], flags: List[int]
+    ) -> List[tuple]:
         s1, m1, a1 = self._dims1
         s2, m2, a2 = self._dims2
         s3, m3, a3 = self._dims3
@@ -376,9 +417,7 @@ class FunctionalPrepass:
         l1_h, l1_m, l1_e, l1_de = self._l1c
         ep_count = self._ep_count
         ep_dirty = self._ep_dirty
-        idx = self._next_idx - 1
-        for kind, block, persistent in zip(kinds, blocks, flags):
-            idx += 1
+        for idx, kind, block, persistent in zip(indices, kinds, blocks, flags):
             if kind == 2:  # sfence
                 if use_epochs and ep_count:
                     blocks_ = tuple(ep_dirty)
@@ -453,7 +492,6 @@ class FunctionalPrepass:
         self._l1c[3] = l1_de
         self._ep_count = ep_count
         self._ep_dirty = ep_dirty
-        self._next_idx = idx + 1
         return events
 
 
@@ -507,78 +545,126 @@ class MetadataScript:
     BMT-walk policy.  None of the lookup *outcomes* depend on the clock
     or on a latency — only the costs charged for them do — so
     everything the handlers ask of the metadata layer can be replayed
-    from precomputed outcomes in pass 2 instead of live LRU caches:
+    from precomputed outcomes in pass 2 instead of live LRU caches.
+    The three caches and the write-combiner are independent, so each
+    accessor reads its own buffer, in the order it is called:
 
-    * ``stream`` — one hit (1) / miss (0) byte per counter read/write,
-      MAC read/write and load-path BMT read-walk node, in call order;
+    * ``ctr``, ``mac`` — one hit (1) / miss (0) byte per counter / MAC
+      read or write;
+    * ``bmt`` — one hit / miss byte per node of a load's BMT read walk;
     * ``walks`` — one walk code per ``_level_costs`` call (the
-      scoreboards' BMT update walks), in call order: bit ``i`` is set
-      when node ``i`` of the path missed, the top set bit marks the
-      path length, and pass 2 prices it (:class:`ScriptFeed`);
-    * ``combiner`` — one absorb (1) / no-absorb (0) byte per WPQ
-      write-combiner verdict (``_tuple_writes``), in call order;
+      scoreboards' BMT update walks): bit ``i`` is set when node ``i``
+      of the path missed, the top set bit marks the path length, and
+      pass 2 prices it (:class:`ScriptFeed`);
+    * ``combiner`` — one byte per ``_tuple_writes`` call: how many of
+      the tuple's data/counter/MAC writes the WPQ write-combiner let
+      through (0–3);
     * ``counts`` — (hits, misses, evictions, dirty_evictions) totals
       per metadata cache, merged into the registry after pass 2.
     """
 
-    __slots__ = ("stream", "walks", "combiner", "counts")
+    __slots__ = ("ctr", "mac", "bmt", "walks", "combiner", "counts")
 
-    def __init__(
-        self, stream: bytearray, walks: array, combiner: bytearray, counts: Tuple[int, ...]
-    ) -> None:
-        self.stream = stream
-        self.walks = walks
-        self.combiner = combiner
+    def __init__(self, buffers: tuple, counts: Tuple[int, ...]) -> None:
+        self.ctr, self.mac, self.bmt, self.walks, self.combiner = buffers
         self.counts = counts
 
-
-def _md_access(sets: List[dict], stats: List[int], dims: Tuple[int, Optional[int], int]):
-    """A metadata cache replayed as per-set dicts (Cache semantics,
-    write_through=False): value is the dirty bit, dict order is LRU.
-    The sets/stats live on the caller so the closure can be rebuilt
-    per chunk without losing state."""
-    num_sets, mask, assoc = dims
-
-    def access(key: int, dirty: bool) -> bool:
-        d = sets[key & mask] if mask is not None else sets[key % num_sets]
-        cur = d.get(key)
-        if cur is not None:
-            del d[key]
-            d[key] = cur or dirty
-            stats[0] += 1
-            return True
-        stats[1] += 1
-        if len(d) >= assoc:
-            vd = d.pop(next(iter(d)))
-            stats[2] += 1
-            if vd:
-                stats[3] += 1
-        d[key] = dirty
-        return False
-
-    return access
+    @property
+    def buffers(self) -> tuple:
+        """``(ctr, mac, bmt, walks, combiner)``, as :meth:`ScriptFeed.extend`
+        takes them."""
+        return (self.ctr, self.mac, self.bmt, self.walks, self.combiner)
 
 
-_MEMO_ENTRIES = 4096
-"""Most keys a :class:`_Memo` holds; a full memo starts over, so a
-streamed run's per-leaf memo stays bounded however many leaves the
-stream touches (a 25 KI profile trace touches at most ~100)."""
+def _empty_buffers() -> tuple:
+    return (bytearray(), bytearray(), bytearray(), array("Q"), bytearray())
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with ``fill(key)`` on first use."""
+class _CacheReplay:
+    """One metadata cache replayed as per-set dicts
+    (:class:`~repro.mem.cache.Cache` semantics with
+    ``write_through=False``): a key's value is its dirty bit, dict order
+    is LRU order.  ``counts`` holds its hits, misses, evictions and
+    dirty evictions; each method keeps them in locals while it runs."""
 
-    __slots__ = ("_fill",)
+    __slots__ = ("_sets", "_dims", "counts")
 
-    def __init__(self, fill) -> None:
-        super().__init__()
-        self._fill = fill
+    def __init__(self, size_bytes: int, assoc: int) -> None:
+        self._dims = _cache_dims(size_bytes, assoc)
+        self._sets = [{} for _ in range(self._dims[0])]
+        self.counts = [0, 0, 0, 0]
 
-    def __missing__(self, key):
-        if len(self) >= _MEMO_ENTRIES:
-            self.clear()
-        value = self[key] = self._fill(key)
-        return value
+    def accesses(self, keys, writes, out: bytearray) -> None:
+        """Touch ``keys`` in turn, each dirtying its line where
+        ``writes`` says; append one hit byte per access to ``out``."""
+        sets = self._sets
+        num_sets, mask, assoc = self._dims
+        hits = misses = evictions = dirty_evictions = 0
+        emit = out.append
+        for key, write in zip(keys, writes):
+            d = sets[key & mask] if mask is not None else sets[key % num_sets]
+            cur = d.get(key)
+            if cur is not None:
+                del d[key]
+                d[key] = cur or write
+                hits += 1
+                emit(1)
+                continue
+            misses += 1
+            if len(d) >= assoc:
+                evictions += 1
+                if d.pop(next(iter(d))):
+                    dirty_evictions += 1
+            d[key] = write
+            emit(0)
+        self._add(hits, misses, evictions, dirty_evictions)
+
+    def walks(self, walks, codes: array, reads: bytearray) -> None:
+        """Run BMT walks in turn.
+
+        Each is ``(nodes, code)``, ``nodes`` being ``((cache key,
+        walk-code bit), ...)`` leaf first.  A nonzero ``code`` (its top
+        bit marking the path length) is an update walk: it writes every
+        node and appends ``code``, with each missing node's bit set, to
+        ``codes``.  A zero ``code`` is a load's read walk: it reads
+        nodes up to the first hit (verification stops at a trusted
+        node) and appends one hit byte per node read to ``reads``.
+        """
+        sets = self._sets
+        num_sets, mask, assoc = self._dims
+        hits = misses = evictions = dirty_evictions = 0
+        emit_code = codes.append
+        emit_read = reads.append
+        for nodes, code in walks:
+            update = code != 0
+            for key, bit in nodes:
+                d = sets[key & mask] if mask is not None else sets[key % num_sets]
+                cur = d.get(key)
+                if cur is not None:
+                    del d[key]
+                    d[key] = cur or update
+                    hits += 1
+                    if update:
+                        continue
+                    emit_read(1)
+                    break
+                misses += 1
+                if len(d) >= assoc:
+                    evictions += 1
+                    if d.pop(next(iter(d))):
+                        dirty_evictions += 1
+                d[key] = update
+                if update:
+                    code |= bit
+                else:
+                    emit_read(0)
+            if update:
+                emit_code(code)
+        self._add(hits, misses, evictions, dirty_evictions)
+
+    def _add(self, *counts: int) -> None:
+        for i, count in enumerate(counts):
+            self.counts[i] += count
 
 
 class MetadataReplay:
@@ -617,42 +703,31 @@ class MetadataReplay:
     __slots__ = (
         "boundary",
         "walk",
-        "_geometry",
         "_bpcb",
-        "_dims_ctr",
-        "_dims_mac",
-        "_dims_bmt",
-        "_ctr_sets",
-        "_ctr_stats",
-        "_mac_sets",
-        "_mac_stats",
-        "_bmt_sets",
-        "_bmt_stats",
+        "_num_leaves",
+        "_full_top",
+        "_ctr",
+        "_mac",
+        "_bmt",
         "_comb",
         "_coalescer",
         "_nodes",
-        "_stream",
-        "_walks",
-        "_comb_stream",
+        "_out",
     )
 
     def __init__(self, walk: str, config, boundary: int) -> None:
         self.boundary = boundary
         self.walk = walk
         geometry = config.geometry()
-        self._geometry = geometry
         self._bpcb = config.blocks_per_counter_block
-        self._dims_ctr = _cache_dims(config.counter_cache_bytes, config.metadata_assoc)
-        self._dims_mac = _cache_dims(config.mac_cache_bytes, config.metadata_assoc)
-        self._dims_bmt = _cache_dims(config.bmt_cache_bytes, config.metadata_assoc)
-        self._ctr_sets = [{} for _ in range(self._dims_ctr[0])]
-        self._ctr_stats = [0, 0, 0, 0]  # hits, misses, evictions, dirty
-        self._mac_sets = [{} for _ in range(self._dims_mac[0])]
-        self._mac_stats = [0, 0, 0, 0]
-        self._bmt_sets = [{} for _ in range(self._dims_bmt[0])]
-        self._bmt_stats = [0, 0, 0, 0]
-        # The WPQ write-combiner (timing.{_WriteCombiner,_tuple_writes}):
-        # an LRU over (kind, block) keys, insertion order = LRU.
+        self._num_leaves = geometry.num_leaves
+        self._full_top = 1 << geometry.levels
+        assoc = config.metadata_assoc
+        self._ctr = _CacheReplay(config.counter_cache_bytes, assoc)
+        self._mac = _CacheReplay(config.mac_cache_bytes, assoc)
+        self._bmt = _CacheReplay(config.bmt_cache_bytes, assoc)
+        # The WPQ write-combiner (timing._WriteCombiner): an LRU over
+        # (kind, block) keys, insertion order = LRU.
         self._comb: dict = {}
         self._coalescer = (
             CoalescingUnit(geometry, policy="paired", telemetry=None)
@@ -660,123 +735,113 @@ class MetadataReplay:
             else None
         )
         # leaf -> ((BMT cache key, walk-code bit), ...), non-root nodes only
-        self._nodes = _Memo(
+        self._nodes = Memo(
             lambda leaf: tuple(
                 ((label - 1) // geometry.arity, 1 << i)
                 for i, label in enumerate(geometry.path_tuple(leaf))
                 if label
             )
         )
-        self._stream = bytearray()
-        self._walks = array("Q")
-        self._comb_stream = bytearray()
+        self._out = _empty_buffers()
 
     @property
     def counts(self) -> Tuple[int, ...]:
         """Cumulative ctr/mac/bmt hit/miss/eviction/dirty totals."""
-        return tuple(self._ctr_stats + self._mac_stats + self._bmt_stats)
+        return tuple(self._ctr.counts + self._mac.counts + self._bmt.counts)
 
-    def take(self) -> Tuple[bytearray, array, bytearray]:
-        """Drain the buffered (stream, walks, combiner) outcomes."""
-        out = (self._stream, self._walks, self._comb_stream)
-        self._stream = bytearray()
-        self._walks = array("Q")
-        self._comb_stream = bytearray()
+    def take(self) -> tuple:
+        """Drain the buffered ``(ctr, mac, bmt, walks, combiner)`` outcomes."""
+        out = self._out
+        self._out = _empty_buffers()
         return out
 
     def feed(self, events: List[tuple]) -> None:
-        """Replay one chunk of prepass events into the buffers."""
-        ctr = _md_access(self._ctr_sets, self._ctr_stats, self._dims_ctr)
-        mac = _md_access(self._mac_sets, self._mac_stats, self._dims_mac)
-        bmt = _md_access(self._bmt_sets, self._bmt_stats, self._dims_bmt)
-        geometry = self._geometry
-        num_leaves = geometry.num_leaves
-        full_top = 1 << geometry.levels
+        """Replay one chunk of prepass events into the buffers.
+
+        The events are first turned into one list per structure, in
+        call order: the data blocks whose counter and MAC the handlers
+        touch (and whether they write), the BMT walks, and the blocks
+        whose tuple writes meet the combiner.  Each cache, and the
+        combiner, then replays its own list.
+        """
+        num_leaves = self._num_leaves
+        full_top = self._full_top
         nodes = self._nodes
         bpcb = self._bpcb
         boundary = self.boundary
         walk_writebacks = self.walk == WALK_WRITEBACK
         coalescer = self._coalescer
-        comb = self._comb
-        comb_capacity = timing.COMBINER_CAPACITY
-        emit_walk = self._walks.append
-        emit = self._stream.append
-        emit_comb = self._comb_stream.append
-
-        def absorbs(key) -> None:
-            if key in comb:
-                del comb[key]
-                comb[key] = None
-                emit_comb(True)
-                return
-            comb[key] = None
-            if len(comb) > comb_capacity:
-                del comb[next(iter(comb))]
-            emit_comb(False)
-
-        def tuple_writes(block: int) -> None:
-            absorbs(("data", block))
-            absorbs(("ctr", block // bpcb))
-            absorbs(("mac", block >> 3))
-
-        def bmt_update_walk(pairs, code: int) -> None:
-            for key, bit in pairs:
-                if not bmt(key, True):
-                    code |= bit
-            emit_walk(code)
-
-        def writeback(victim: int) -> None:
-            emit(ctr(victim // bpcb, True))
-            emit(mac(victim >> 3, True))
-            tuple_writes(victim)
-            if walk_writebacks:
-                bmt_update_walk(nodes[victim // bpcb % num_leaves], full_top)
-
-        def flush(blocks) -> None:
-            for b in blocks:
-                emit(ctr(b // bpcb, True))
-                emit(mac(b >> 3, True))
-                tuple_writes(b)
+        blocks: List[int] = []
+        writes: List[bool] = []
+        walks: List[tuple] = []
+        combined: List[int] = []
+        for ev in events:
+            tag = ev[1]
+            if tag == _EV_FLUSH:
+                flushed = ev[6]
+            else:
+                victims = ev[3]
+                if tag == _EV_STORE and ev[5] is not None and ev[0] >= boundary:
+                    victims = (*victims, ev[5])
+                for victim in victims:
+                    blocks.append(victim)
+                    writes.append(True)
+                    combined.append(victim)
+                    if walk_writebacks:
+                        walks.append((nodes[victim // bpcb % num_leaves], full_top))
+                block = ev[2]
+                if tag == _EV_LOAD:
+                    if ev[4]:
+                        blocks.append(block)
+                        writes.append(False)
+                        walks.append((nodes[block // bpcb % num_leaves], 0))
+                    continue
+                flushed = ev[6]
+                if flushed is None:
+                    if ev[7]:
+                        blocks.append(block)
+                        writes.append(True)
+                        walks.append((nodes[block // bpcb % num_leaves], full_top))
+                        combined.append(block)
+                    continue
+            blocks.extend(flushed)
+            writes.extend([True] * len(flushed))
+            combined.extend(flushed)
             if coalescer is not None:
                 # Pairing depends only on the leaf sequence, not the ids.
-                pairs = [(i, b // bpcb % num_leaves) for i, b in enumerate(blocks)]
+                pairs = [(i, b // bpcb % num_leaves) for i, b in enumerate(flushed)]
                 for persist in coalescer.coalesce_epoch(pairs):
                     length = len(persist.path)
                     if length:
-                        bmt_update_walk(nodes[persist.leaf_index][:length], 1 << length)
+                        walks.append((nodes[persist.leaf_index][:length], 1 << length))
             else:
-                for b in blocks:
-                    bmt_update_walk(nodes[b // bpcb % num_leaves], full_top)
+                walks.extend((nodes[b // bpcb % num_leaves], full_top) for b in flushed)
+        ctr, mac, bmt, codes, comb = self._out
+        self._ctr.accesses([b // bpcb for b in blocks], writes, ctr)
+        self._mac.accesses([b >> 3 for b in blocks], writes, mac)
+        self._bmt.walks(walks, codes, bmt)
+        self._combine(combined, comb)
 
-        for ev in events:
-            tag = ev[1]
-            if tag == _EV_STORE:
-                for victim in ev[3]:
-                    writeback(victim)
-                if ev[5] is not None and ev[0] >= boundary:
-                    writeback(ev[5])
-                if ev[6] is not None:
-                    flush(ev[6])
-                elif ev[7]:
-                    block = ev[2]
-                    emit(ctr(block // bpcb, True))
-                    emit(mac(block >> 3, True))
-                    bmt_update_walk(nodes[block // bpcb % num_leaves], full_top)
-                    tuple_writes(block)
-            elif tag == _EV_LOAD:
-                for victim in ev[3]:
-                    writeback(victim)
-                if ev[4]:
-                    block = ev[2]
-                    emit(ctr(block // bpcb, False))
-                    emit(mac(block >> 3, False))
-                    for key, _ in nodes[block // bpcb % num_leaves]:
-                        hit = bmt(key, False)
-                        emit(hit)
-                        if hit:
-                            break  # verification stops at a trusted node
-            else:  # _EV_FLUSH
-                flush(ev[6])
+    def _combine(self, blocks: List[int], out: bytearray) -> None:
+        """Replay the combiner over ``blocks``' tuple writes
+        (``timing._WriteCombiner.tuple_writes``): one byte per tuple,
+        the number of its writes not merged."""
+        comb = self._comb
+        capacity = timing.COMBINER_CAPACITY
+        bpcb = self._bpcb
+        emit = out.append
+        for block in blocks:
+            issued = 0
+            for key in (("data", block), ("ctr", block // bpcb), ("mac", block >> 3)):
+                if key in comb:
+                    del comb[key]
+                    comb[key] = None
+                    continue
+                issued += 1
+                comb[key] = None
+                if len(comb) > capacity:
+                    del comb[next(iter(comb))]
+            emit(issued)
 
 
 def _metadata_script_for(sim, trace: MemoryTrace, boundary: int) -> MetadataScript:
@@ -820,19 +885,18 @@ def _metadata_script_for(sim, trace: MemoryTrace, boundary: int) -> MetadataScri
     if script is None:
         md = MetadataReplay(shape.walk, cfg, boundary)
         md.feed(_prepass_for(sim, trace).events)
-        stream, walks, comb_stream = md.take()
-        script = MetadataScript(stream, walks, comb_stream, md.counts)
+        script = MetadataScript(md.take(), md.counts)
         memo[key] = script
     return script
 
 
 class _ScriptedCombiner:
-    """Drop-in for ``timing._WriteCombiner`` replaying scripted verdicts."""
+    """Drop-in for ``timing._WriteCombiner`` replaying scripted counts."""
 
-    __slots__ = ("absorbs",)
+    __slots__ = ("tuple_writes",)
 
     def __init__(self, nxt) -> None:
-        self.absorbs = lambda kind, block: nxt()
+        self.tuple_writes = lambda block, counter_block: nxt()
 
 
 def _column(column, dtype):
@@ -842,32 +906,31 @@ def _column(column, dtype):
 def wants_script(sim) -> bool:
     """Whether ``sim`` takes the scripted-metadata fast path.
 
-    It does when the metadata caches are live (not ideal), no
-    instrumentation closure (telemetry ``cache_events``) already shadows
-    the access methods, and a BMT path fits a 64-bit walk code.  The
-    instrumented, ideal and outsized-tree paths keep the live code, so
-    those runs stay bit-identical through shared code.
+    :func:`repro.system.timing.scripts_metadata` decides, from the
+    config alone, so a scripted simulator was built with no live
+    metadata cache sets.  The instrumented, ideal and outsized-tree
+    paths keep the live code, so those runs stay bit-identical through
+    shared code.
     """
-    metadata = sim.metadata
-    live = not metadata.ideal and "access_counter" not in metadata.__dict__
-    return live and sim.geometry.levels < 64
+    return timing.scripts_metadata(sim.config)
 
 
 class ScriptFeed:
     """Deque-fed scripted metadata accessors installed on a simulator.
 
-    Replaces the three live metadata caches, the scoreboard's BMT walk
-    costing and the WPQ write-combiner with reads of a precomputed
+    Replaces the three metadata-cache accessors (a scripted simulator
+    builds no live cache sets), the scoreboard's BMT walk costing and
+    the WPQ write-combiner with reads of a precomputed
     :class:`MetadataScript` — the single hottest cost in the timed
     handlers.  Outcomes arrive part by part via :meth:`extend`, which
     prices each walk code under this run's scoreboard latencies, and
     the shadowed accessors pop them in the order the timed handlers
-    consume them.  :meth:`restore` puts the live machinery back;
+    consume them.  :meth:`restore` removes the shadowing accessors;
     :meth:`assert_drained` is the consumed-exactly check (a shortfall
     surfaces earlier, as the ``IndexError`` of an empty deque).
     """
 
-    __slots__ = ("_sim", "_scoreboard", "_combiner", "_prices", "stream", "walks", "comb")
+    __slots__ = ("_sim", "_scoreboard", "_combiner", "_prices", "_queues")
 
     def __init__(self, sim) -> None:
         self._sim = sim
@@ -876,24 +939,23 @@ class ScriptFeed:
         # Walk code -> (costs, misses) under this run's latencies, priced
         # once per code and shared (no scoreboard mutates its costs).
         mac, miss = sim.scoreboard.mac_latency, sim.scoreboard.bmt_miss_latency
-        self._prices = _Memo(
+        self._prices = Memo(
             lambda code: (
                 [mac + miss if code >> i & 1 else mac for i in range(code.bit_length() - 1)],
                 bin(code).count("1") - 1,
             )
         )
-        self.stream: deque = deque()
-        self.walks: deque = deque()
-        self.comb: deque = deque()
-        nxt = self.stream.popleft
-        walk_next = self.walks.popleft
+        # One queue per MetadataScript buffer, in ``buffers`` order.
+        self._queues = ctr, mac_q, bmt, walks, comb = tuple(deque() for _ in range(5))
+        ctr_next, mac_next, bmt_next = ctr.popleft, mac_q.popleft, bmt.popleft
+        walk_next = walks.popleft
         scoreboard = sim.scoreboard
         metadata = sim.metadata
-        metadata.access_counter = lambda block, is_write: nxt()
-        metadata.access_mac = lambda block, is_write: nxt()
+        metadata.access_counter = lambda block, is_write: ctr_next()
+        metadata.access_mac = lambda block, is_write: mac_next()
 
         def _scripted_bmt(label: int, is_write: bool) -> bool:
-            return True if label == 0 else nxt()
+            return True if label == 0 else bmt_next()
 
         metadata.access_bmt_node = _scripted_bmt
 
@@ -904,12 +966,16 @@ class ScriptFeed:
             return costs
 
         scoreboard._level_costs = _scripted_level_costs
-        sim._combiner = _ScriptedCombiner(self.comb.popleft)
+        sim._combiner = _ScriptedCombiner(comb.popleft)
 
-    def extend(self, stream, walks, comb) -> None:
-        self.stream.extend(stream)
-        self.walks.extend(map(self._prices.__getitem__, walks))
-        self.comb.extend(comb)
+    def extend(self, ctr, mac, bmt, walks, comb) -> None:
+        """Queue one part's script buffers (:attr:`MetadataScript.buffers`)."""
+        queues = self._queues
+        queues[0].extend(ctr)
+        queues[1].extend(mac)
+        queues[2].extend(bmt)
+        queues[3].extend(map(self._prices.__getitem__, walks))
+        queues[4].extend(comb)
 
     def restore(self) -> None:
         metadata = self._sim.metadata
@@ -919,7 +985,7 @@ class ScriptFeed:
         self._sim._combiner = self._combiner
 
     def assert_drained(self) -> None:
-        if self.stream or self.walks or self.comb:
+        if any(self._queues):
             raise RuntimeError("batched metadata script not fully consumed")
 
 
@@ -932,15 +998,15 @@ def chunk_ticks(chunk, events: List[tuple], pos: Tuple[int, int, int], boundary:
     position entering it.  Every op retires one tick except sfence
     (which only carries its gap); instructions count gap+1 for every
     op.  Returns the tick of each event (an event past the chunk's last
-    op, i.e. the end-of-trace drain, sits at the chunk's end), the
-    position after the chunk, and the position after op
-    ``boundary - 1`` (the warmup snapshot) when that op lies in the
-    chunk, else ``None``.
+    op, i.e. the end-of-trace drain, sits at the chunk's end) as an
+    ``array('q')``, the position after the chunk, and the position
+    after op ``boundary - 1`` (the warmup snapshot) when that op lies
+    in the chunk, else ``None``.
     """
     start, tick_base, instr_base = pos
     n = len(chunk)
     if not n:
-        return [tick_base] * len(events), pos, None
+        return array("q", [tick_base] * len(events)), pos, None
     gaps = _column(chunk.gaps, np.uint32).astype(np.int64)
     cum = np.cumsum(gaps + (_column(chunk.kind_codes, np.uint8) != KIND_SFENCE))
     cum += tick_base
@@ -949,12 +1015,11 @@ def chunk_ticks(chunk, events: List[tuple], pos: Tuple[int, int, int], boundary:
         local = boundary - start
         snap = (boundary, int(cum[local - 1]), instr_base + int(gaps[:local].sum()) + local)
     index = np.fromiter(map(itemgetter(0), events), np.int64, len(events))
-    ticks = cum.take(index - start, mode="clip").tolist()
+    ticks = array("q", cum.take(index - start, mode="clip").tobytes())
     return ticks, (start + n, int(cum[-1]), instr_base + int(gaps.sum()) + n), snap
 
 
 _COUNTED = ("l1", "l2", "l3", "ctr", "mac", "bmt")
-_COUNT_KINDS = ("hits", "misses", "evictions", "dirty_evictions")
 
 
 def merge_counts(stats, counts: Tuple[int, ...]) -> None:
@@ -967,9 +1032,9 @@ def merge_counts(stats, counts: Tuple[int, ...]) -> None:
     engine never builds the live hierarchy); the metadata totals add to
     whatever the live caches absorbed before scripting took over.
     """
-    counter = stats.counter
-    for i, value in enumerate(counts):
-        counter(f"{_COUNTED[i // 4]}.{_COUNT_KINDS[i % 4]}").value += value
+    for i in range(0, len(counts), 4):
+        for counter, value in zip(cache_counters(_COUNTED[i // 4], stats), counts[i : i + 4]):
+            counter.value += value
 
 
 def _open_window(sim, snap: Tuple[int, int, int]):
@@ -988,7 +1053,7 @@ def run_pass2(sim, name: str, boundary: int, parts, scripted: bool):
     prepass events, the tick of each (:func:`chunk_ticks`), the
     ``(ops, ticks, instructions)`` position after the span, the warmup
     position when it falls inside the span (else ``None``), its
-    ``(stream, walks, combiner)`` metadata-script buffers (``None``
+    metadata-script buffers (:attr:`MetadataScript.buffers`, ``None``
     unless ``scripted``), and replayed cache totals to merge
     (:func:`merge_counts`) or ``None``.  The memoized run passes the
     whole trace as one part, the streamed run parts of at most
@@ -1054,12 +1119,30 @@ def run_pass2(sim, name: str, boundary: int, parts, scripted: bool):
     return sim._make_result(name, window, end[2])
 
 
+def _ticks_for(sim, trace: MemoryTrace, events: List[tuple], boundary: int):
+    """Fetch (or place and memoize) the whole trace's tick placement.
+
+    :func:`chunk_ticks` over the trace as one chunk, memoized on
+    ``trace._stat_cache`` beside the prepass whose ``events`` it places
+    and keyed on that prepass and the warmup boundary: the runs of one
+    trace under different schemes of one replay shape share it.
+    """
+    cfg = sim.config
+    key = ("batched_ticks", _prepass_key(replay_shape(cfg), cfg), boundary)
+    memo = trace._stat_cache
+    placed = memo.get(key)
+    if placed is None:
+        placed = memo[key] = chunk_ticks(trace, events, (0, 0, 0), boundary)
+    return placed
+
+
 def run_batched(sim, trace: MemoryTrace, warmup_fraction: float):
     """Memoized batched run: the whole trace is pass 2's one part.
 
-    The events and the metadata script come from the trace's memos
-    (:func:`_prepass_for`, :func:`_metadata_script_for`), so repeated
-    runs of one trace pay only for the tick placement and the dispatch.
+    The events, the metadata script and the tick placement come from
+    the trace's memos (:func:`_prepass_for`, :func:`_metadata_script_for`,
+    :func:`_ticks_for`), so repeated runs of one trace pay only for the
+    dispatch.
     """
     n = len(trace)
     boundary = int(n * warmup_fraction)
@@ -1069,9 +1152,9 @@ def run_batched(sim, trace: MemoryTrace, warmup_fraction: float):
     counts = pre.cache_counts
     if scripted:
         md = _metadata_script_for(sim, trace, boundary)
-        script = (md.stream, md.walks, md.combiner)
+        script = md.buffers
         counts += md.counts
-    ticks, end, snap = chunk_ticks(trace, pre.events, (0, 0, 0), boundary)
+    ticks, end, snap = _ticks_for(sim, trace, pre.events, boundary)
     part = (pre.events, ticks, end, snap, script, counts)
     return run_pass2(sim, trace.name, boundary, (part,), scripted)
 

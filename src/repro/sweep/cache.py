@@ -55,10 +55,9 @@ def config_digest(config: SystemConfig) -> str:
     # must not fork cache keys (a telemetry-on run is a valid cache hit
     # for a telemetry-off sweep and vice versa).
     payload.pop("telemetry", None)
-    # Likewise the timing-engine family: batched, skip-ahead, and
-    # stepped are bit-identical by construction (the differential
-    # harness enforces it), so any engine's result is a valid hit for
-    # the others.
+    # Likewise the timing-engine family: batched and skip-ahead are
+    # bit-identical by construction (the differential harness enforces
+    # it), so either engine's result is a valid hit for the other.
     payload.pop("engine", None)
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]

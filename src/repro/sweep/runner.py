@@ -30,7 +30,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 # The default engine, and numpy with it, loads with the runner: set-up
 # pays for it once, and forked pool workers inherit it rather than each
@@ -278,7 +278,7 @@ atexit.register(shutdown_pool)
 
 def run_tasks(
     specs: Sequence[Any],
-    keys: Sequence[str],
+    keys: Sequence[Hashable],
     execute: Callable[[Any], Any],
     workers: Optional[int] = None,
     cache: Optional[JSONCache] = None,
@@ -294,7 +294,10 @@ def run_tasks(
 
     Args:
         specs: Task specs, in output order.
-        keys: Content-addressed key per spec (``len(keys) == len(specs)``).
+        keys: Key per spec (``len(keys) == len(specs)``): specs with
+            equal keys are executed once.  With a ``cache`` they are
+            its content-addressed string keys; without one, any
+            hashable key that equal specs share.
         execute: Module-level callable run per unique pending spec.
         workers: Process count (``None``: ``PLP_SWEEP_JOBS`` or CPU
             count; ``1`` runs inline with no pool).
@@ -316,8 +319,8 @@ def run_tasks(
 
     results: List[Any] = [None] * len(specs)
     # Deduplicate identical specs and resolve cache hits first.
-    pending: "OrderedDict[str, List[int]]" = OrderedDict()
-    pending_spec: Dict[str, Any] = {}
+    pending: "OrderedDict[Hashable, List[int]]" = OrderedDict()
+    pending_spec: Dict[Hashable, Any] = {}
     for index, (spec, key) in enumerate(zip(specs, keys)):
         if key in pending:
             pending[key].append(index)
@@ -332,7 +335,7 @@ def run_tasks(
         pending[key] = [index]
         pending_spec[key] = spec
 
-    def _install(key: str, result: Any) -> None:
+    def _install(key: Hashable, result: Any) -> None:
         for index in pending[key]:
             results[index] = result
         if cache is not None:
@@ -372,6 +375,14 @@ def run_tasks(
     return results, report
 
 
+def _hashable(job: SweepJob) -> bool:
+    try:
+        hash(job)
+    except TypeError:  # an unhashable override value, e.g. an NVMConfig
+        return False
+    return True
+
+
 def _execute_pair(pair: Tuple[SweepJob, SystemConfig]) -> SimResult:
     """Worker entry point for :func:`run_jobs` specs."""
     job, config = pair
@@ -409,19 +420,25 @@ def run_jobs(
             result_cache = ResultCache(cache)
 
     specs: List[Tuple[SweepJob, SystemConfig]] = []
-    keys: List[str] = []
+    keys: List[Hashable] = []
     for job in jobs:
         config = job.resolved_config(base_config)
         specs.append((job, config))
-        keys.append(
-            job_key(
-                job.benchmark,
-                job.kilo_instructions,
-                job.seed,
-                job.warmup_fraction,
-                config,
+        # Without a cache the key only dedupes this call's jobs, and
+        # under one base config equal jobs are equal simulations, so
+        # the job itself is the key; no digest is taken.
+        if result_cache is None and _hashable(job):
+            keys.append(job)
+        else:
+            keys.append(
+                job_key(
+                    job.benchmark,
+                    job.kilo_instructions,
+                    job.seed,
+                    job.warmup_fraction,
+                    config,
+                )
             )
-        )
     return run_tasks(
         specs, keys, _execute_pair, workers=workers, cache=result_cache
     )

@@ -98,18 +98,16 @@ class SystemConfig:
     # Timing engine.
     engine: str = "batched"
     """Timing-engine family: ``"batched"`` (array-native independence
-    runs over the packed trace columns, the default), ``"skip_ahead"``
-    (the scalar event-queue engine), or ``"stepped"`` (the per-cycle
-    reference oracle).  All three produce bit-identical ``SimResult``s
-    and telemetry streams — skip_ahead validates the batched partition,
-    stepped validates the skip-ahead arithmetic — so, like
-    ``telemetry``, this knob is excluded from result-cache keys."""
+    runs over the packed trace columns, the default) or ``"skip_ahead"``
+    (the scalar event-queue engine).  Both produce bit-identical
+    ``SimResult``s and telemetry streams — skip_ahead validates the
+    batched partition — so, like ``telemetry``, this knob is excluded
+    from result-cache keys."""
 
     def __post_init__(self) -> None:
-        if self.engine not in ("batched", "skip_ahead", "stepped"):
+        if self.engine not in ("batched", "skip_ahead"):
             raise ValueError(
-                "engine must be 'batched', 'skip_ahead' or 'stepped', "
-                f"got {self.engine!r}"
+                f"engine must be 'batched' or 'skip_ahead', got {self.engine!r}"
             )
         if self.mac_latency < 0:
             raise ValueError("mac_latency must be non-negative")

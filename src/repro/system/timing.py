@@ -18,12 +18,13 @@ advances a core-cycle clock:
     boundary flushes the epoch's unique dirty blocks as persists through
     the OOO/coalescing scoreboard, gated by the 2-entry ETT.
 
-BMT update timing runs on the scheme's scoreboard, in the engine family
-selected by ``SystemConfig.engine``: the skip-ahead event-queue engine
-(default) jumps the clock straight to each pending completion event,
-while the per-cycle ``"stepped"`` reference burns every cycle and acts
-as the validation oracle — both are bit-identical by construction (see
-:mod:`repro.core.schedulers` and :mod:`repro.core.stepped`).
+BMT update timing runs on the scheme's scoreboard
+(:mod:`repro.core.schedulers`), which jumps the clock straight to each
+pending completion event.  ``SystemConfig.engine`` selects how the
+trace walk reaches the timed handlers: the scalar ``"skip_ahead"`` loop
+below visits every op, while the ``"batched"`` engine
+(:mod:`repro.sim.batched`) visits only the eventful ones; both share
+the handlers and are bit-identical.
 
 The result reports total cycles, IPC, and persists-per-kilo-instruction
 (Table V's PPKI metric).
@@ -37,6 +38,7 @@ from typing import Dict, List, Tuple
 
 from repro.core.schedulers import OccupancyRing, make_scoreboard
 from repro.core.schemes import EXTRA_FRONTIER, EXTRA_NONE, EXTRA_ONE, EXTRA_PATH
+from repro.mem.cache import cache_counters
 from repro.mem.hierarchy import CacheHierarchy
 from repro.mem.metadata_cache import MetadataCaches
 from repro.mem.nvm import NVMModel
@@ -97,6 +99,24 @@ def prehistoric_dirty_blocks() -> range:
     return range(0x100000, 0x100000 + 9 * DIRTY_WINDOW_CAPACITY, 9)
 
 
+def scripts_metadata(config: SystemConfig) -> bool:
+    """Whether a run under ``config`` replays its metadata from a script.
+
+    Batched runs do (see :func:`repro.sim.batched.wants_script`), unless
+    the metadata caches are ideal, telemetry's ``cache_events``
+    instruments them, or a BMT path is too long for a 64-bit walk code:
+    those runs, like every skip_ahead run, use live metadata caches.  A
+    scripted run builds no live metadata cache sets.
+    """
+    tel = config.telemetry
+    return (
+        config.engine == "batched"
+        and not config.ideal_metadata
+        and not (tel.enabled and tel.cache_events)
+        and config.geometry().levels < 64
+    )
+
+
 def _source_name_len(source) -> Tuple[str, int]:
     """Name and op count of a chunk source (TraceReader or MemoryTrace)."""
     if hasattr(source, "summary"):
@@ -129,6 +149,16 @@ class _WriteCombiner:
         if len(self._recent) > self.capacity:
             self._recent.popitem(last=False)
         return False
+
+    def tuple_writes(self, block: int, counter_block: int) -> int:
+        """NVM writes a persist tuple issues: its data, counter and MAC
+        block writes, in that order, less those that merge."""
+        absorbs = self.absorbs
+        return (
+            (not absorbs("data", block))
+            + (not absorbs("ctr", counter_block))
+            + (not absorbs("mac", block >> 3))
+        )
 
 
 @dataclass
@@ -199,8 +229,7 @@ class TraceSimulator:
             self.hierarchy = None
             self._dirty_window = None
             for level in ("l1", "l2", "l3"):
-                for suffix in ("hits", "misses", "evictions", "dirty_evictions"):
-                    self.stats.counter(f"{level}.{suffix}")
+                cache_counters(level, self.stats)
         else:
             self.hierarchy = CacheHierarchy(
                 l1_bytes=config.l1_bytes,
@@ -213,17 +242,20 @@ class TraceSimulator:
                 stats=self.stats,
             )
             self._dirty_window = OrderedDict.fromkeys(prehistoric_dirty_blocks())
-        self.metadata = MetadataCaches(
-            self.geometry,
-            counter_bytes=config.counter_cache_bytes,
-            mac_bytes=config.mac_cache_bytes,
-            bmt_bytes=config.bmt_cache_bytes,
-            assoc=config.metadata_assoc,
-            ideal=config.ideal_metadata,
-            blocks_per_counter_block=config.blocks_per_counter_block,
-            stats=self.stats,
-            telemetry=self.telemetry,
-        )
+        if scripts_metadata(config):
+            self.metadata = MetadataCaches.counters_only(self.stats)
+        else:
+            self.metadata = MetadataCaches(
+                self.geometry,
+                counter_bytes=config.counter_cache_bytes,
+                mac_bytes=config.mac_cache_bytes,
+                bmt_bytes=config.bmt_cache_bytes,
+                assoc=config.metadata_assoc,
+                ideal=config.ideal_metadata,
+                blocks_per_counter_block=config.blocks_per_counter_block,
+                stats=self.stats,
+                telemetry=self.telemetry,
+            )
         self.nvm = NVMModel(config.nvm, stats=self.stats)
         self.wpq_ring = OccupancyRing(config.wpq_entries)
         self.scoreboard = make_scoreboard(
@@ -440,16 +472,17 @@ class TraceSimulator:
         now = int(now_f)
         done = self.nvm.read(now)
         # Counter and MAC must be on-chip to decrypt/verify the fill.
-        if not self.metadata.access_counter(block, is_write=False):
+        metadata = self.metadata
+        if not metadata.access_counter(block, False):
             done = max(done, self.nvm.read(now))
-        if not self.metadata.access_mac(block, is_write=False):
+        if not metadata.access_mac(block, False):
             done = max(done, self.nvm.read(now))
         # The fill is integrity-verified up the BMT; verification is
         # overlapped with use (§VI) so it adds no latency, but its node
         # reads occupy — and pollute — the BMT cache.
-        access_bmt = self.metadata.access_bmt_node
+        access_bmt = metadata.access_bmt_node
         for label in self.geometry.path_tuple(self._leaf_of(block)):
-            if access_bmt(label, is_write=False):
+            if access_bmt(label, False):
                 break  # verification stops at the first trusted cached node
         # The fill's demand verification queues behind in-flight BMT
         # updates (bounded: demand requests are prioritized after at most
@@ -517,41 +550,44 @@ class TraceSimulator:
                 self._handle_writeback(victim)
 
     def _persist_store(self, block: int) -> None:
-        """Write-through persist (unordered / sp / pipeline)."""
-        now = int(self._clock())
-        admit = self.wpq_ring.admit(now)
+        """Write-through persist (unordered / sp / pipeline).
+
+        The hottest handler (one call per write-through persist), so it
+        reads the clock (``_clock``) and maps the leaf (``_leaf_of``)
+        inline.
+        """
+        now = int(self._clock_base + (self._ticks - self._clock_ticks0) * self._cpi)
+        ring = self.wpq_ring
+        admit = ring.admit(now)
         if admit > now:
-            self._wpq_stall.add(admit - now)
+            self._wpq_stall.value += admit - now
             self._anchor(float(admit))
             arrival = admit
         else:
             arrival = now
         arrival = self._metadata_update(block, arrival)
         persist_id = self._next_persist_id
-        timing = self.scoreboard.submit(persist_id, self._leaf_of(block), arrival)
-        self._next_persist_id += 1
+        completion = self.scoreboard.submit(
+            persist_id, block // self._blocks_per_counter_block % self._num_leaves, arrival
+        ).completion
+        self._next_persist_id = persist_id + 1
         self._persist_count += 1
-        self._last_completion = max(self._last_completion, timing.completion)
-        self.wpq_ring.occupy(timing.completion)
+        if completion > self._last_completion:
+            self._last_completion = completion
+        ring.occupy(completion)
         tel = self.telemetry
         if tel is not None:
             tel.instant(
                 EventKind.WPQ_ENQUEUE, arrival, "wpq", ident=persist_id,
                 args={"block": block},
             )
-            tel.instant(
-                EventKind.WPQ_RELEASE, timing.completion, "wpq", ident=persist_id
-            )
-            tel.sample(
-                "wpq.occupancy", arrival, self.wpq_ring.occupancy(arrival)
-            )
-        # Tuple writes drain to NVM in the background (bandwidth).
-        self._tuple_writes(block, arrival)
-        # Extra per-persist metadata writes (SGX whole path, Triad-NVM
-        # persisted frontier, Phoenix leaf, Anubis shadow entry).
-        for _ in range(self._extra_persist_writes):
-            self.nvm.write(arrival)
-
+            tel.instant(EventKind.WPQ_RELEASE, completion, "wpq", ident=persist_id)
+            tel.sample("wpq.occupancy", arrival, ring.occupancy(arrival))
+        # Tuple writes drain to NVM in the background (bandwidth), with
+        # the extra per-persist metadata writes (SGX whole path,
+        # Triad-NVM persisted frontier, Phoenix leaf, Anubis shadow
+        # entry).
+        self._tuple_writes(block, arrival, self._extra_persist_writes)
 
     def _leaf_of(self, block: int) -> int:
         """Map a block's counter block to a BMT leaf (folding large
@@ -560,21 +596,21 @@ class TraceSimulator:
             block // self._blocks_per_counter_block
         ) % self._num_leaves
 
-    def _tuple_writes(self, block: int, when: int) -> None:
-        """Issue the persist's NVM writes, with WPQ write-combining."""
-        absorbs, write = self._combiner.absorbs, self.nvm.write
-        if not absorbs("data", block):
-            write(when)
-        if not absorbs("ctr", block // self._blocks_per_counter_block):
-            write(when)
-        if not absorbs("mac", block >> 3):
-            write(when)
+    def _tuple_writes(self, block: int, when: int, extra: int = 0) -> None:
+        """Issue the persist's NVM writes: the tuple writes the WPQ
+        write-combiner does not merge, then ``extra`` metadata writes."""
+        count = extra + self._combiner.tuple_writes(
+            block, block // self._blocks_per_counter_block
+        )
+        if count:
+            self.nvm.write(when, count)
 
     def _metadata_update(self, block: int, arrival: int) -> int:
         """Counter and MAC updates for a persist; misses delay it."""
-        if not self.metadata.access_counter(block, is_write=True):
+        metadata = self.metadata
+        if not metadata.access_counter(block, True):
             arrival = self.nvm.read(arrival)
-        if not self.metadata.access_mac(block, is_write=True):
+        if not metadata.access_mac(block, True):
             arrival = max(arrival, self.nvm.read(arrival))
         return arrival
 
@@ -652,27 +688,26 @@ class TraceSimulator:
         # The WPQ gates how far the core can run ahead of the engine.
         admit = self.wpq_ring.admit(now)
         if admit > now:
-            self._wpq_stall.add(admit - now)
+            self._wpq_stall.value += admit - now
             self._anchor(float(admit))
             arrival = max(arrival, admit)
         persist_id = self._next_persist_id
-        timing = self.scoreboard.submit(persist_id, self._leaf_of(block), arrival)
-        self._next_persist_id += 1
+        completion = self.scoreboard.submit(
+            persist_id, self._leaf_of(block), arrival
+        ).completion
+        self._next_persist_id = persist_id + 1
         self._persist_count += 1
-        self._last_completion = max(self._last_completion, timing.completion)
-        self.wpq_ring.occupy(timing.completion)
+        if completion > self._last_completion:
+            self._last_completion = completion
+        self.wpq_ring.occupy(completion)
         tel = self.telemetry
         if tel is not None:
             tel.instant(
                 EventKind.WPQ_ENQUEUE, arrival, "wpq", ident=persist_id,
                 args={"block": block, "writeback": True},
             )
-            tel.instant(
-                EventKind.WPQ_RELEASE, timing.completion, "wpq", ident=persist_id
-            )
-            tel.sample(
-                "wpq.occupancy", arrival, self.wpq_ring.occupancy(arrival)
-            )
+            tel.instant(EventKind.WPQ_RELEASE, completion, "wpq", ident=persist_id)
+            tel.sample("wpq.occupancy", arrival, self.wpq_ring.occupancy(arrival))
 
     # ------------------------------------------------------------------
     # end of trace

@@ -139,3 +139,40 @@ def test_memoized_lookups_validate_range(small_geometry):
         g.path_tuple(g.num_leaves)
     with pytest.raises(IndexError):
         g.path_tuple(-1)
+
+
+def _wide_trace(leaves: int):
+    """Persistent stores to ``leaves`` distinct pages: one BMT leaf each."""
+    from repro.workloads.trace import KIND_STORE, MemoryTrace
+
+    trace = MemoryTrace(name="wide")
+    for page in range(leaves):
+        trace.append_op(KIND_STORE, page << 12, gap=2, persistent=1)
+    return trace
+
+
+@pytest.mark.parametrize("engine", ["batched", "skip_ahead"])
+def test_memos_stay_bounded_on_runs_wider_than_the_bound(monkeypatch, engine):
+    """A run touching more leaves than the memo bound keeps each of the
+    shared geometry's memos within it, and returns the result a run with
+    memos that never fill returns."""
+    from repro.core.schemes import UpdateScheme
+    from repro.sim import memo
+    from repro.system import config as system_config
+    from repro.system.timing import TraceSimulator
+
+    config = SystemConfig(scheme=UpdateScheme.COALESCING, engine=engine)
+    leaves = memo.MEMO_ENTRIES + 600
+
+    def fresh_run():
+        monkeypatch.setattr(system_config, "_GEOMETRY_CACHE", {})
+        result = TraceSimulator(config).run(_wide_trace(leaves), warmup_fraction=0.0)
+        return result, config.geometry().memo_info()
+
+    bounded, info = fresh_run()
+    assert max(info["paths"], info["ancestors"], info["lcas"]) <= memo.MEMO_ENTRIES
+
+    monkeypatch.setattr(memo, "MEMO_ENTRIES", 1 << 30)
+    unbounded, info = fresh_run()
+    assert info["paths"] >= leaves
+    assert bounded == unbounded

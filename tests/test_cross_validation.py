@@ -32,7 +32,7 @@ def run_engine(scheme, leaves, epochs=None, mac=40):
     return engine
 
 
-ENGINES = ["skip_ahead", "stepped"]
+ENGINES = ["skip_ahead"]
 
 
 def run_scoreboard(scheme, leaves, epochs=None, mac=40, engine="skip_ahead"):

@@ -1,17 +1,15 @@
-"""Differential harness: batched and skip-ahead engines vs the stepped
-reference.
+"""Differential harness: the batched engine vs the skip-ahead engine.
 
-All three timing-engine families (``SystemConfig.engine``) — the
-array-native batched engine (the default), the scalar skip-ahead
-event-queue engine, and the per-cycle stepped oracle — must be
-bit-identical: same ``SimResult`` field for field, and — with telemetry
-enabled — the same event stream, event for event.  This suite runs the
-engines over randomized (seeded) configs x workloads x all seven
-schemes and asserts exact equality; any drift in the batched prepass or
-the skip-ahead arithmetic fails here first.
+Both timing-engine families (``SystemConfig.engine``) — the
+array-native batched engine (the default) and the scalar skip-ahead
+event-queue engine — must be bit-identical: same ``SimResult`` field
+for field, and — with telemetry enabled — the same event stream, event
+for event.  This suite runs the engines over randomized (seeded)
+configs x workloads x every scheme and asserts exact equality; any
+drift in the batched prepass or metadata script fails here first.
 
 The scoreboard-level differential reuses ``test_cross_validation``'s
-machinery, so the stepped family is also validated against the
+machinery; the scoreboards themselves are validated against the
 cycle-accurate engine by the tests there.
 """
 
@@ -30,7 +28,7 @@ from test_cross_validation import run_scoreboard
 
 ALL_SCHEMES = list(UpdateScheme)
 WORKLOADS = ["gamess", "gcc"]
-KI = 2  # stepped is deliberately O(cycles waited); keep traces small
+KI = 2
 
 
 def _trace(name):
@@ -54,7 +52,7 @@ def random_config(seed: int, scheme: UpdateScheme, telemetry: bool = False) -> S
 def run_both(config: SystemConfig, trace):
     """Run the same config under every engine family."""
     out = {}
-    for engine in ("batched", "skip_ahead", "stepped"):
+    for engine in ("batched", "skip_ahead"):
         sim = TraceSimulator(config.variant(engine=engine))
         result = sim.run(trace)
         events = (
@@ -74,7 +72,7 @@ def run_both(config: SystemConfig, trace):
 def test_simresults_bit_identical(scheme, workload):
     trace = _trace(workload)
     out = run_both(SystemConfig(scheme=scheme), trace)
-    assert out["batched"][0] == out["skip_ahead"][0] == out["stepped"][0]
+    assert out["batched"][0] == out["skip_ahead"][0]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -82,7 +80,7 @@ def test_simresults_bit_identical(scheme, workload):
 def test_randomized_configs_bit_identical(scheme, seed):
     trace = _trace("gamess")
     out = run_both(random_config(seed, scheme), trace)
-    assert out["batched"][0] == out["skip_ahead"][0] == out["stepped"][0]
+    assert out["batched"][0] == out["skip_ahead"][0]
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.value)
@@ -92,9 +90,8 @@ def test_telemetry_streams_identical(scheme):
     out = run_both(random_config(7, scheme, telemetry=True), trace)
     batched_result, batched_events = out["batched"]
     skip_result, skip_events = out["skip_ahead"]
-    stepped_result, stepped_events = out["stepped"]
-    assert batched_result == skip_result == stepped_result
-    assert batched_events == skip_events == stepped_events
+    assert batched_result == skip_result
+    assert batched_events == skip_events
     # Both streams must also satisfy the 2SP gathering invariant.
     from repro.telemetry.events import TraceEvent
 
@@ -117,7 +114,7 @@ def test_cache_event_streams_identical(scheme):
         telemetry=TelemetryConfig(enabled=True, cache_events=True),
     )
     out = run_both(config, trace)
-    assert out["batched"] == out["skip_ahead"] == out["stepped"]
+    assert out["batched"] == out["skip_ahead"]
 
 
 @pytest.mark.parametrize("order", ["forward", "reverse"])
@@ -196,6 +193,47 @@ def test_outsized_tree_runs_live_metadata():
     assert not any(isinstance(v, MetadataScript) for v in trace._stat_cache.values())
 
 
+def test_scripted_run_builds_no_live_metadata_sets():
+    """A scripted batched run replays every metadata access, so it
+    allocates no live cache sets; its stats keep skip_ahead's keys, in
+    skip_ahead's order."""
+    from repro.sim.batched import wants_script
+
+    config = SystemConfig(scheme=UpdateScheme.SP)
+    sim = TraceSimulator(config)
+    assert wants_script(sim)
+    assert not hasattr(sim.metadata, "counter_cache")
+    result = sim.run(_trace("gcc"))
+    reference = TraceSimulator(config.variant(engine="skip_ahead")).run(_trace("gcc"))
+    assert result == reference
+    assert list(result.stats) == list(reference.stats)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"ideal_metadata": True},
+        {"telemetry": TelemetryConfig(enabled=True, cache_events=True)},
+        {"bmt_min_levels": 64},
+    ],
+    ids=["ideal", "cache_events", "64_levels"],
+)
+def test_unscriptable_batched_runs_keep_live_metadata(changes):
+    """Ideal metadata, per-access cache telemetry and a tree too deep for
+    a walk code keep the live caches under the batched engine, use them
+    (ideal caches are never touched), and match skip_ahead."""
+    from repro.sim.batched import wants_script
+
+    config = SystemConfig(scheme=UpdateScheme.COALESCING, **changes)
+    sim = TraceSimulator(config)
+    assert not wants_script(sim)
+    result = sim.run(_trace("gcc"))
+    reference = TraceSimulator(config.variant(engine="skip_ahead")).run(_trace("gcc"))
+    assert result == reference
+    resident = len(sim.metadata.counter_cache) + len(sim.metadata.bmt_cache)
+    assert (resident == 0) == config.ideal_metadata
+
+
 @pytest.mark.parametrize(
     "corrupt, error",
     [("surplus", RuntimeError), ("shortfall", IndexError)],
@@ -217,7 +255,7 @@ def test_memoized_script_mismatch_raises_and_restores(corrupt, error):
         value for value in trace._stat_cache.values() if isinstance(value, MetadataScript)
     ]
     if corrupt == "surplus":
-        script.stream.append(True)
+        script.ctr.append(True)
     else:
         script.walks.pop()
     sim = TraceSimulator(config)
@@ -227,7 +265,7 @@ def test_memoized_script_mismatch_raises_and_restores(corrupt, error):
     assert isinstance(sim._combiner, _WriteCombiner)
 
 
-@pytest.mark.parametrize("engine", ["batched", "skip_ahead", "stepped"])
+@pytest.mark.parametrize("engine", ["batched", "skip_ahead"])
 @pytest.mark.parametrize(
     "scheme",
     [
@@ -258,6 +296,8 @@ def test_scoreboard_level_differential(scheme, engine):
 def test_engine_field_validation():
     with pytest.raises(ValueError, match="engine"):
         SystemConfig(engine="warp_drive")
+    with pytest.raises(ValueError, match="engine"):
+        SystemConfig(engine="stepped")
 
 
 def test_engine_excluded_from_cache_key():
@@ -265,7 +305,7 @@ def test_engine_excluded_from_cache_key():
     from repro.sweep.cache import config_digest
 
     base = SystemConfig()
-    assert config_digest(base) == config_digest(base.variant(engine="stepped"))
+    assert config_digest(base) == config_digest(base.variant(engine="skip_ahead"))
 
 
 # ----------------------------------------------------------------------
@@ -283,10 +323,10 @@ APP_SCHEMES = [UpdateScheme.from_name(name) for name in APP_CAMPAIGN_SCHEMES]
 def test_kv_traces_bit_identical(scheme, idiom):
     """The lowered KV-store traces — log runs, pointer flips,
     barrier-dense commit sequences — produce bit-identical results
-    under all three engine families for the whole app-campaign roster."""
+    under both engine families for the whole app-campaign roster."""
     trace = app_memory_trace(idiom, "txn", reps=2)
     out = run_both(SystemConfig(scheme=scheme), trace)
-    assert out["batched"][0] == out["skip_ahead"][0] == out["stepped"][0]
+    assert out["batched"][0] == out["skip_ahead"][0]
 
 
 @pytest.mark.parametrize("idiom", ["snapshot", "undolog"])
@@ -295,7 +335,7 @@ def test_kv_trace_telemetry_identical(idiom):
     event (the barrier-heavy shape stresses epoch bookkeeping)."""
     trace = app_memory_trace(idiom, "deferred_fsync", reps=2)
     out = run_both(random_config(11, UpdateScheme.COALESCING, telemetry=True), trace)
-    assert out["batched"] == out["skip_ahead"] == out["stepped"]
+    assert out["batched"] == out["skip_ahead"]
 
 
 @pytest.mark.parametrize("idiom", ["snapshot", "undolog"])
@@ -303,7 +343,7 @@ def test_kv_trace_telemetry_identical(idiom):
 def test_kv_traces_randomized_configs(idiom, seed):
     trace = app_memory_trace(idiom, "torn")
     out = run_both(random_config(seed, UpdateScheme.O3), trace)
-    assert out["batched"][0] == out["skip_ahead"][0] == out["stepped"][0]
+    assert out["batched"][0] == out["skip_ahead"][0]
 
 
 @pytest.mark.parametrize(

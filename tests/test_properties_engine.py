@@ -35,7 +35,7 @@ GEOMETRY = BMTGeometry(num_leaves=512, arity=8)
 
 leaf_streams = st.lists(st.integers(0, 511), min_size=1, max_size=32)
 gap_streams = st.lists(st.integers(0, 500), min_size=1, max_size=32)
-ENGINES = ["batched", "skip_ahead", "stepped"]
+ENGINES = ["batched", "skip_ahead"]
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +87,7 @@ def test_epochs_drain_in_program_order(scheme, engine, leaves, epoch_size, gap):
 
 
 # ----------------------------------------------------------------------
-# three-way engine equivalence on hazard-forcing traces
+# engine equivalence on hazard-forcing traces
 # ----------------------------------------------------------------------
 
 
@@ -113,7 +113,7 @@ def test_epochs_drain_in_program_order(scheme, engine, leaves, epoch_size, gap):
 )
 @settings(max_examples=20, deadline=None)
 def test_engines_bit_identical_on_hazard_traces(scheme, ops, epoch_size, wpq_entries, warmup):
-    """batched == skip_ahead == stepped on traces built to split runs.
+    """batched == skip_ahead on traces built to split runs.
 
     The generated traces force the batched engine's independence-run
     partition to break at every hazard it special-cases: epoch
@@ -148,8 +148,120 @@ def test_engines_bit_identical_on_hazard_traces(scheme, ops, epoch_size, wpq_ent
             (e.kind, e.time, e.duration, e.track, e.ident, e.args)
             for e in sim.telemetry.events()
         ]
-    assert results["batched"] == results["skip_ahead"] == results["stepped"]
-    assert events["batched"] == events["skip_ahead"] == events["stepped"]
+    assert results["batched"] == results["skip_ahead"]
+    assert events["batched"] == events["skip_ahead"]
+
+
+# ----------------------------------------------------------------------
+# the prepass counts MRU-repeat loads instead of replaying them
+# ----------------------------------------------------------------------
+
+# Four 2-way L1 sets, so a dozen blocks per set evict, spill and write
+# back through small L2/L3 levels.
+SMALL_CACHES = dict(
+    l1_bytes=512, l1_assoc=2, l2_bytes=1024, l2_assoc=2, l3_bytes=2048, l3_assoc=2
+)
+L1_SETS = 4
+PREPASS_SCHEMES = {
+    "wb": UpdateScheme.SECURE_WB,
+    "wt": UpdateScheme.SP,
+    "ep": UpdateScheme.O3,
+}
+
+retouch_ops = st.lists(
+    st.tuples(
+        st.sampled_from([KIND_LOAD, KIND_LOAD, KIND_STORE, KIND_SFENCE]),
+        st.integers(0, L1_SETS - 1),  # L1 set
+        st.integers(0, 11),  # which of the set's blocks
+        st.booleans(),  # re-touch the set's last block instead
+        st.booleans(),  # persistent store?
+    ),
+    min_size=4,
+    max_size=80,
+)
+
+
+def _retouch_trace(ops) -> MemoryTrace:
+    """A trace dense in loads and stores that touch their L1 set's last
+    block again."""
+    trace = MemoryTrace(name="retouch")
+    last = {}
+    for kind, l1_set, way, again, persistent in ops:
+        if kind == KIND_SFENCE:
+            trace.append_op(KIND_SFENCE)
+            continue
+        block = last.get(l1_set) if again else None
+        if block is None:
+            block = l1_set + L1_SETS * way
+        last[l1_set] = block
+        trace.append_op(kind, block << 6, gap=3, persistent=int(persistent))
+    return trace
+
+
+def _prepass_parts(config, trace, cuts):
+    """Feed a fresh prepass the trace cut at ``cuts``; its events (the
+    end-of-trace drain included) and counters."""
+    from repro.sim.batched import FunctionalPrepass, replay_shape
+
+    prepass = FunctionalPrepass(replay_shape(config), config)
+    columns = (trace.kind_codes, trace.addresses, trace.persistent_flags)
+    events = []
+    bounds = [0, *sorted(set(cuts)), len(trace)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        events += prepass.feed(*(column[lo:hi] for column in columns))
+    return events + prepass.finish(), prepass.counters
+
+
+def _first_mru_repeat(trace) -> int:
+    """Index of the first load re-touching its L1 set's last block, or 0."""
+    last = {}
+    for index, (kind, address) in enumerate(zip(trace.kind_codes, trace.addresses)):
+        if kind == KIND_SFENCE:
+            continue
+        block = address >> 6
+        if kind == KIND_LOAD and last.get(block % L1_SETS) == block:
+            return index
+        last[block % L1_SETS] = block
+    return 0
+
+
+@pytest.mark.parametrize("shape", sorted(PREPASS_SCHEMES))
+@given(ops=retouch_ops, cuts=st.lists(st.integers(1, 79), max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_prepass_skips_mru_repeats_exactly(shape, ops, cuts):
+    """Fed whole, in random parts, or cut right before an MRU-repeat
+    load, the prepass returns the events and counters it returns fed
+    one op at a time (where every access is its part's first touch of
+    its set, so none is skipped)."""
+    trace = _retouch_trace(ops)
+    config = SystemConfig(scheme=PREPASS_SCHEMES[shape], epoch_size=3, **SMALL_CACHES)
+    reference = _prepass_parts(config, trace, range(1, len(trace)))
+    assert _prepass_parts(config, trace, []) == reference
+    assert _prepass_parts(config, trace, [c for c in cuts if c < len(trace)]) == reference
+    assert _prepass_parts(config, trace, [_first_mru_repeat(trace)]) == reference
+
+
+@pytest.mark.parametrize("shape", sorted(PREPASS_SCHEMES))
+@given(ops=retouch_ops)
+@settings(max_examples=20, deadline=None)
+def test_engines_bit_identical_on_retouch_traces(shape, ops):
+    """batched == skip_ahead, results and telemetry, on MRU-dense traces."""
+    trace = _retouch_trace(ops)
+    config = SystemConfig(
+        scheme=PREPASS_SCHEMES[shape],
+        epoch_size=3,
+        telemetry=TelemetryConfig(enabled=True),
+        **SMALL_CACHES,
+    )
+    out = {}
+    for engine in ENGINES:
+        sim = TraceSimulator(config.variant(engine=engine))
+        result = sim.run(trace, warmup_fraction=0.2)
+        out[engine] = result, [
+            (e.kind, e.time, e.duration, e.track, e.ident, e.args)
+            for e in sim.telemetry.events()
+        ]
+    assert out["batched"] == out["skip_ahead"]
 
 
 # ----------------------------------------------------------------------

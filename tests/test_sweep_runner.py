@@ -85,6 +85,40 @@ def test_duplicate_jobs_share_one_execution(tmp_path):
     assert results[0] == results[1] == results[2]
 
 
+def test_uncached_duplicates_execute_once_without_digests(tmp_path, monkeypatch):
+    """With no result cache, equal jobs run once and no ``job_key`` is
+    taken (an unhashable override falls back to it); the results equal
+    the keyed, cached path's."""
+    from repro.mem.nvm import NVMConfig
+
+    gcc = SweepJob.make("gcc", "sp", KI)
+    slow_nvm = SweepJob.make("gcc", "sp", KI, nvm=NVMConfig(read_latency=300))
+    jobs = [gcc, SweepJob.make("gcc", "o3", KI), gcc, slow_nvm, gcc, slow_nvm]
+    cached, _ = run_jobs(jobs, workers=1, cache=str(tmp_path / "c"))
+
+    executed = []
+    execute = runner_mod._execute
+
+    def counting_execute(job, config):
+        executed.append(job)
+        return execute(job, config)
+
+    digests = []
+    job_key = runner_mod.job_key
+
+    def counting_job_key(*args):
+        digests.append(args)
+        return job_key(*args)
+
+    monkeypatch.setattr(runner_mod, "_execute", counting_execute)
+    monkeypatch.setattr(runner_mod, "job_key", counting_job_key)
+    results, report = run_jobs(jobs, workers=1, cache=False)
+    assert executed == [gcc, jobs[1], slow_nvm]
+    assert report.executed == 3
+    assert len(digests) == 2  # only the two unhashable slow_nvm jobs
+    assert results == cached
+
+
 # ----------------------------------------------------------------------
 # persistent worker pool
 # ----------------------------------------------------------------------

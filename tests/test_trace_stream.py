@@ -18,7 +18,7 @@ import types
 import pytest
 
 from repro.core.schemes import UpdateScheme
-from repro.sim import batched
+from repro.sim import batched, memo
 from repro.system.config import SystemConfig
 from repro.system.timing import TraceSimulator
 from repro.telemetry import TelemetryConfig
@@ -305,9 +305,10 @@ def test_run_stream_matches_run_skip_ahead(trace, tmp_path, scheme):
 
 @pytest.mark.parametrize("scheme", [UpdateScheme.SECURE_WB, UpdateScheme.COALESCING])
 def test_run_stream_with_full_memos(trace, tmp_path, monkeypatch, scheme):
-    """The replay's per-leaf path memo starts over whenever it is full
-    (here every two leaves); the result still matches skip_ahead."""
-    monkeypatch.setattr(batched, "_MEMO_ENTRIES", 2)
+    """The replay's per-leaf path memo (and every other bounded memo)
+    starts over whenever it is full (here every two keys); the result
+    still matches skip_ahead."""
+    monkeypatch.setattr(memo, "MEMO_ENTRIES", 2)
     config = SystemConfig(scheme=scheme)
     ref = TraceSimulator(config.variant(engine="skip_ahead")).run(trace, 0.2)
     assert _stream_v2(trace, tmp_path / "t.plptrace", config, 0.2, 61) == ref
@@ -345,8 +346,8 @@ def test_run_stream_script_surplus_raises(trace, monkeypatch):
     take = MetadataReplay.take
 
     def take_with_surplus(self):
-        stream, walks, comb = take(self)
-        return stream + b"\x01", walks, comb
+        ctr, *rest = take(self)
+        return (ctr + b"\x01", *rest)
 
     monkeypatch.setattr(MetadataReplay, "take", take_with_surplus)
     sim = TraceSimulator(SystemConfig(scheme=UpdateScheme.SP))
@@ -533,11 +534,11 @@ def test_pipelined_script_mismatch_reaps_producer(monkeypatch, producers, skew):
     calls = []
 
     def skewed_take(self):
-        stream, walks, comb = take(self)
+        ctr, *rest = take(self)
         calls.append(None)
         if skew == "surplus":
-            return stream + b"\x01", walks, comb
-        return (stream if len(calls) > 1 else bytearray()), walks, comb
+            return (ctr + b"\x01", *rest)
+        return ((ctr if len(calls) > 1 else bytearray()), *rest)
 
     monkeypatch.setattr(MetadataReplay, "take", skewed_take)
     sim = TraceSimulator(SystemConfig(scheme=UpdateScheme.SP))
