@@ -1,8 +1,9 @@
 """Table I — recovery failure cases due to persist failure.
 
-Persists a new value over an old one, drops one tuple item across a
-simulated power failure (atomic 2SP disabled), and records the recovery
-outcome.  Expected (paper Table I):
+Rendered from the crash campaign's own cells: the ``unordered``
+strawman (no 2SP) runs the ``overwrite`` workload, a new value over an
+old one, and each singleton drop loses one tuple item of the youngest
+persist across the power failure.  Expected (paper Table I):
 
 ========  ========================================
 dropped   outcome
@@ -14,48 +15,20 @@ C         Wrong plaintext, MAC failure
 ========  ========================================
 """
 
-from repro.analysis.report import Table
-from repro.mem.wpq import TupleItem
-from repro.recovery.crash import CrashInjector
-from repro.system.secure_memory import FunctionalSecureMemory
+from repro.analysis.campaign import TABLE1_SCHEME, TABLE1_WORKLOAD, table1
+from repro.campaign import SINGLETON_SUBSETS, enumerate_grid, run_scenario
 
 from common import archive
 
-ROWS = [
-    ("R (BMT root)", TupleItem.ROOT_ACK),
-    ("M (MAC)", TupleItem.MAC),
-    ("gamma (counter)", TupleItem.COUNTER),
-    ("C (ciphertext)", TupleItem.DATA),
-]
-
-
-def crash_with_drop(item):
-    mem = FunctionalSecureMemory(num_pages=64, atomic_tuples=False)
-    mem.store(0, b"old".ljust(64, b"\0"))
-    victim = mem.store(0, b"new".ljust(64, b"\0"))
-    mem.crash(CrashInjector().drop(victim, item))
-    return mem.recover()
-
 
 def run_table1():
-    table = Table("Table I: recovery failure from a non-persisted tuple item", ["dropped item", "outcome"])
-    outcomes = {}
-    for label, item in ROWS:
-        report = crash_with_drop(item)
-        outcome = report.outcome_row(0)
-        table.add_row(label, outcome)
-        outcomes[item] = (report, outcome)
-    return table, outcomes
+    grid = enumerate_grid(
+        schemes=[TABLE1_SCHEME], workloads=[TABLE1_WORKLOAD], subsets=SINGLETON_SUBSETS
+    )
+    return table1([run_scenario(scenario) for scenario in grid])
 
 
 def test_table1_tuple_failures(benchmark):
-    table, outcomes = benchmark.pedantic(run_table1, rounds=1, iterations=1)
+    table = benchmark.pedantic(run_table1, rounds=1, iterations=1)
     archive("table1_tuple_failures", table.render())
-    report, outcome = outcomes[TupleItem.ROOT_ACK]
-    assert not report.bmt_ok and "BMT" in outcome
-    report, outcome = outcomes[TupleItem.MAC]
-    assert outcome == "MAC failure"
-    report, outcome = outcomes[TupleItem.COUNTER]
-    assert outcome == "Wrong plaintext, BMT & MAC failure"
-    report, outcome = outcomes[TupleItem.DATA]
-    assert outcome == "Wrong plaintext, MAC failure"
+    assert [row[-1] for row in table.rows] == ["yes"] * 4

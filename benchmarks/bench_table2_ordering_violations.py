@@ -1,9 +1,10 @@
 """Table II — recovery failures from memory-tuple ordering violations.
 
-Two ordered persists α1 → α2 (different pages).  The data order
-C1 → C2 is respected, but one other tuple component's order is violated
-(the younger's persisted while the older's was lost at the crash).
-Expected (paper Table II):
+Rendered from the crash campaign's own cells: the ``unordered``
+strawman (no 2SP) runs the ``ordered_pair`` workload, two ordered
+persists α1 → α2 on different pages, and each singleton drop loses one
+tuple item of one persist while the other persists whole, violating
+that item's order.  Expected (paper Table II):
 
 ===================  =========================================
 violated order       outcome
@@ -14,51 +15,20 @@ R1 -> R2             BMT (verification) failure
 ===================  =========================================
 """
 
-from repro.analysis.report import Table
-from repro.mem.wpq import TupleItem
-from repro.recovery.crash import CrashInjector
-from repro.system.secure_memory import FunctionalSecureMemory
+from repro.analysis.campaign import TABLE1_SCHEME, TABLE2_WORKLOAD, table2
+from repro.campaign import SINGLETON_SUBSETS, enumerate_grid, run_scenario
 
 from common import archive
 
 
-def violate(item, drop_younger=False):
-    mem = FunctionalSecureMemory(num_pages=64, atomic_tuples=False)
-    first = mem.store(0x0000, b"alpha-1".ljust(64, b"\0"))
-    second = mem.store(0x1000, b"alpha-2".ljust(64, b"\0"))
-    victim = second if drop_younger else first
-    mem.crash(CrashInjector().drop(victim, item))
-    report = mem.recover()
-    victim_block = 64 if drop_younger else 0
-    return report, victim_block
-
-
 def run_table2():
-    table = Table(
-        "Table II: recovery failures from tuple-ordering violations",
-        ["violated order", "outcome"],
+    grid = enumerate_grid(
+        schemes=[TABLE1_SCHEME], workloads=[TABLE2_WORKLOAD], subsets=SINGLETON_SUBSETS
     )
-    results = {}
-    report, block = violate(TupleItem.COUNTER)
-    results["gamma"] = (report, block)
-    table.add_row("gamma1 -> gamma2", report.outcome_row(block))
-    report, block = violate(TupleItem.MAC)
-    results["mac"] = (report, block)
-    table.add_row("M1 -> M2", report.outcome_row(block))
-    # Root-order violation: the crash lands after one root update but
-    # before the other — the register misses one persisted counter.
-    report, block = violate(TupleItem.ROOT_ACK, drop_younger=True)
-    results["root"] = (report, block)
-    table.add_row("R1 -> R2", report.outcome_row(block))
-    return table, results
+    return table2([run_scenario(scenario) for scenario in grid])
 
 
 def test_table2_ordering_violations(benchmark):
-    table, results = benchmark.pedantic(run_table2, rounds=1, iterations=1)
+    table = benchmark.pedantic(run_table2, rounds=1, iterations=1)
     archive("table2_ordering_violations", table.render())
-    report, block = results["gamma"]
-    assert block in report.wrong_plaintext  # P1 not recoverable
-    report, block = results["mac"]
-    assert block in report.mac_failures
-    report, _ = results["root"]
-    assert not report.bmt_ok
+    assert [row[-1] for row in table.rows] == ["yes"] * 3

@@ -16,14 +16,13 @@ tables and into a hard pass/fail verdict:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import Table
 from repro.campaign.app_engine import AppCampaignCell
 from repro.campaign.engine import (
     OUTCOME_INVARIANT_VIOLATION,
     OUTCOME_RECOVERED,
-    OUTCOME_SILENT_CORRUPTION,
     OUTCOMES,
     CampaignCell,
 )
@@ -75,6 +74,34 @@ def _cell(
     return None
 
 
+def _guarantees(cell) -> str:
+    """A cell's scheme guarantees: ``compliant`` (both paper
+    invariants), ``relaxed`` (2SP without ordered root, recovery adopts
+    the rebuilt root) or ``none``."""
+    if cell.compliant:
+        return "compliant"
+    if cell.relaxed:
+        return "relaxed"
+    return "none"
+
+
+def _outcome_rows(
+    cells: Sequence, group: Callable, outcomes: Sequence[str]
+) -> List[Tuple[tuple, str, int, List[int]]]:
+    """Per group of cells, in first-seen order: the group, its
+    guarantees, its cell count and its count of each outcome."""
+    groups: Dict[tuple, List] = {}
+    for cell in cells:
+        groups.setdefault(group(cell), []).append(cell)
+    rows = []
+    for key, mine in groups.items():
+        counts = dict.fromkeys(outcomes, 0)
+        for cell in mine:
+            counts[cell.classification] += 1
+        rows.append((key, _guarantees(mine[0]), len(mine), list(counts.values())))
+    return rows
+
+
 def summarize(cells: Sequence[CampaignCell]) -> Table:
     """Scheme x outcome count matrix over the whole campaign.
 
@@ -87,27 +114,10 @@ def summarize(cells: Sequence[CampaignCell]) -> Table:
         "Crash-injection campaign summary",
         ["scheme", "guarantees", "cells"] + list(OUTCOMES),
     )
-    schemes: List[str] = []
-    for cell in cells:
-        if cell.scheme not in schemes:
-            schemes.append(cell.scheme)
-    for scheme in schemes:
-        mine = [c for c in cells if c.scheme == scheme]
-        counts = {outcome: 0 for outcome in OUTCOMES}
-        for cell in mine:
-            counts[cell.classification] += 1
-        if mine[0].compliant:
-            guarantees = "compliant"
-        elif mine[0].relaxed:
-            guarantees = "relaxed"
-        else:
-            guarantees = "none"
-        table.add_row(
-            scheme,
-            guarantees,
-            len(mine),
-            *(counts[outcome] for outcome in OUTCOMES),
-        )
+    for (scheme,), guarantees, count, counts in _outcome_rows(
+        cells, lambda cell: (cell.scheme,), OUTCOMES
+    ):
+        table.add_row(scheme, guarantees, count, *counts)
     return table
 
 
@@ -130,60 +140,16 @@ def summarize_app(
         + list(APP_OUTCOMES)
         + ["exhaustive", "skipped"],
     )
-    groups: List[tuple] = []
-    for cell in cells:
-        key = (cell.scheme, cell.idiom)
-        if key not in groups:
-            groups.append(key)
-    for scheme, idiom in groups:
-        mine = [c for c in cells if (c.scheme, c.idiom) == (scheme, idiom)]
-        counts = {outcome: 0 for outcome in APP_OUTCOMES}
-        for cell in mine:
-            counts[cell.classification] += 1
-        if mine[0].compliant:
-            guarantees = "compliant"
-        elif mine[0].relaxed:
-            guarantees = "relaxed"
-        else:
-            guarantees = "none"
+    for (scheme, idiom), guarantees, count, counts in _outcome_rows(
+        cells, lambda cell: (cell.scheme, cell.idiom), APP_OUTCOMES
+    ):
         exhaustive = skipped = 0
         for plan_set in plan_sets or ():
             if (plan_set.scheme, plan_set.idiom) == (scheme, idiom):
                 exhaustive += plan_set.exhaustive_cells
                 skipped += plan_set.skipped_cells
-        table.add_row(
-            scheme,
-            idiom,
-            guarantees,
-            len(mine),
-            *(counts[outcome] for outcome in APP_OUTCOMES),
-            exhaustive,
-            skipped,
-        )
+        table.add_row(scheme, idiom, guarantees, count, *counts, exhaustive, skipped)
     return table
-
-
-def _verify_app_cells(cells: Sequence[AppCampaignCell], failures: List[str]) -> None:
-    """App-campaign arm of the gate: mismatch = app-level silent corruption."""
-    for cell in cells:
-        where = (
-            f"{cell.scheme}/{cell.idiom}/{cell.workload} "
-            f"victim={cell.victim} drops={','.join(cell.drops) or '-'}"
-        )
-        if cell.problems:
-            failures.append(f"{where}: mechanical invariant broke: {cell.problems}")
-        if cell.classification == APP_MISMATCH and (cell.compliant or cell.relaxed):
-            label = "compliant" if cell.compliant else "relaxed"
-            failures.append(
-                f"{where}: APP-STATE MISMATCH in a {label} scheme "
-                f"(recovered {cell.recovered!r}, legal frames "
-                f"pre={cell.expected_pre!r} post={cell.expected_post!r})"
-            )
-        elif (cell.compliant or cell.relaxed) and not cell.consistent_frame:
-            label = "compliant" if cell.compliant else "relaxed"
-            failures.append(
-                f"{where}: {label} scheme classified {cell.classification}"
-            )
 
 
 def _table1_victim(cells: Sequence[CampaignCell]) -> int:
@@ -254,24 +220,34 @@ def verify_campaign(
             Table I/II row mismatches the paper.
     """
     failures: List[str] = []
-    app_cells = [c for c in cells if isinstance(c, AppCampaignCell)]
-    cells = [c for c in cells if not isinstance(c, AppCampaignCell)]
-    _verify_app_cells(app_cells, failures)
-    if not cells:
-        require_tables = False
-
+    tuple_cells = []
     for cell in cells:
+        app = isinstance(cell, AppCampaignCell)
+        scheme = f"{cell.scheme}/{cell.idiom}" if app else cell.scheme
         where = (
-            f"{cell.scheme}/{cell.workload} victim={cell.victim} "
+            f"{scheme}/{cell.workload} victim={cell.victim} "
             f"drops={','.join(cell.drops) or '-'}"
         )
         if cell.problems:
             failures.append(f"{where}: mechanical invariant broke: {cell.problems}")
-        if cell.compliant or cell.relaxed:
-            # Relaxed schemes (documented Invariant-2 relaxation with
-            # root adoption) are held to the same recovery bar as fully
-            # compliant ones: every cell recovered, nothing silent.
-            label = "compliant" if cell.compliant else "relaxed"
+        # Relaxed schemes (documented Invariant-2 relaxation with root
+        # adoption) are held to the same recovery bar as fully
+        # compliant ones.
+        label = _guarantees(cell)
+        if app:
+            if cell.classification == APP_MISMATCH and label != "none":
+                failures.append(
+                    f"{where}: APP-STATE MISMATCH in a {label} scheme "
+                    f"(recovered {cell.recovered!r}, legal frames "
+                    f"pre={cell.expected_pre!r} post={cell.expected_post!r})"
+                )
+            elif label != "none" and not cell.consistent_frame:
+                failures.append(
+                    f"{where}: {label} scheme classified {cell.classification}"
+                )
+            continue
+        tuple_cells.append(cell)
+        if label != "none":
             if cell.consistent and not cell.intent_ok:
                 failures.append(f"{where}: SILENT CORRUPTION in a {label} scheme")
             elif cell.classification != OUTCOME_RECOVERED:
@@ -281,26 +257,14 @@ def verify_campaign(
         elif cell.classification == OUTCOME_INVARIANT_VIOLATION:
             failures.append(f"{where}: mechanical invariant violation")
 
-    if require_tables:
-        victim = _table1_victim(cells)
-        for item, expected in TABLE1_EXPECTED.items():
-            cell = _cell(cells, TABLE1_SCHEME, TABLE1_WORKLOAD, victim, (item,))
-            if cell is None:
-                failures.append(f"Table I row for {item}: cell missing from campaign")
-            elif cell.block_outcome(0) != expected:
-                failures.append(
-                    f"Table I row for {item}: got {cell.block_outcome(0)!r}, "
-                    f"expected {expected!r}"
-                )
-        for label, row_victim, item, block, expected in TABLE2_ROWS:
-            cell = _cell(cells, TABLE1_SCHEME, TABLE2_WORKLOAD, row_victim, (item,))
-            if cell is None:
-                failures.append(f"Table II row {label!r}: cell missing from campaign")
-            elif cell.block_outcome(block) != expected:
-                failures.append(
-                    f"Table II row {label!r}: got {cell.block_outcome(block)!r}, "
-                    f"expected {expected!r}"
-                )
+    if require_tables and tuple_cells:
+        for table in (table1(tuple_cells), table2(tuple_cells)):
+            name = table.title.split(":")[0]
+            for row, outcome, expected, match in table.rows:
+                if match != "yes":
+                    failures.append(
+                        f"{name} row {row!r}: got {outcome!r}, expected {expected!r}"
+                    )
 
     if failures:
         raise CampaignViolation(

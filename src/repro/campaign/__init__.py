@@ -1,14 +1,20 @@
-"""Systematic crash-injection campaign over the scheme grid.
+"""Systematic crash-injection campaigns over the scheme grid.
 
-The campaign sweeps (crash point) x (dropped tuple-component subset) x
-(update scheme) over a set of small deterministic workloads, drives the
-functional secure memory through a real
-:class:`~repro.mem.wpq.WritePendingQueue` power-failure flush, and
-classifies every cell of the grid by running the recovery checker
-differentially against the writer's intent.
+Both campaigns drive the functional secure memory through a real
+:class:`~repro.mem.wpq.WritePendingQueue` power-failure flush and
+recover it along one shared crash path; only the oracle that judges
+the recovered image differs.  The tuple campaign sweeps (crash point)
+x (dropped tuple-component subset) x (update scheme) over small
+deterministic workloads and checks each block against the writer's
+intent; the app campaign runs a crash-safe KV store's own recovery over
+pruned crash plans and checks the recovered store against the legal
+frames.
 
-See :mod:`repro.campaign.grid` for the grid enumeration,
-:mod:`repro.campaign.engine` for the per-cell crash/recovery drive, and
+See :mod:`repro.campaign.grid` for the scenarios, programs and grid
+enumeration, :mod:`repro.campaign.engine` for the shared per-cell
+crash/recovery prelude and the tuple oracle,
+:mod:`repro.campaign.app_engine` for the app oracle,
+:mod:`repro.campaign.plans` for crash-plan pruning, and
 :mod:`repro.campaign.runner` for the parallel, cached campaign run.
 """
 
@@ -19,7 +25,7 @@ from repro.campaign.grid import (
     WORKLOADS,
     Scenario,
     enumerate_grid,
-    journal_plan,
+    persist_count,
     scenario_key,
     semantics_for,
 )
@@ -32,20 +38,16 @@ from repro.campaign.engine import (
     CampaignCell,
     run_scenario,
 )
-from repro.campaign.runner import (
-    AppCampaignCache,
-    CampaignCache,
-    default_campaign_cache_root,
-    run_app_campaign,
-    run_campaign,
-)
 from repro.campaign.app_engine import (
     APP_CAMPAIGN_SCHEMES,
     AppCampaignCell,
     AppScenario,
-    app_journal_plan,
-    app_scenario_key,
     run_app_scenario,
+)
+from repro.campaign.runner import (
+    CampaignCache,
+    default_campaign_cache_root,
+    run_campaign,
 )
 from repro.campaign.plans import (
     CrashPlan,
@@ -56,32 +58,28 @@ from repro.campaign.plans import (
 
 __all__ = [
     "APP_CAMPAIGN_SCHEMES",
-    "AppCampaignCache",
     "AppCampaignCell",
     "AppScenario",
     "CAMPAIGN_SCHEMES",
-    "CrashPlan",
-    "PlanSet",
-    "app_journal_plan",
-    "app_scenario_key",
-    "crosscheck_pruning",
-    "generate_plans",
-    "run_app_campaign",
-    "run_app_scenario",
     "CampaignCache",
     "CampaignCell",
+    "CrashPlan",
     "DROP_SUBSETS",
     "OUTCOMES",
     "OUTCOME_DETECTED",
     "OUTCOME_INVARIANT_VIOLATION",
     "OUTCOME_RECOVERED",
     "OUTCOME_SILENT_CORRUPTION",
+    "PlanSet",
     "SINGLETON_SUBSETS",
     "Scenario",
     "WORKLOADS",
+    "crosscheck_pruning",
     "default_campaign_cache_root",
     "enumerate_grid",
-    "journal_plan",
+    "generate_plans",
+    "persist_count",
+    "run_app_scenario",
     "run_campaign",
     "run_scenario",
     "scenario_key",

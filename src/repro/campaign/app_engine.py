@@ -1,23 +1,21 @@
-"""Per-cell crash/recovery drive for the *application* campaign.
+"""The *application* campaign's oracle.
 
-Where :mod:`repro.campaign.engine` asks "did the memory tuples come
-back?", this engine asks the Silhouette question: after the same crash,
-does the *application's own recovery procedure* land in a state the
-program could legally be in?
+Where the tuple oracle (:func:`repro.campaign.engine.run_scenario`)
+asks "did the memory tuples come back?", this one asks the Silhouette
+question: after the same crash, does the *application's own recovery
+procedure* land in a state the program could legally be in?
 
-For one :class:`AppScenario` the engine:
+For one :class:`AppScenario`:
 
-1. copies the memory the KV workload leaves, lowered under its
-   durability idiom and replayed once per program
-   (:func:`app_program`), journal included;
-2. reuses the memory engine's WPQ drive
-   (:func:`~repro.campaign.engine.drive_wpq`) to decide what the crash
-   leaves durable for the scenario's victim/drops;
-3. crashes, applies the scheme's documented root handling (relaxed
-   schemes adopt the rebuilt root), and runs the paper's recovery;
-4. runs the *idiom's* recovery procedure over verified loads and
-   classifies the recovered store against the in-flight operation's
-   pre/post frames via
+1. the program is the KV workload lowered under its durability idiom,
+   replayed and mapped once while it stays memoized
+   (:func:`~repro.campaign.grid.program`);
+2. the shared prelude (:func:`~repro.campaign.engine.crash_and_recover`)
+   drives the WPQ through the crash, crashes a copy of the program's
+   memory and recovers it, expecting nothing;
+3. the oracle runs the *idiom's* recovery procedure over verified loads
+   and classifies the recovered store against the in-flight
+   operation's pre/post frames via
    :func:`~repro.recovery.checker.classify_app_state`.
 
 Outcome taxonomy (:data:`~repro.recovery.checker.APP_OUTCOMES`):
@@ -36,36 +34,20 @@ Outcome taxonomy (:data:`~repro.recovery.checker.APP_OUTCOMES`):
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.app.kvstore import AppTrace, AppWorkload, lower, recover_app, replay_app
+from repro.app.kvstore import IDIOMS, AppWorkload, recover_app
 from repro.app.workloads import resolve_workload
-from repro.campaign.engine import build_injector, drive_wpq
-from repro.campaign.grid import (
-    CAMPAIGN_SCHEMES,
-    PROGRAM_MEMO_SIZE,
-    build_memory,
-    semantics_for,
-)
-from repro.core.schemes import SchemeSpec, UpdateScheme
+from repro.campaign.engine import crash_and_recover
+from repro.campaign.grid import CAMPAIGN_SCHEMES, CrashPoint, program
+from repro.core.schemes import UpdateScheme
 from repro.crypto.primitives import BLOCK_SIZE
-from repro.mem.wpq import TupleItem
-from repro.persistency.models import PersistencyModel
 from repro.recovery.checker import APP_DETECTED, classify_app_state
-from repro.system.secure_memory import (
-    FunctionalSecureMemory,
-    IntegrityError,
-    PersistRecord,
-)
-
-from repro.app.kvstore import IDIOMS
+from repro.system.secure_memory import IntegrityError
 
 APP_CAMPAIGN_SCHEMES: Tuple[str, ...] = tuple(
-    name for name in CAMPAIGN_SCHEMES if semantics_for(name).recovers
+    name for name in CAMPAIGN_SCHEMES if UpdateScheme(name).spec.recovers
 )
 """The schemes the app campaign runs by default: the crash campaign's
 compliant and relaxed schemes (the paper's four plus the zoo).
@@ -73,31 +55,9 @@ compliant and relaxed schemes (the paper's four plus the zoo).
 meaningless) and the ``unordered`` strawman is opt-in for
 demonstration runs."""
 
-_JOURNALING_SCHEMES: Tuple[str, ...] = tuple(
-    name for name in CAMPAIGN_SCHEMES if semantics_for(name).persistent
-)
-"""Every scheme the app campaign accepts: the default roster plus the
-opt-in ``unordered`` strawman."""
-
-APP_CAMPAIGN_FORMAT = 1
-"""Bump to invalidate cached app-campaign cells on semantic changes."""
-
-
-def app_semantics_for(scheme: str) -> SchemeSpec:
-    """Crash semantics for an app-campaign scheme (one that journals)."""
-    resolved = UpdateScheme.from_name(scheme)
-    if not resolved.spec.persistent:
-        raise ValueError(f"scheme {scheme!r} journals nothing; no crash plans")
-    if resolved.value not in _JOURNALING_SCHEMES:
-        raise ValueError(
-            f"scheme {scheme!r} is not part of the app campaign "
-            f"(supported: {', '.join(_JOURNALING_SCHEMES)})"
-        )
-    return resolved.spec
-
 
 @dataclass(frozen=True)
-class AppScenario:
+class AppScenario(CrashPoint):
     """One app-campaign cell (scheme x idiom x workload x crash point)."""
 
     scheme: str
@@ -110,19 +70,7 @@ class AppScenario:
         UpdateScheme.from_name(self.scheme)
         if self.idiom not in IDIOMS:
             raise ValueError(f"unknown idiom {self.idiom!r}")
-        valid = {item.value for item in TupleItem}
-        bad = set(self.drops) - valid
-        if bad:
-            raise ValueError(f"unknown tuple items in drops: {sorted(bad)}")
-        object.__setattr__(self, "drops", tuple(sorted(set(self.drops))))
-        if self.victim < -1:
-            raise ValueError("victim must be -1 (boundary) or a journal index")
-        if self.victim == -1 and self.drops:
-            raise ValueError("drops require an in-flight victim persist")
-
-    @property
-    def drop_items(self) -> frozenset:
-        return frozenset(TupleItem(value) for value in self.drops)
+        super().__post_init__()
 
 
 @dataclass
@@ -152,79 +100,6 @@ class AppCampaignCell:
         return self.classification in ("pre_op", "post_op")
 
 
-class PersistInfo(NamedTuple):
-    """Provenance of one journaled persist in the app trace."""
-
-    app_index: int
-    role: str
-    block: int
-
-
-def persist_map(sem: SchemeSpec, trace: AppTrace) -> List[PersistInfo]:
-    """Map persist journal indices to the app actions that caused them.
-
-    Replays the persistency model's lowering logic without the crypto:
-    under STRICT every store journals one persist; under EPOCH the
-    epoch's dirty blocks materialize at the barrier with same-block
-    collapse, in first-store insertion order (matching
-    :class:`~repro.system.secure_memory.FunctionalSecureMemory`).
-    """
-    infos: List[PersistInfo] = []
-    if sem.model is PersistencyModel.STRICT:
-        for record in trace.records:
-            if record.kind == "store":
-                infos.append(PersistInfo(record.app_index, record.role, record.block))
-        return infos
-    if sem.model is not PersistencyModel.EPOCH:
-        raise ValueError(f"app campaign cannot map persists under {sem.model}")
-    epoch_dirty: Dict[int, PersistInfo] = {}
-    for record in trace.records:
-        if record.kind == "store":
-            # Same-block collapse keeps the first store's queue position
-            # but the *latest* store's provenance wins the persist.
-            epoch_dirty[record.block] = PersistInfo(
-                record.app_index, record.role, record.block
-            )
-        elif record.kind == "barrier":
-            infos.extend(epoch_dirty.values())
-            epoch_dirty.clear()
-    # A trailing open epoch never journals (mirrors the functional
-    # memory); the lowering closes every mutating op with a barrier.
-    return infos
-
-
-class AppProgram(NamedTuple):
-    """One (scheme, idiom, workload) program, journaled and mapped."""
-
-    memory: FunctionalSecureMemory
-    """The memory after the replay; cells crash a :meth:`copy` of it."""
-    trace: AppTrace
-    pmap: List[PersistInfo]
-    journal: Tuple[PersistRecord, ...]
-    """The memory's pending persist journal, read once."""
-
-
-@lru_cache(maxsize=PROGRAM_MEMO_SIZE)
-def app_program(scheme: str, idiom: str, workload: AppWorkload) -> AppProgram:
-    """Lower, replay and map one program, once while it stays memoized.
-
-    Keyed on the workload's content, so generated workloads that share
-    a name never share an entry.
-    """
-    sem = app_semantics_for(scheme)
-    trace = lower(idiom, workload)
-    mem = build_memory(sem)
-    replay_app(mem, trace)
-    pmap = persist_map(sem, trace)
-    if len(pmap) != mem.pending_persists:
-        raise RuntimeError(
-            f"persist map ({len(pmap)}) disagrees with the journal "
-            f"({mem.pending_persists}); the lowering replay drifted from "
-            "the functional memory"
-        )
-    return AppProgram(mem, trace, pmap, mem.journal)
-
-
 def encode_state(state: Optional[Dict[int, bytes]]) -> Optional[List[List[str]]]:
     """JSON-primitive encoding of a KV state (sorted ``[key, hex]`` pairs)."""
     if state is None:
@@ -246,29 +121,14 @@ def run_app_scenario(
             the :data:`~repro.app.workloads.APP_WORKLOADS` roster).
         telemetry: Optional telemetry bus for the WPQ drive.
     """
-    sem = app_semantics_for(scenario.scheme)
     wl = workload if workload is not None else resolve_workload(scenario.workload)
-    program = app_program(scenario.scheme, scenario.idiom, wl)
-    trace, pmap, journal = program.trace, program.pmap, program.journal
-    mem = program.memory.copy()
-    n = len(journal)
-    if scenario.victim >= n:
-        raise ValueError(
-            f"victim {scenario.victim} out of range: "
-            f"({scenario.scheme}, {scenario.idiom}, {wl.name}) "
-            f"journals {n} persists"
-        )
-
-    # ---- crash: same WPQ drive as the memory campaign ----------------
-    outcome = drive_wpq(
-        sem, journal, scenario.victim, scenario.drop_items, mem.geometry, telemetry
+    prog = program(scenario.scheme, scenario.idiom, wl)
+    sem, trace, pmap = prog.sem, prog.trace, prog.pmap
+    outcome, mem, report = crash_and_recover(
+        scenario, prog, check_intent=False, telemetry=telemetry
     )
-    problems = outcome.problems
     persisted_ids = outcome.persisted_ids
-    injector = build_injector(sem, outcome)
-
-    mem.crash(injector)
-    report = mem.recover(expected={}, adopt_root=sem.rebuild_root)
+    n = len(prog.journal)
 
     # ---- the differential frame: which op was in flight? -------------
     op_count = trace.op_count
@@ -280,7 +140,6 @@ def run_app_scenario(
     else:
         # The unordered strawman issues everything; only the victim's
         # tuple is damaged, so the legal frames are the last op's.
-        k = len(persisted_ids)
         in_flight = -1
     if in_flight < 0:
         pre_state = trace.states[op_count - 1] if op_count else {}
@@ -320,28 +179,5 @@ def run_app_scenario(
         recovered=encode_state(recovered),
         expected_pre=encode_state(pre_state),
         expected_post=encode_state(post_state),
-        problems=problems,
+        problems=outcome.problems,
     )
-
-
-def app_journal_plan(scheme: str, idiom: str, workload) -> int:
-    """How many persists a (scheme, idiom, workload) triple journals."""
-    program = app_program(scheme, idiom, resolve_workload(workload))
-    return program.memory.pending_persists
-
-
-def app_scenario_key(scenario: AppScenario, code: str) -> str:
-    """Content-addressed cache key for one app cell."""
-    blob = json.dumps(
-        {
-            "format": APP_CAMPAIGN_FORMAT,
-            "scheme": scenario.scheme,
-            "idiom": scenario.idiom,
-            "workload": scenario.workload,
-            "victim": scenario.victim,
-            "drops": list(scenario.drops),
-            "code": code,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()

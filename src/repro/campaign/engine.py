@@ -1,11 +1,11 @@
-"""Per-cell crash/recovery drive for the campaign.
+"""Per-cell crash/recovery drive for both campaigns.
 
-For one :class:`~repro.campaign.grid.Scenario` the engine:
+One prelude, :func:`crash_and_recover`, runs the steps every cell of
+either campaign shares:
 
-1. copies the memory the workload leaves before the crash, journal
-   (the writer's intent) included — each program is replayed once
-   (:func:`~repro.campaign.grid.journaled_memory`) and every cell
-   crashes its own copy;
+1. checks the cell's victim against the journal of its memoized
+   :class:`~repro.campaign.grid.Program` (each program is replayed
+   once, :func:`~repro.campaign.grid.program`);
 2. derives each persist's delivered tuple components from the scheme's
    crash semantics (2SP locking, Invariant-2 ordering, EP epochs, LCA
    coalescing delegation) and the scenario's victim/drops;
@@ -13,12 +13,18 @@ For one :class:`~repro.campaign.grid.Scenario` the engine:
    :meth:`~repro.mem.wpq.WritePendingQueue.crash_flush` to decide what
    reaches NVM, cross-checking the WPQ state against the paper's
    invariants;
-4. converts the flush outcome into a :class:`CrashInjector`, crashes
-   the memory, and runs :class:`~repro.recovery.checker.RecoveryChecker`
-   differentially against the intent;
-5. classifies the cell.
+4. converts the flush outcome into a :class:`CrashInjector`, crashes a
+   copy of the program's memory with it, and recovers the copy with
+   :class:`~repro.recovery.checker.RecoveryChecker` (relaxed-root
+   schemes adopt the rebuilt root).
 
-Outcome taxonomy:
+Two oracles then judge the recovered image.  :func:`run_scenario`, the
+tuple oracle defined here, checks each block against the writer's
+intent for the guaranteed prefix;
+:func:`~repro.campaign.app_engine.run_app_scenario` runs the idiom's
+own recovery and compares it with the in-flight operation's frames.
+
+Tuple outcome taxonomy:
 
 * ``recovered`` — verification passes and every expected plaintext is
   back (vacuously, when nothing was expected durable).
@@ -36,15 +42,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import AbstractSet, Dict, FrozenSet, List, Sequence, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from repro.core.coalescing import CoalescingUnit
 from repro.core.invariants import check_tuple_complete
 from repro.core.schemes import SchemeSpec
 from repro.crypto.bmt import BMTGeometry
 from repro.mem.wpq import NVM_ITEMS, TupleItem, WritePendingQueue
+from repro.recovery.checker import RecoveryReport
 from repro.recovery.crash import CrashInjector
-from repro.campaign.grid import Scenario, journaled_memory, semantics_for
+from repro.campaign.grid import CrashPoint, Program, Scenario, program
+from repro.system.secure_memory import FunctionalSecureMemory
 
 OUTCOME_RECOVERED = "recovered"
 OUTCOME_DETECTED = "detected_failure"
@@ -285,8 +293,60 @@ def build_injector(sem: SchemeSpec, outcome: FlushOutcome) -> CrashInjector:
     return injector
 
 
+class CrashedCell(NamedTuple):
+    """One cell after its power failure and recovery."""
+
+    outcome: FlushOutcome
+    memory: FunctionalSecureMemory
+    report: RecoveryReport
+
+
+def crash_and_recover(
+    scenario: CrashPoint, prog: Program, check_intent: bool, telemetry=None
+) -> CrashedCell:
+    """The steps every campaign cell shares before its oracle judges it.
+
+    Args:
+        scenario: The cell's crash point (either scenario kind).
+        prog: The cell's journaled program.
+        check_intent: Recover against the writer's intent for the
+            persists the flush guarantees, so the report checks every
+            such block (the tuple oracle reads them); otherwise nothing
+            is expected and the report judges the tree alone (the app
+            oracle reads the image through the idiom's recovery).
+        telemetry: Optional telemetry bus for the WPQ drive.
+
+    Raises:
+        ValueError: the victim is not a persist of the program's journal.
+    """
+    sem, journal = prog.sem, prog.journal
+    if scenario.victim >= len(journal):
+        raise ValueError(
+            f"victim {scenario.victim} out of range: {scenario} "
+            f"journals {len(journal)} persists"
+        )
+    outcome = drive_wpq(
+        sem,
+        journal,
+        scenario.victim,
+        scenario.drop_items,
+        prog.memory.geometry,
+        telemetry,
+    )
+    mem = prog.memory.crashed_copy(build_injector(sem, outcome))
+    expected: Dict[int, bytes] = {}
+    if check_intent and sem.persistent:
+        guaranteed = (
+            [journal[p] for p in outcome.persisted_ids] if sem.atomic else journal
+        )
+        for record in guaranteed:
+            expected[record.block] = record.plaintext
+    report = mem.recover(expected=expected, adopt_root=sem.rebuild_root)
+    return CrashedCell(outcome, mem, report)
+
+
 def run_scenario(scenario: Scenario, telemetry=None) -> CampaignCell:
-    """Crash, recover, and classify one grid cell.
+    """Crash, recover, and classify one grid cell (the tuple oracle).
 
     Args:
         scenario: The grid cell to run.
@@ -294,40 +354,13 @@ def run_scenario(scenario: Scenario, telemetry=None) -> CampaignCell:
             campaign's WPQ records its enqueue/release/invalidate events
             against the bus's logical clock.
     """
-    sem = semantics_for(scenario.scheme)
-    mem = journaled_memory(scenario.scheme, scenario.workload).copy()
-    journal = mem.journal
-    n = len(journal)
-    if scenario.victim >= n:
-        raise ValueError(
-            f"victim {scenario.victim} out of range: "
-            f"({scenario.scheme}, {scenario.workload}) journals {n} persists"
-        )
-
-    # ---- drive a real WPQ through the power failure ------------------
-    outcome = drive_wpq(
-        sem, journal, scenario.victim, scenario.drop_items, mem.geometry, telemetry
+    prog = program(scenario.scheme, None, scenario.workload)
+    sem = prog.sem
+    outcome, _, report = crash_and_recover(
+        scenario, prog, check_intent=True, telemetry=telemetry
     )
     problems = outcome.problems
-    epochs_complete = outcome.epochs_complete
     persisted_ids = outcome.persisted_ids
-    invalidated_ids = outcome.invalidated_ids
-
-    # ---- flush outcome -> fault injection ----------------------------
-    injector = build_injector(sem, outcome)
-
-    # ---- writer's intent ---------------------------------------------
-    intent: Dict[int, bytes] = {}
-    if sem.persistent:
-        guaranteed = (
-            [journal[p] for p in persisted_ids] if sem.atomic else list(journal)
-        )
-        for record in guaranteed:
-            intent[record.block] = record.plaintext
-
-    # ---- crash, recover, classify ------------------------------------
-    mem.crash(injector)
-    report = mem.recover(expected=intent, adopt_root=sem.rebuild_root)
 
     intent_ok = all(b.plaintext_correct for b in report.blocks)
     if problems or (sem.recovers and not (report.consistent and intent_ok)):
@@ -352,10 +385,10 @@ def run_scenario(scenario: Scenario, telemetry=None) -> CampaignCell:
         intent_ok=intent_ok,
         vacuous=report.vacuous,
         durable_persists=len(persisted_ids),
-        total_persists=n,
+        total_persists=len(prog.journal),
         persisted=persisted_ids,
-        invalidated=invalidated_ids,
-        epochs_complete=epochs_complete,
+        invalidated=outcome.invalidated_ids,
+        epochs_complete=outcome.epochs_complete,
         problems=problems,
         blocks=[
             {

@@ -14,30 +14,36 @@ indexed by position in the persist journal:
 
 Scenarios are frozen, hashable, and JSON-trivial (drop subsets are
 sorted tuples of :class:`~repro.mem.wpq.TupleItem` values) so they can
-cross process boundaries and key a content-addressed cache.
+cross process boundaries and key a content-addressed cache.  Both
+campaigns' scenario kinds end in the same crash point
+(:class:`CrashPoint`), run one memoized :class:`Program` per scheme and
+workload (:func:`program`), and share one cache key
+(:func:`scenario_key`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from repro.app.kvstore import AppTrace, AppWorkload, lower, replay_app
 from repro.core.schemes import SchemeSpec, UpdateScheme
 from repro.crypto.primitives import BLOCK_SIZE
 from repro.mem.wpq import TupleItem
+from repro.persistency.models import PersistencyModel
 from repro.system.secure_memory import FunctionalSecureMemory, PersistRecord
 
 CAMPAIGN_PAGES = 64
 """Pages in the campaign's functional memory (64-leaf, 8-ary BMT)."""
 
 PROGRAM_MEMO_SIZE = 1
-"""Journaled programs each campaign memo keeps.  Enumeration visits a
-program's cells one after another, so keeping the last program
-journals every program once per pass; more entries only raise the
-peak RSS."""
+"""Journaled programs the campaigns' one program memo keeps.
+Enumeration visits a program's cells one after another, so keeping the
+last program journals every program once per pass; more entries only
+raise the peak RSS."""
 
 ITEM_ORDER: Tuple[TupleItem, ...] = (
     TupleItem.DATA,
@@ -97,25 +103,31 @@ CAMPAIGN_SCHEMES: Tuple[str, ...] = tuple(
 """Table IV schemes plus the cross-paper zoo, in enum order.  Whole-path
 persistence (``sgx_sp``) is not part of the functional NVM model."""
 
+JOURNALING_SCHEMES: Tuple[str, ...] = tuple(
+    name for name in CAMPAIGN_SCHEMES if UpdateScheme(name).spec.persistent
+)
+"""The campaign schemes that journal persists: every scheme the app
+campaign accepts (its default roster plus the opt-in ``unordered``
+strawman)."""
+
 
 def payload(tag: int) -> bytes:
     """Deterministic 64 B plaintext for a workload op tag."""
     return bytes([tag & 0xFF]) * BLOCK_SIZE
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One campaign grid cell (scheme x workload x crash point x drops)."""
+class CrashPoint:
+    """The crash point every scenario kind ends with.
 
-    scheme: str
-    workload: str
+    Subclasses are frozen dataclasses with ``victim`` and ``drops``
+    fields; their ``__post_init__`` validates the program fields, then
+    calls this one.
+    """
+
     victim: int
-    drops: Tuple[str, ...] = ()
+    drops: Tuple[str, ...]
 
     def __post_init__(self) -> None:
-        UpdateScheme.from_name(self.scheme)
-        if self.workload not in WORKLOADS:
-            raise ValueError(f"unknown workload {self.workload!r}")
         valid = {item.value for item in TupleItem}
         bad = set(self.drops) - valid
         if bad:
@@ -131,13 +143,40 @@ class Scenario:
         return frozenset(TupleItem(value) for value in self.drops)
 
 
-def semantics_for(scheme: str) -> SchemeSpec:
-    """Crash semantics (the scheme table's record) for a campaign scheme."""
+@dataclass(frozen=True)
+class Scenario(CrashPoint):
+    """One campaign grid cell (scheme x workload x crash point x drops)."""
+
+    scheme: str
+    workload: str
+    victim: int
+    drops: Tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        UpdateScheme.from_name(self.scheme)
+        if self.workload not in WORKLOADS:
+            raise ValueError(f"unknown workload {self.workload!r}")
+        super().__post_init__()
+
+
+def semantics_for(scheme: str, journaling: bool = False) -> SchemeSpec:
+    """Crash semantics (the scheme table's record) for a campaign scheme.
+
+    Args:
+        scheme: Scheme name.
+        journaling: Require a scheme that journals persists
+            (:data:`JOURNALING_SCHEMES`, the app campaign's roster)
+            rather than any of :data:`CAMPAIGN_SCHEMES`.
+    """
     resolved = UpdateScheme.from_name(scheme)
-    if resolved.value not in CAMPAIGN_SCHEMES:
+    if journaling and not resolved.spec.persistent:
+        raise ValueError(f"scheme {scheme!r} journals nothing; no crash plans")
+    roster = JOURNALING_SCHEMES if journaling else CAMPAIGN_SCHEMES
+    if resolved.value not in roster:
         raise ValueError(
-            f"scheme {scheme!r} is not part of the crash campaign "
-            f"(supported: {', '.join(CAMPAIGN_SCHEMES)})"
+            f"scheme {scheme!r} is not part of the "
+            f"{'app' if journaling else 'crash'} campaign "
+            f"(supported: {', '.join(roster)})"
         )
     return resolved.spec
 
@@ -169,25 +208,103 @@ def replay(mem: FunctionalSecureMemory, ops: Sequence[Tuple]) -> None:
             raise ValueError(f"unknown workload op {op[0]!r}")
 
 
+class PersistInfo(NamedTuple):
+    """Provenance of one journaled persist in an app trace."""
+
+    app_index: int
+    role: str
+    block: int
+
+
+def persist_map(sem: SchemeSpec, trace: AppTrace) -> List[PersistInfo]:
+    """Map persist journal indices to the app actions that caused them.
+
+    Replays the persistency model's lowering logic without the crypto:
+    under STRICT every store journals one persist; under EPOCH the
+    epoch's dirty blocks materialize at the barrier with same-block
+    collapse, in first-store insertion order (matching
+    :class:`~repro.system.secure_memory.FunctionalSecureMemory`).
+    """
+    infos: List[PersistInfo] = []
+    if sem.model is PersistencyModel.STRICT:
+        for record in trace.records:
+            if record.kind == "store":
+                infos.append(PersistInfo(record.app_index, record.role, record.block))
+        return infos
+    if sem.model is not PersistencyModel.EPOCH:
+        raise ValueError(f"app campaign cannot map persists under {sem.model}")
+    epoch_dirty: Dict[int, PersistInfo] = {}
+    for record in trace.records:
+        if record.kind == "store":
+            # Same-block collapse keeps the first store's queue position
+            # but the *latest* store's provenance wins the persist.
+            epoch_dirty[record.block] = PersistInfo(
+                record.app_index, record.role, record.block
+            )
+        elif record.kind == "barrier":
+            infos.extend(epoch_dirty.values())
+            epoch_dirty.clear()
+    # A trailing open epoch never journals (mirrors the functional
+    # memory); the lowering closes every mutating op with a barrier.
+    return infos
+
+
+class Program(NamedTuple):
+    """One journaled campaign program: a scheme running a workload."""
+
+    sem: SchemeSpec
+    memory: FunctionalSecureMemory
+    """The memory after the replay; each cell crashes its own
+    :meth:`~FunctionalSecureMemory.crashed_copy` of it."""
+    journal: Tuple[PersistRecord, ...]
+    """The memory's pending persist journal, read once."""
+    trace: Optional[AppTrace] = None
+    """The lowered app trace (app programs only)."""
+    pmap: Tuple[PersistInfo, ...] = ()
+    """Each persist's app provenance (app programs only)."""
+
+
 @lru_cache(maxsize=PROGRAM_MEMO_SIZE)
-def journaled_memory(scheme: str, workload: str) -> FunctionalSecureMemory:
-    """The memory a (scheme, workload) program leaves before any crash.
+def program(
+    scheme: str, idiom: Optional[str], workload: Union[str, AppWorkload]
+) -> Program:
+    """Journal one program, once while it stays in the memo.
 
-    Replayed once while it stays in the memo; shared by every caller,
-    so a cell must crash its own :meth:`FunctionalSecureMemory.copy`.
+    Args:
+        scheme: Campaign scheme name.
+        idiom: The durability idiom an app workload is lowered under;
+            ``None`` for a tuple workload.
+        workload: A tuple workload's name (:data:`WORKLOADS`), or, with
+            an ``idiom``, the app workload itself: the memo keys on its
+            content, so generated workloads that share a name never
+            share an entry.
+
+    Raises:
+        RuntimeError: the app persist map disagrees with the journal
+            (the lowering replay drifted from the functional memory).
     """
-    mem = build_memory(semantics_for(scheme))
-    replay(mem, WORKLOADS[workload])
-    return mem
+    sem = semantics_for(scheme, journaling=idiom is not None)
+    mem = build_memory(sem)
+    if idiom is None:
+        replay(mem, WORKLOADS[workload])
+        return Program(sem, mem, mem.journal)
+    trace = lower(idiom, workload)
+    replay_app(mem, trace)
+    pmap = persist_map(sem, trace)
+    if len(pmap) != mem.pending_persists:
+        raise RuntimeError(
+            f"persist map ({len(pmap)}) disagrees with the journal "
+            f"({mem.pending_persists}); the lowering replay drifted from "
+            "the functional memory"
+        )
+    return Program(sem, mem, mem.journal, trace, tuple(pmap))
 
 
-def journal_plan(scheme: str, workload: str) -> Tuple[PersistRecord, ...]:
-    """The persist journal a (scheme, workload) pair produces.
-
-    Used by the grid enumeration to find every crash point, and by the
-    engine to drive the WPQ.  Persist IDs equal journal indices.
-    """
-    return journaled_memory(scheme, workload).journal
+def persist_count(
+    scheme: str, idiom: Optional[str], workload: Union[str, AppWorkload]
+) -> int:
+    """How many persists a program journals (arguments as :func:`program`)."""
+    return len(program(scheme, idiom, workload).journal)
 
 
 def enumerate_grid(
@@ -215,7 +332,7 @@ def enumerate_grid(
     grid: List[Scenario] = []
     for scheme in scheme_list:
         for workload in workload_list:
-            persists = len(journal_plan(scheme, workload))
+            persists = persist_count(scheme, None, workload)
             grid.append(Scenario(scheme, workload, victim=-1))
             for victim in range(persists):
                 for subset in subset_list:
@@ -230,15 +347,17 @@ v2: zoo schemes joined the grid and ``CampaignCell`` grew the
 ``relaxed`` classification flag."""
 
 
-def scenario_key(scenario: Scenario, code: str) -> str:
-    """Content-addressed cache key for one scenario's cell."""
+def scenario_key(scenario: CrashPoint, code: str) -> str:
+    """Content-addressed cache key for one cell of either campaign.
+
+    The key digests the scenario's kind and every field, so a key names
+    one kind's cell.
+    """
     blob = json.dumps(
         {
             "format": CAMPAIGN_FORMAT,
-            "scheme": scenario.scheme,
-            "workload": scenario.workload,
-            "victim": scenario.victim,
-            "drops": list(scenario.drops),
+            "kind": type(scenario).__name__,
+            "scenario": asdict(scenario),
             "code": code,
         },
         sort_keys=True,

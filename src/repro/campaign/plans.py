@@ -25,13 +25,15 @@ of those cells cannot change what the application recovers:
 
 The pruner therefore computes each exhaustive cell's durable outcome
 *combinatorially* — the program's memoized journal
-(:func:`~repro.campaign.app_engine.app_program`), then one WPQ drive
+(:func:`~repro.campaign.grid.program`), then one WPQ drive
 per victim drop group, no encryption, no recovery — groups cells by
 equivalence class, and emits one representative plan per class.  For
 non-atomic schemes (the opt-in ``unordered`` strawman) the prefix
 argument does not hold, so every cell is driven and classes degrade to
 the exact durable-damage signature: only genuinely identical outcomes
-merge.
+merge.  A drive that broke a WPQ invariant is keyed the same way, with
+its problems, so it never merges into a clean class: its cell runs as
+a plan and ``verify_campaign`` reports it.
 
 :func:`crosscheck_pruning` is the soundness instrument: it *runs* every
 exhaustive cell through the real engine and verifies each one classifies
@@ -50,18 +52,15 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.app.kvstore import COMMIT_ROLES, AppWorkload
 from repro.app.workloads import resolve_workload
-from repro.campaign.app_engine import (
-    AppProgram,
-    AppScenario,
-    PersistInfo,
-    app_journal_plan,
-    app_program,
-    app_semantics_for,
-    run_app_scenario,
-)
+from repro.campaign.app_engine import AppScenario, run_app_scenario
 from repro.campaign.engine import build_injector, drive_wpq, drop_group
-from repro.campaign.grid import DROP_SUBSETS
-from repro.core.schemes import SchemeSpec
+from repro.campaign.grid import (
+    DROP_SUBSETS,
+    PersistInfo,
+    Program,
+    persist_count,
+    program,
+)
 from repro.mem.wpq import TupleItem
 
 
@@ -168,17 +167,20 @@ def _drop_items(
     }
 
 
-def _cell_key(
-    sem: SchemeSpec, program: AppProgram, victim: int, drop_items: FrozenSet[TupleItem]
-) -> str:
-    """One cell's class key, from a WPQ drive of that exact cell."""
-    journal = program.journal
-    outcome = drive_wpq(sem, journal, victim, drop_items, program.memory.geometry)
-    if sem.atomic:
+def _cell_key(prog: Program, victim: int, drop_items: FrozenSet[TupleItem]) -> str:
+    """One cell's class key, from a WPQ drive of that exact cell.
+
+    A drive that broke a WPQ invariant gets its exact damage and its
+    problems as its key, never a clean class's key.
+    """
+    sem, journal = prog.sem, prog.journal
+    outcome = drive_wpq(sem, journal, victim, drop_items, prog.memory.geometry)
+    if sem.atomic and not outcome.problems:
         return _atomic_class_key(
-            len(outcome.persisted_ids), len(journal), program.pmap, COMMIT_ROLES
+            len(outcome.persisted_ids), len(journal), prog.pmap, COMMIT_ROLES
         )
-    return _damage_signature(len(journal), build_injector(sem, outcome))
+    key = _damage_signature(len(journal), build_injector(sem, outcome))
+    return f"{key}:problems:{outcome.problems!r}" if outcome.problems else key
 
 
 def cell_keys(
@@ -194,21 +196,20 @@ def cell_keys(
     once per group and every cell of the group takes that key.  The
     non-atomic fallback drives every cell.
     """
-    sem = app_semantics_for(scheme)
-    program = app_program(scheme, idiom, resolve_workload(workload))
+    prog = program(scheme, idiom, resolve_workload(workload))
     subset_list = list(subsets) if subsets is not None else list(DROP_SUBSETS)
     items_of = _drop_items(subset_list)
     keyed: List[Tuple[int, Tuple[str, ...], str]] = []
     group_keys: Dict[Tuple[int, bool, bool], str] = {}
-    for victim, drops in exhaustive_cells(len(program.journal), subset_list):
+    for victim, drops in exhaustive_cells(len(prog.journal), subset_list):
         drop_items = items_of[drops]
-        if sem.atomic:
+        if prog.sem.atomic:
             group = drop_group(victim, drop_items)
             key = group_keys.get(group)
             if key is None:
-                key = group_keys[group] = _cell_key(sem, program, victim, drop_items)
+                key = group_keys[group] = _cell_key(prog, victim, drop_items)
         else:
-            key = _cell_key(sem, program, victim, drop_items)
+            key = _cell_key(prog, victim, drop_items)
         keyed.append((victim, drops, key))
     return keyed
 
@@ -263,7 +264,7 @@ def _plan_set(
         scheme=scheme,
         idiom=idiom,
         workload=wl.name,
-        total_persists=app_journal_plan(scheme, idiom, wl),
+        total_persists=persist_count(scheme, idiom, wl),
         exhaustive_cells=len(keyed),
         plans=plans,
     )
@@ -290,8 +291,7 @@ def crosscheck_pruning(
         (empty when sound).
     """
     wl = resolve_workload(workload)
-    sem = app_semantics_for(scheme)
-    program = app_program(scheme, idiom, wl)
+    prog = program(scheme, idiom, wl)
     keyed = cell_keys(scheme, idiom, wl, subsets)
     plan_set = _plan_set(scheme, idiom, wl, keyed)
     items_of = _drop_items(DROP_SUBSETS if subsets is None else subsets)
@@ -304,7 +304,7 @@ def crosscheck_pruning(
     disagreements: List[Dict] = []
     missed_mismatches = 0
     for victim, drops, key in keyed:
-        own_key = _cell_key(sem, program, victim, items_of[drops])
+        own_key = _cell_key(prog, victim, items_of[drops])
         scenario = AppScenario(scheme, idiom, wl.name, victim, drops)
         actual = run_app_scenario(scenario, workload=wl).classification
         expected = rep_class[key]

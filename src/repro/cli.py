@@ -301,18 +301,44 @@ def cmd_crash(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_crash_campaign(args: argparse.Namespace) -> int:
-    """Systematic crash-injection campaign over the scheme grid."""
+def _finish_campaign(
+    args: argparse.Namespace,
+    payload: dict,
+    require_tables: bool,
+    verdict: str,
+    failure: Optional[str] = None,
+) -> int:
+    """The tail both campaign commands share.
+
+    Writes ``payload`` (whose ``cells`` are cell dataclasses) to
+    ``--out`` when asked, then exits 1 on ``failure`` or on a
+    ``verify_campaign`` violation; otherwise prints ``verdict``.
+    """
     import json
     from dataclasses import asdict
 
-    from repro.analysis.campaign import (
-        CampaignViolation,
-        summarize,
-        table1,
-        table2,
-        verify_campaign,
-    )
+    from repro.analysis.campaign import CampaignViolation, verify_campaign
+
+    cells = payload["cells"]
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=1, default=asdict)
+        print(f"wrote {args.out} ({len(cells)} cells)")
+    if failure is None:
+        try:
+            verify_campaign(cells, require_tables=require_tables)
+        except CampaignViolation as violation:
+            failure = str(violation)
+    if failure is not None:
+        print(f"\nFAIL: {failure}", file=sys.stderr)
+        return 1
+    print(verdict)
+    return 0
+
+
+def cmd_crash_campaign(args: argparse.Namespace) -> int:
+    """Systematic crash-injection campaign over the scheme grid."""
+    from repro.analysis.campaign import summarize, table1, table2
     from repro.campaign import (
         CAMPAIGN_SCHEMES,
         SINGLETON_SUBSETS,
@@ -348,50 +374,33 @@ def cmd_crash_campaign(args: argparse.Namespace) -> int:
     print()
     print(f"campaign: {report.summary()}")
 
-    if args.out:
-        payload = {
-            "cells": [asdict(cell) for cell in cells],
-            "report": report.as_dict(),
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-        print(f"wrote {args.out} ({len(cells)} cells)")
-
-    try:
-        verify_campaign(cells, require_tables=full_tables)
-    except CampaignViolation as violation:
-        print(f"\nFAIL: {violation}", file=sys.stderr)
-        return 1
-    print("verify: zero silent corruptions or invariant violations in compliant schemes")
-    return 0
+    return _finish_campaign(
+        args,
+        {"cells": cells, "report": report.as_dict()},
+        require_tables=full_tables,
+        verdict="verify: zero silent corruptions or invariant violations in compliant schemes",
+    )
 
 
 def cmd_app_campaign(args: argparse.Namespace) -> int:
     """Application-level crash-plan campaign over the KV store idioms."""
-    import json
-    from dataclasses import asdict
-
-    from repro.analysis.campaign import (
-        CampaignViolation,
-        summarize_app,
-        verify_campaign,
-    )
+    from repro.analysis.campaign import summarize_app
+    from repro.app.kvstore import IDIOMS
     from repro.app.workloads import APP_WORKLOADS
     from repro.campaign import (
         APP_CAMPAIGN_SCHEMES,
         crosscheck_pruning,
         generate_plans,
-        run_app_campaign,
+        run_campaign,
+        semantics_for,
     )
-    from repro.campaign.app_engine import app_semantics_for
-    from repro.app.kvstore import IDIOMS
 
     schemes = _names(args.schemes, APP_CAMPAIGN_SCHEMES)
     idioms = _names(args.idioms, IDIOMS)
     workloads = _names(args.workloads, sorted(APP_WORKLOADS))
     try:
         for scheme in schemes:
-            app_semantics_for(scheme)
+            semantics_for(scheme, journaling=True)
     except ValueError as exc:
         return _bad_input(str(exc))
     message = _unknown("idiom", idioms, IDIOMS) or _unknown("app workload", workloads, APP_WORKLOADS)
@@ -406,9 +415,7 @@ def cmd_app_campaign(args: argparse.Namespace) -> int:
                 plan_set = generate_plans(scheme, idiom, workload)
                 plan_sets.append(plan_set)
                 scenarios.extend(plan.scenario for plan in plan_set.plans)
-    cells, report = run_app_campaign(
-        scenarios, workers=args.jobs, cache=not args.no_cache
-    )
+    cells, report = run_campaign(scenarios, workers=args.jobs, cache=not args.no_cache)
 
     print(summarize_app(cells, plan_sets))
     exhaustive = sum(ps.exhaustive_cells for ps in plan_sets)
@@ -434,30 +441,20 @@ def cmd_app_campaign(args: argparse.Namespace) -> int:
                 f"{verdict} ({result['missed_mismatches']} missed mismatches)"
             )
 
-    if args.out:
-        payload = {
+    unsound = any(not result["agree"] for result in crosschecks)
+    return _finish_campaign(
+        args,
+        {
             "plan_sets": [ps.as_dict() for ps in plan_sets],
-            "cells": [asdict(cell) for cell in cells],
+            "cells": cells,
             "crosschecks": crosschecks,
             "report": report.as_dict(),
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-        print(f"wrote {args.out} ({len(cells)} cells)")
-
-    if any(not result["agree"] for result in crosschecks):
-        print("\nFAIL: pruning cross-check found a missed plan", file=sys.stderr)
-        return 1
-    try:
-        verify_campaign(cells, require_tables=False)
-    except CampaignViolation as violation:
-        print(f"\nFAIL: {violation}", file=sys.stderr)
-        return 1
-    print(
-        "verify: every compliant/relaxed cell recovered to a legal "
-        "pre-op/post-op state (zero mismatches)"
+        },
+        require_tables=False,
+        verdict="verify: every compliant/relaxed cell recovered to a legal "
+        "pre-op/post-op state (zero mismatches)",
+        failure="pruning cross-check found a missed plan" if unsound else None,
     )
-    return 0
 
 
 def _bar(value: float, scale: float, width: int = 40) -> str:

@@ -23,7 +23,7 @@ import os
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Type, TypeVar, Union
 
 from repro.system.config import SystemConfig
 from repro.system.timing import SimResult
@@ -100,6 +100,29 @@ def default_cache_root() -> Path:
 
 def caching_disabled() -> bool:
     return os.environ.get("PLP_NO_RESULT_CACHE", "") not in ("", "0")
+
+
+CacheT = TypeVar("CacheT", bound="JSONCache")
+
+
+def resolve_cache(
+    cache: Union["JSONCache", str, os.PathLike, bool, None], cache_type: Type[CacheT]
+) -> Optional[CacheT]:
+    """The cache a runner's ``cache`` argument names, or ``None``.
+
+    ``True`` is a ``cache_type`` at its default root, a path one rooted
+    there, and a ``cache_type`` instance itself; ``False``/``None``
+    disable caching, and ``PLP_NO_RESULT_CACHE=1`` forces it off.
+    """
+    if caching_disabled():
+        return None
+    if isinstance(cache, cache_type):
+        return cache
+    if cache is True:
+        return cache_type()
+    if isinstance(cache, (str, os.PathLike)):
+        return cache_type(cache)
+    return None
 
 
 class JSONCache:

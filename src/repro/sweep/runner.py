@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tupl
 # pays for it once, and forked pool workers inherit it rather than each
 # importing it at its first job.
 import repro.sim.batched  # noqa: F401
-from repro.sweep.cache import JSONCache, ResultCache, caching_disabled, job_key
+from repro.sweep.cache import JSONCache, ResultCache, job_key, resolve_cache
 from repro.sweep.trace_cache import (
     TraceCache,
     default_trace_cache_root,
@@ -410,15 +410,7 @@ def run_jobs(
         ``(results, report)`` with ``results[i]`` the outcome of
         ``jobs[i]`` — bit-identical to running each job sequentially.
     """
-    result_cache: Optional[ResultCache] = None
-    if not caching_disabled():
-        if isinstance(cache, ResultCache):
-            result_cache = cache
-        elif cache is True:
-            result_cache = ResultCache()
-        elif isinstance(cache, (str, os.PathLike)):
-            result_cache = ResultCache(cache)
-
+    result_cache = resolve_cache(cache, ResultCache)
     specs: List[Tuple[SweepJob, SystemConfig]] = []
     keys: List[Hashable] = []
     for job in jobs:

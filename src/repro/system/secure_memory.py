@@ -384,26 +384,28 @@ class FunctionalSecureMemory:
         if self.crashed:
             raise RuntimeError("system has crashed; call recover() first")
 
-    def copy(self) -> "FunctionalSecureMemory":
-        """An independent copy, pending journal and durable state included.
+    def crashed_copy(
+        self, injector: Optional[CrashInjector] = None
+    ) -> "FunctionalSecureMemory":
+        """A copy of this memory after :meth:`crash`; this one is untouched.
 
-        Crashing, storing to or recovering the copy leaves this memory
-        untouched.  The two share only what neither mutates: the
-        journaled records, the keys, the geometry and the stateless
-        encryptor and MAC.
+        Copies only what a crash keeps: the NVM image, the durable root,
+        the pending journal and the commitment maps.  The crash replaces
+        the volatile tree and counters, so they are never copied.
+        Recovering or storing to the copy leaves this memory untouched;
+        the two share only what neither mutates: the journaled records,
+        the keys, the geometry and the stateless encryptor and MAC.
         """
         dup = _shallow_copy(self)
-        dup._counters = CounterStore(self.num_pages)
-        dup._counters.restore(self._counters.snapshot())
-        dup._bmt = BonsaiMerkleTree(self.geometry, self.keys)
-        dup._bmt.restore(self._bmt.snapshot())
         dup.nvm = self.nvm.snapshot()
         dup.durable_root = replace(self.durable_root)
-        dup._volatile_data = dict(self._volatile_data)
         dup._journal = list(self._journal)
-        dup._epoch_dirty = dict(self._epoch_dirty)
         dup._committed = dict(self._committed)
         dup._epoch_committed = dict(self._epoch_committed)
+        # Fresh rather than shared: the crash clears these in place.
+        dup._volatile_data = {}
+        dup._epoch_dirty = {}
+        dup.crash(injector)
         return dup
 
     # ------------------------------------------------------------------

@@ -31,9 +31,8 @@ from repro.app.kvstore import (
 from repro.app.workloads import APP_WORKLOADS, app_memory_trace, resolve_workload
 from repro.campaign.app_engine import (
     APP_CAMPAIGN_SCHEMES,
+    AppCampaignCell,
     AppScenario,
-    app_program,
-    persist_map,
     run_app_scenario,
 )
 from repro.campaign.engine import build_injector, drive_wpq
@@ -41,6 +40,8 @@ from repro.campaign.grid import (
     DROP_SUBSETS,
     PROGRAM_MEMO_SIZE,
     build_memory,
+    persist_map,
+    program,
     semantics_for,
 )
 from repro.campaign.plans import (
@@ -51,7 +52,7 @@ from repro.campaign.plans import (
     exhaustive_cells,
     generate_plans,
 )
-from repro.campaign.runner import AppCampaignCache, run_app_campaign
+from repro.campaign.runner import CampaignCache, run_campaign
 from repro.crypto.primitives import BLOCK_SIZE
 from repro.mem.wpq import TupleItem
 
@@ -377,8 +378,8 @@ def test_app_cells_crash_their_own_copy():
     """Every cell of one app program, forward and in reverse, classifies
     the same, and the memoized program's memory keeps its journal."""
     wl = resolve_workload("smoke")
-    program = app_program("coalescing", "undolog", wl)
-    before = _program_view(program)
+    prog = program("coalescing", "undolog", wl)
+    before = _program_view(prog)
     scenarios = [
         AppScenario("coalescing", "undolog", "smoke", victim, drops)
         for victim, drops in exhaustive_cells(len(before[0]), list(DROP_SUBSETS))
@@ -386,9 +387,9 @@ def test_app_cells_crash_their_own_copy():
     forward = [run_app_scenario(s) for s in scenarios]
     backward = [run_app_scenario(s) for s in reversed(scenarios)]
     assert forward == backward[::-1]
-    assert app_program("coalescing", "undolog", wl) is program
-    assert _program_view(program) == before
-    assert app_program.cache_info().currsize <= PROGRAM_MEMO_SIZE
+    assert program("coalescing", "undolog", wl) is prog
+    assert _program_view(prog) == before
+    assert program.cache_info().currsize <= PROGRAM_MEMO_SIZE
 
 
 def test_non_persistent_scheme_rejected():
@@ -423,8 +424,6 @@ def test_full_pruned_campaign_is_clean(scheme):
 
 
 def _forged_cell(**overrides):
-    from repro.campaign.app_engine import AppCampaignCell
-
     base = dict(
         scheme="sp",
         idiom="snapshot",
@@ -475,6 +474,28 @@ def test_verify_campaign_flags_problems():
         verify_campaign([cell], require_tables=False)
 
 
+def test_pruned_run_reports_a_skipped_victims_wpq_problem(monkeypatch):
+    """A WPQ problem on the drive of a victim that represents no class
+    (victim 11 of sp/undolog/smoke) gives that drive a class of its own:
+    its cell runs as a plan and the gate fails on it."""
+    from repro.campaign import engine
+
+    check = engine.check_tuple_complete
+
+    def forged(entries):
+        problems = check(entries)
+        if len(entries) == 12 and entries[11].arrived and not entries[11].complete:
+            problems.append("forged: persist 11 gathered in part")
+        return problems
+
+    monkeypatch.setattr(engine, "check_tuple_complete", forged)
+    plan_set = generate_plans("sp", "undolog", "smoke")
+    assert any(plan.victim == 11 for plan in plan_set.plans)
+    cells = [run_app_scenario(plan.scenario) for plan in plan_set.plans]
+    with pytest.raises(CampaignViolation, match="forged: persist 11"):
+        verify_campaign(cells, require_tables=False)
+
+
 def test_verify_campaign_accepts_real_cells():
     plan_set = generate_plans("sp", "undolog", "smoke")
     cells = [run_app_scenario(plan.scenario) for plan in plan_set.plans]
@@ -499,25 +520,26 @@ def _smoke_scenarios():
 
 
 def test_app_campaign_cache_roundtrip(tmp_path):
-    cache = AppCampaignCache(tmp_path / "app-cells")
+    cache = CampaignCache(tmp_path / "app-cells")
     cell = run_app_scenario(AppScenario("sp", "snapshot", "smoke", -1))
     cache.put("k1", cell)
     loaded = cache.get("k1")
+    assert isinstance(loaded, AppCampaignCell)
     assert loaded == cell
 
 
 def test_run_app_campaign_parallel_matches_sequential(tmp_path):
     scenarios = _smoke_scenarios()
-    sequential, _ = run_app_campaign(scenarios, workers=1, cache=False)
-    parallel, _ = run_app_campaign(scenarios, workers=2, cache=False)
+    sequential, _ = run_campaign(scenarios, workers=1, cache=False)
+    parallel, _ = run_campaign(scenarios, workers=2, cache=False)
     assert sequential == parallel
 
 
 def test_run_app_campaign_cache_hits(tmp_path):
     scenarios = _smoke_scenarios()
-    cache = AppCampaignCache(tmp_path / "app-cells")
-    cold, cold_report = run_app_campaign(scenarios, workers=1, cache=cache)
-    warm, warm_report = run_app_campaign(scenarios, workers=1, cache=cache)
+    cache = CampaignCache(tmp_path / "app-cells")
+    cold, cold_report = run_campaign(scenarios, workers=1, cache=cache)
+    warm, warm_report = run_campaign(scenarios, workers=1, cache=cache)
     assert cold == warm
     assert warm_report.cache_hits == len(scenarios)
     assert cold_report.cache_hits == 0

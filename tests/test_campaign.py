@@ -23,7 +23,7 @@ from repro.campaign import (
     CampaignCell,
     Scenario,
     enumerate_grid,
-    journal_plan,
+    persist_count,
     run_campaign,
     run_scenario,
     scenario_key,
@@ -40,8 +40,8 @@ from repro.campaign.engine import (
 from repro.campaign.grid import (
     CAMPAIGN_PAGES,
     PROGRAM_MEMO_SIZE,
-    journaled_memory,
     payload,
+    program,
 )
 from repro.core.coalescing import CoalescingUnit
 from repro.core.schemes import UpdateScheme
@@ -92,20 +92,20 @@ def test_grid_enumeration_is_deterministic():
 
 def test_grid_covers_every_persist_boundary_and_subset():
     grid = enumerate_grid(schemes=["sp"], workloads=["overwrite"])
-    persists = len(journal_plan("sp", "overwrite"))
+    persists = persist_count("sp", None, "overwrite")
     assert persists == 2
     # 1 all-complete boundary + per victim all 16 subsets.
     assert len(grid) == 1 + persists * 16
 
 
 def test_secure_wb_journals_nothing():
-    assert journal_plan("secure_wb", "epoch_mix") == ()
+    assert persist_count("secure_wb", None, "epoch_mix") == 0
 
 
 def test_epoch_persistency_collapses_same_block_stores():
     # overwrite hits one block twice in one epoch -> a single persist.
-    assert len(journal_plan("o3", "overwrite")) == 1
-    assert len(journal_plan("sp", "overwrite")) == 2
+    assert persist_count("o3", None, "overwrite") == 1
+    assert persist_count("sp", None, "overwrite") == 2
 
 
 def test_scenario_key_depends_on_every_dimension():
@@ -118,8 +118,9 @@ def test_scenario_key_depends_on_every_dimension():
         scenario_key(Scenario("sp", "overwrite", 1, ("mac",)), code),
         scenario_key(Scenario("sp", "overwrite", 0, ("data",)), code),
         scenario_key(base, "other-code"),
+        scenario_key(AppScenario("sp", "snapshot", "overwrite", 0, ("mac",)), code),
     }
-    assert len(keys) == 6
+    assert len(keys) == 7
 
 
 # The scheme table, written out by hand, one row per scheme.
@@ -284,14 +285,14 @@ def test_cells_crash_their_own_copy(scheme, workload):
     forward or in reverse they agree, and the memoized memory is left as
     the replay left it."""
     grid = enumerate_grid(schemes=[scheme], workloads=[workload])
-    memoized = journaled_memory(scheme, workload)
+    memoized = program(scheme, None, workload).memory
     before = _durable_view(memoized)
     forward = [run_scenario(s) for s in grid]
     backward = [run_scenario(s) for s in reversed(grid)]
     assert forward == backward[::-1]
-    assert journaled_memory(scheme, workload) is memoized
+    assert program(scheme, None, workload).memory is memoized
     assert _durable_view(memoized) == before
-    assert journaled_memory.cache_info().currsize <= PROGRAM_MEMO_SIZE
+    assert program.cache_info().currsize <= PROGRAM_MEMO_SIZE
 
 
 @pytest.mark.parametrize("scheme", ["triad_nvm", "phoenix"])

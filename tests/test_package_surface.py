@@ -41,6 +41,10 @@ def test_every_module_imports(module_name):
         "repro.system",
         "repro.workloads",
         "repro.analysis",
+        "repro.campaign",
+        "repro.app",
+        "repro.sweep",
+        "repro.telemetry",
     ],
 )
 def test_all_exports_resolve(module_name):
@@ -146,3 +150,34 @@ def test_no_scheme_roster_literals_in_campaign_or_recovery():
                 if len(values) >= 2:
                     rosters.append((path.relative_to(SRC).as_posix(), node.lineno))
     assert not rosters, f"hand-kept scheme rosters: {rosters}"
+
+
+# ----------------------------------------------------------------------
+# one crash path: both campaigns crash and recover in one function
+# ----------------------------------------------------------------------
+
+
+def _functions_calling(paths, methods):
+    """``(module, function)`` for every function whose own body calls a
+    method named in ``methods``."""
+    found = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(node):
+                if (
+                    isinstance(inner, ast.Call)
+                    and isinstance(inner.func, ast.Attribute)
+                    and inner.func.attr in methods
+                ):
+                    found.add((path.relative_to(SRC).as_posix(), node.name))
+    return found
+
+
+def test_campaigns_crash_and_recover_in_one_function():
+    paths = sorted((SRC / "campaign").glob("*.py"))
+    crashers = _functions_calling(paths, {"crash", "crashed_copy"})
+    recoverers = _functions_calling(paths, {"recover"})
+    assert crashers == recoverers == {("campaign/engine.py", "crash_and_recover")}

@@ -175,8 +175,7 @@ def test_crashing_a_copy_leaves_the_original_intact():
     mem.store(addr(0), make_block(0))
     victim = mem.store(addr(1), make_block(1))
     journal = mem.journal
-    dup = mem.copy()
-    dup.crash(CrashInjector().drop(victim, TupleItem.MAC))
+    dup = mem.crashed_copy(CrashInjector().drop(victim, TupleItem.MAC))
     assert dup.recover().recovered
     assert 1 not in dup.committed_state
     dup.store(addr(2), make_block(2))
