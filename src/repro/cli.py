@@ -215,8 +215,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def _trace_inspect(path: str) -> int:
     """Summarize a trace file from its header + segment index alone.
 
-    For a chunked v2 file this reads O(1) bytes regardless of trace
-    length — the columns are never touched.
+    Reads O(1) bytes regardless of trace length — the columns are never
+    touched.
     """
     from repro.workloads.trace import TraceFormatError, TraceReader
 
@@ -245,7 +245,7 @@ _STREAM_GENERATORS = ("synthetic", "lca_pingpong", "multi_tenant")
 
 
 def _trace_stream(args: argparse.Namespace) -> int:
-    """Stream-generate a chunked v2 trace straight to disk.
+    """Stream-generate a chunked binary trace straight to disk.
 
     Peak memory is one segment's columns, so ``--ops 10000000`` works on
     a small machine; the result is inspectable with ``--inspect``.
@@ -621,19 +621,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--format",
         choices=["binary", "text"],
         default="binary",
-        help="serialization for --out (default: packed binary)",
+        help="serialization for --out (default: packed binary; text is export-only)",
     )
     trace.add_argument(
         "--inspect",
         metavar="PATH",
         default=None,
-        help="summarize a trace file from its header/index only (O(1) for v2)",
+        help="summarize a binary trace file from its header/index only",
     )
     trace.add_argument(
         "--stream",
         choices=_STREAM_GENERATORS,
         default=None,
-        help="stream-generate a v2 trace straight to --out in bounded memory",
+        help="stream-generate a binary trace straight to --out in bounded memory",
     )
     trace.add_argument(
         "--ops", type=int, default=1_000_000, help="record count for --stream"
@@ -645,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--segment-ops",
         type=int,
         default=262_144,
-        help="v2 segment size for --stream output",
+        help="segment size (ops) for --stream output",
     )
     trace.set_defaults(func=cmd_trace)
 

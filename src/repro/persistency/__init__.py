@@ -8,12 +8,9 @@ block to its entire memory tuple — counter, MAC, and BMT root update.
 
 from repro.persistency.models import PersistencyModel
 from repro.persistency.epochs import EpochTracker, Epoch
-from repro.persistency.ordering import PersistOrderLog, OrderViolation
 
 __all__ = [
     "PersistencyModel",
     "EpochTracker",
     "Epoch",
-    "PersistOrderLog",
-    "OrderViolation",
 ]

@@ -1,13 +1,13 @@
-"""Discrete-event simulation kernel used by the timing models.
+"""Simulation support shared by the timing models.
 
-The kernel is deliberately small: a cycle clock, an event queue, and a
-statistics registry.  The heavy lifting (caches, BMT update engines, the
-write pending queue) lives in the other subpackages and is driven either
-event-by-event through :class:`~repro.sim.engine.Engine` or analytically
-through the scoreboard models in :mod:`repro.core.schedulers`.
+The batched engine (:mod:`repro.sim.batched`), the bounded memos it and
+the BMT geometry share (:mod:`repro.sim.memo`), and the statistics
+registry.  The hardware models themselves live in the other
+subpackages: the trace-scale scoreboards in :mod:`repro.core.schedulers`
+and the PTT/ETT cycle engine, which ticks itself, in
+:mod:`repro.core.update_engine`.
 """
 
-from repro.sim.engine import Engine, Event
 from repro.sim.stats import Counter, Histogram, StatsRegistry
 
-__all__ = ["Engine", "Event", "Counter", "Histogram", "StatsRegistry"]
+__all__ = ["Counter", "Histogram", "StatsRegistry"]

@@ -5,11 +5,13 @@ kilo_instructions, seed)`` — a pure-Python RNG walk that dominates cold
 sweep start-up.  Traces are deterministic functions of those inputs plus
 the *generator version* (the ``repro.workloads`` sources), so this cache
 keys each trace by a SHA-256 digest over exactly that tuple and stores
-the packed binary format written by
-:meth:`~repro.workloads.trace.MemoryTrace.save_binary`.  A warm hit is a
-single ``array.fromfile`` read of the four columns — orders of magnitude
-faster than re-running the generator — and any edit to the generator
-sources invalidates the whole cache.
+the binary trace format (:mod:`repro.workloads.trace`; the cache has no
+format code of its own).  Every Table V trace fits one segment, so a
+warm hit is one bulk read of the columns, checked against the segment
+index — orders of magnitude faster than re-running the generator — and
+any edit to the generator sources invalidates the whole cache.  A file
+that fails the format checks (a crashed writer, a file from an older
+format version) is a miss and is regenerated.
 
 Layout: one binary file per trace under
 ``<root>/<key[:2]>/<key>.trace``.  The root defaults to
@@ -85,9 +87,9 @@ class TraceCache:
         try:
             trace = MemoryTrace.load_binary(path)
         except (OSError, TraceFormatError):
-            # Missing, unreadable, or corrupt (e.g. a crashed writer
-            # before atomic-rename semantics): treat as a miss and let
-            # the generator rebuild it.
+            # Missing, unreadable, corrupt (e.g. a crashed writer before
+            # atomic-rename semantics) or in another format version:
+            # treat as a miss and let the generator rebuild it.
             self.misses += 1
             return None
         self.hits += 1
@@ -97,9 +99,9 @@ class TraceCache:
         """Store a packed trace atomically (write-then-rename).
 
         The payload is packed once with :meth:`MemoryTrace.to_bytes` and
-        written in a single call — ``save_binary``'s per-column
-        ``tofile`` writes plus a ``mkstemp`` round-trip made the cold
-        cache measurably slower than not caching at all on small traces.
+        written in a single call — a ``mkstemp`` round-trip made the
+        cold cache measurably slower than not caching at all on small
+        traces.
         The temp name is pid-suffixed, so concurrent writers (sweep
         workers racing on the same cold key) never collide, and the
         ``os.replace`` keeps readers crash-consistent.

@@ -42,9 +42,6 @@ class EventKind(enum.IntEnum):
     EPOCH_OPEN = 50
     EPOCH_DRAIN = 51
 
-    # Discrete-event kernel.
-    ENGINE_FIRE = 60
-
 
 SPAN_KINDS = frozenset({EventKind.BMT_LEVEL_SPAN})
 """Kinds whose ``duration`` field describes a closed interval."""

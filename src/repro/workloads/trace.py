@@ -15,26 +15,27 @@ with integer kind codes.  :class:`TraceRecord` and the ``records``
 sequence remain as a thin compatibility view for callers that want
 object-per-record semantics.
 
-Two interchangeable serializations are provided:
-
-* a human-readable **text format** (one ``K address gap persistent``
-  line per record, ``# trace <name>`` header) via :meth:`MemoryTrace.save`
-  / :meth:`MemoryTrace.load`, and
-* a versioned **binary format** (:data:`TRACE_MAGIC` header followed by
-  the raw column bytes, written with ``array.tofile``) via
-  :meth:`MemoryTrace.save_binary` / :meth:`MemoryTrace.load_binary` —
-  the packed artifact the sweep trace cache stores and memory-maps
-  loads from.
+One **binary format** stores traces on disk: a header, the name, the
+columns in fixed-size segments and a trailing segment index (layout
+below).  :class:`TraceWriter` is its only serializer and
+:class:`TraceReader` its only parser and validator;
+:meth:`MemoryTrace.save_binary`, :meth:`MemoryTrace.to_bytes` and
+:meth:`MemoryTrace.load_binary` delegate to them.  It is the artifact
+the sweep trace cache stores and ``plp-repro trace --out`` writes.
+:meth:`MemoryTrace.save` writes a human-readable **text export** (a
+``# trace <name>`` header, then one ``K address gap persistent`` line
+per record) that nothing reads back.
 """
 
 from __future__ import annotations
 
 import enum
+import io
 import struct
 import sys
 from array import array
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union, overload
+from typing import BinaryIO, Iterable, Iterator, List, Optional, Sequence, Tuple, Union, overload
 
 BLOCK_SHIFT = 6
 PAGE_SHIFT = 12
@@ -201,29 +202,24 @@ class _RecordsView(Sequence):
         return f"<records view of {self._trace!r}>"
 
 
-# Binary trace format: little-endian header followed by the raw bytes
-# of the four columns in declaration order.
-#
-# v1 stores the whole trace column-major (all kind codes, then all
-# addresses, ...), so loading is four bulk reads but anything less than
-# the full trace cannot be read without seeking per column.
-#
-# v2 is the chunked layout for multi-GB traces: the header grows a
-# segment-size field and the offset of a trailing per-segment index,
-# and the payload is a sequence of fixed-size *segments*, each holding
-# its own four column slices back-to-back.  Every index entry carries
-# the segment's byte offset plus summary statistics (loads, stores,
-# persistent stores, sfences, gap sum), so inspecting a trace touches
-# only the header and the index, never the column data.  The index lives at the
-# end so :class:`TraceWriter` can stream segments to disk and backpatch
-# the header on close.
+# Binary trace format: a little-endian header, the UTF-8 name, the
+# payload as a sequence of *segments* of at most ``segment_ops`` ops,
+# each holding its own four column slices back-to-back (kind codes,
+# addresses, gaps, flags), and a trailing per-segment index.  Every
+# index entry carries the segment's byte offset plus summary statistics
+# (loads, stores, persistent stores, sfences, gap sum), so inspecting a
+# trace touches only the header and the index, never the column data,
+# and a reader can check each segment's data against its entry.  The
+# index lives at the end so :class:`TraceWriter` can stream segments to
+# disk and backpatch the header on close.  A trace that fits one
+# segment (every Table V profile does) loads with one bulk read.
 TRACE_MAGIC = b"PLPTRACE"
-TRACE_FORMAT_VERSION = 1
-TRACE_FORMAT_VERSION_V2 = 2
-_HEADER = struct.Struct("<8sHHIQ")  # magic, version, reserved, name length, record count
-# v2 header: the v1 fields followed by segment size (ops), segment
-# count, and the byte offset of the segment index.
-_HEADER_V2 = struct.Struct("<8sHHIQIIQ")
+TRACE_FORMAT_VERSION = 2
+# magic, version, reserved, name length, record count, segment size
+# (ops), segment count, byte offset of the segment index.
+_HEADER = struct.Struct("<8sHHIQIIQ")
+# The leading fields every version of the format shares.
+_PREAMBLE = struct.Struct("<8sH")
 # One index entry per segment: byte offset, op count, loads, stores,
 # persistent stores, sfences, gap sum.
 _SEGMENT_ENTRY = struct.Struct("<QIIIIIQ")
@@ -232,8 +228,31 @@ _ROW_BYTES = 14  # 1 B kind + 8 B address + 4 B gap + 1 B flag
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
+def _segment_stats(kinds: array, gaps: array, flags: array) -> Tuple[int, int, int, int, int]:
+    """One segment's index statistics: loads, stores, persistent stores,
+    sfences and gap sum.
+
+    :class:`TraceWriter` records them and :class:`TraceReader` checks
+    them.  A kind code outside {0, 1, 2} is counted as no kind at all,
+    so its segment can never match an index entry whose kind counts sum
+    to its op count.
+    """
+    import numpy as np
+
+    codes = np.frombuffer(kinds, dtype=np.uint8)
+    is_store = codes == KIND_STORE
+    persistent = np.frombuffer(flags, dtype=np.uint8) != 0
+    return (
+        int(np.count_nonzero(codes == KIND_LOAD)),
+        int(np.count_nonzero(is_store)),
+        int(np.count_nonzero(is_store & persistent)),
+        int(np.count_nonzero(codes == KIND_SFENCE)),
+        int(np.frombuffer(gaps, dtype=np.uint32).sum(dtype=np.uint64)),
+    )
+
+
 class TraceFormatError(ValueError):
-    """Raised when binary trace bytes fail header or size validation."""
+    """Raised when binary trace bytes fail a format check (header, index or segment data)."""
 
 
 class MemoryTrace:
@@ -397,10 +416,11 @@ class MemoryTrace:
         return cached
 
     # ------------------------------------------------------------------
-    # text (de)serialization: one record per line, "K address gap persistent"
+    # text export: one record per line, "K address gap persistent"
     # ------------------------------------------------------------------
 
     def save(self, path: Union[str, Path]) -> None:
+        """Write the human-readable text export (nothing reads it back)."""
         code_to_value = _CODE_TO_VALUE
         with open(path, "w", encoding="ascii") as fh:
             fh.write(f"# trace {self.name}\n")
@@ -409,199 +429,33 @@ class MemoryTrace:
             ):
                 fh.write(f"{code_to_value[code]} {address:x} {gap} {persistent}\n")
 
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "MemoryTrace":
-        # The header names the trace; fall back to the file stem for
-        # headerless files.
-        trace = cls(name=Path(path).stem)
-        value_to_code = _VALUE_TO_CODE
-        append_op = trace.append_op
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    header = line[1:].strip()
-                    if header.startswith("trace "):
-                        trace.name = header[len("trace "):].strip()
-                    continue
-                kind_s, addr_s, gap_s, persistent_s = line.split()
-                append_op(
-                    value_to_code[kind_s],
-                    int(addr_s, 16),
-                    int(gap_s),
-                    1 if int(persistent_s) else 0,
-                )
-        return trace
-
     # ------------------------------------------------------------------
-    # binary (de)serialization: header + raw little-endian column bytes
+    # binary format: delegations to TraceWriter / TraceReader
     # ------------------------------------------------------------------
 
-    def to_bytes(self, version: int = TRACE_FORMAT_VERSION, segment_ops: int = DEFAULT_SEGMENT_OPS) -> bytes:
-        """Serialize to the versioned binary trace format.
-
-        ``version=2`` emits the chunked layout (``segment_ops`` ops per
-        segment) via an in-memory :class:`TraceWriter`.
-        """
-        if version == TRACE_FORMAT_VERSION_V2:
-            import io
-
-            buf = io.BytesIO()
-            with TraceWriter(buf, name=self.name, segment_ops=segment_ops) as writer:
-                writer.extend_packed(*self._columns())
-            return buf.getvalue()
-        if version != TRACE_FORMAT_VERSION:
-            raise TraceFormatError(f"cannot serialize trace format version {version}")
-        name_bytes = self.name.encode("utf-8")
-        columns = self._columns()
-        if _BIG_ENDIAN:
-            columns = tuple(self._swapped(col) for col in columns)
-        header = _HEADER.pack(
-            TRACE_MAGIC, TRACE_FORMAT_VERSION, 0, len(name_bytes), len(self)
-        )
-        return b"".join((header, name_bytes, *(col.tobytes() for col in columns)))
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "MemoryTrace":
-        """Parse the versioned binary trace format.
-
-        Raises:
-            TraceFormatError: On a bad magic, unsupported version, or a
-                payload whose size disagrees with the header counts.
-        """
-        if len(blob) < _HEADER.size:
-            raise TraceFormatError(
-                f"binary trace too short: {len(blob)} bytes < {_HEADER.size}-byte header"
-            )
-        magic, version, _reserved, name_len, count = _HEADER.unpack_from(blob)
-        if magic != TRACE_MAGIC:
-            raise TraceFormatError(f"bad trace magic {magic!r} (expected {TRACE_MAGIC!r})")
-        if version == TRACE_FORMAT_VERSION_V2:
-            with TraceReader.from_bytes(blob) as reader:
-                return reader.read_all()
-        if version != TRACE_FORMAT_VERSION:
-            raise TraceFormatError(
-                f"unsupported trace format version {version} (expected "
-                f"{TRACE_FORMAT_VERSION} or {TRACE_FORMAT_VERSION_V2})"
-            )
-        trace = cls()
-        offset = _HEADER.size
-        if len(blob) < offset + name_len:
-            raise TraceFormatError(
-                f"binary trace truncated inside the name: header promises "
-                f"{name_len} name bytes, payload has {len(blob) - offset}"
-            )
-        try:
-            trace.name = blob[offset : offset + name_len].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TraceFormatError(f"binary trace name is not UTF-8: {exc}") from None
-        offset += name_len
-        expected = offset + sum(col.itemsize for col in trace._columns()) * count
-        if len(blob) != expected:
-            raise TraceFormatError(
-                f"binary trace payload is {len(blob)} bytes; header implies {expected}"
-            )
-        try:
-            for col in trace._columns():
-                size = col.itemsize * count
-                col.frombytes(blob[offset : offset + size])
-                offset += size
-        except ValueError:
-            # Unreachable after the size check above (slices are exact
-            # item multiples), but array-level errors must never escape.
-            raise TraceFormatError(
-                f"binary trace columns corrupt: header promised {count} records"
-            ) from None
-        if _BIG_ENDIAN:
-            for col in trace._columns():
-                col.byteswap()
-        return trace
+    def to_bytes(self, segment_ops: int = DEFAULT_SEGMENT_OPS) -> bytes:
+        """Serialize to the binary trace format, in memory."""
+        buf = io.BytesIO()
+        self.save_binary(buf, segment_ops)
+        return buf.getvalue()
 
     def save_binary(
-        self,
-        path: Union[str, Path],
-        version: int = TRACE_FORMAT_VERSION,
-        segment_ops: int = DEFAULT_SEGMENT_OPS,
+        self, path: Union[str, Path, BinaryIO], segment_ops: int = DEFAULT_SEGMENT_OPS
     ) -> None:
-        """Write the binary trace format (columns via ``array.tofile``).
-
-        ``version=2`` writes the chunked layout through
-        :class:`TraceWriter` with ``segment_ops`` ops per segment.
-        """
-        if version == TRACE_FORMAT_VERSION_V2:
-            with TraceWriter(path, name=self.name, segment_ops=segment_ops) as writer:
-                writer.extend_packed(*self._columns())
-            return
-        if version != TRACE_FORMAT_VERSION:
-            raise TraceFormatError(f"cannot serialize trace format version {version}")
-        name_bytes = self.name.encode("utf-8")
-        columns = self._columns()
-        if _BIG_ENDIAN:
-            columns = tuple(self._swapped(col) for col in columns)
-        with open(path, "wb") as fh:
-            fh.write(
-                _HEADER.pack(
-                    TRACE_MAGIC, TRACE_FORMAT_VERSION, 0, len(name_bytes), len(self)
-                )
-            )
-            fh.write(name_bytes)
-            for col in columns:
-                col.tofile(fh)
+        """Write the binary trace format through :class:`TraceWriter`,
+        ``segment_ops`` ops per segment."""
+        with TraceWriter(path, name=self.name, segment_ops=segment_ops) as writer:
+            writer.extend_packed(*self._columns())
 
     @classmethod
     def load_binary(cls, path: Union[str, Path]) -> "MemoryTrace":
-        """Read the binary trace format (columns via ``array.fromfile``).
+        """Read a binary trace file through :class:`TraceReader`.
 
         Raises:
-            TraceFormatError: On a corrupt or truncated file.
+            TraceFormatError: On a corrupt, truncated or unsupported file.
         """
-        with open(path, "rb") as fh:
-            header = fh.read(_HEADER.size)
-            if len(header) < _HEADER.size:
-                raise TraceFormatError(
-                    f"binary trace {path!s} truncated inside the header"
-                )
-            magic, version, _reserved, name_len, count = _HEADER.unpack(header)
-            if magic != TRACE_MAGIC:
-                raise TraceFormatError(
-                    f"bad trace magic {magic!r} in {path!s} (expected {TRACE_MAGIC!r})"
-                )
-            if version == TRACE_FORMAT_VERSION_V2:
-                with TraceReader(path) as reader:
-                    return reader.read_all()
-            if version != TRACE_FORMAT_VERSION:
-                raise TraceFormatError(
-                    f"unsupported trace format version {version} in {path!s}"
-                )
-            trace = cls()
-            name_bytes = fh.read(name_len)
-            if len(name_bytes) < name_len:
-                raise TraceFormatError(f"binary trace {path!s} truncated inside the name")
-            try:
-                trace.name = name_bytes.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise TraceFormatError(
-                    f"binary trace name in {path!s} is not UTF-8: {exc}"
-                ) from None
-            try:
-                for col in trace._columns():
-                    col.fromfile(fh, count)
-            except (EOFError, ValueError):
-                # EOFError for whole-item shortfalls; array raises
-                # ValueError when truncation lands mid-item.
-                raise TraceFormatError(
-                    f"binary trace {path!s} truncated: header promised {count} records"
-                ) from None
-            if fh.read(1):
-                raise TraceFormatError(
-                    f"binary trace {path!s} has trailing bytes past {count} records"
-                )
-        if _BIG_ENDIAN:
-            for col in trace._columns():
-                col.byteswap()
-        return trace
+        with TraceReader(path) as reader:
+            return reader.read_all()
 
     def _columns(self) -> Tuple[array, array, array, array]:
         return (self.kind_codes, self.addresses, self.gaps, self.persistent_flags)
@@ -610,7 +464,7 @@ class MemoryTrace:
         """Yield the packed columns as :class:`TraceChunk` slices.
 
         Gives an in-memory trace the same chunk-iterator shape a
-        :class:`TraceReader` produces for an on-disk v2 trace, so the
+        :class:`TraceReader` produces for an on-disk trace, so the
         streaming engine entry points accept either source.
         """
         if segment_ops < 1:
@@ -625,12 +479,6 @@ class MemoryTrace:
                 self.gaps[start:stop],
                 self.persistent_flags[start:stop],
             )
-
-    @staticmethod
-    def _swapped(col: array) -> array:
-        copy = array(col.typecode, col)
-        copy.byteswap()
-        return copy
 
 
 class TraceChunk:
@@ -666,7 +514,7 @@ class TraceChunk:
 
 
 class TraceSegment:
-    """One v2 index entry: where a segment lives and what it holds."""
+    """One index entry: where a segment lives and what it holds."""
 
     __slots__ = ("offset", "count", "loads", "stores", "persistent_stores", "sfences", "gap_sum")
 
@@ -698,12 +546,11 @@ class TraceSegment:
 
 
 class TraceSummary:
-    """Whole-trace statistics assembled from the v2 segment index.
+    """Whole-trace statistics assembled from the segment index.
 
-    For a v2 trace this costs only the header + index read (O(1) in the
-    trace length); for v1 the reader streams the columns once in bounded
-    memory.  ``touched_blocks`` is deliberately absent — it requires the
-    address column.
+    Costs only the header + index read, O(1) in the trace length.
+    ``touched_blocks`` is deliberately absent — it requires the address
+    column.
     """
 
     __slots__ = (
@@ -763,7 +610,8 @@ class TraceSummary:
 
 
 class TraceWriter:
-    """Streaming v2 trace writer: append ops, segments flush to disk.
+    """Streaming trace writer, the one serializer of the binary format:
+    append ops, segments flush to disk.
 
     Buffers at most one segment's columns in memory; ``close`` writes
     the trailing segment index and backpatches the header with the true
@@ -795,8 +643,8 @@ class TraceWriter:
         # Placeholder header; count / num_segments / index_offset are
         # backpatched on close.
         self._fh.write(
-            _HEADER_V2.pack(
-                TRACE_MAGIC, TRACE_FORMAT_VERSION_V2, 0, len(self._name_bytes), 0, segment_ops, 0, 0
+            _HEADER.pack(
+                TRACE_MAGIC, TRACE_FORMAT_VERSION, 0, len(self._name_bytes), 0, segment_ops, 0, 0
             )
         )
         self._fh.write(self._name_bytes)
@@ -857,24 +705,16 @@ class TraceWriter:
         kinds = self._kinds
         if not kinds:
             return
-        flags = self._flags
-        loads = kinds.count(KIND_LOAD)
-        stores = kinds.count(KIND_STORE)
-        sfences = kinds.count(KIND_SFENCE)
-        store_code = KIND_STORE
-        persistent_stores = sum(
-            1 for k, f in zip(kinds, flags) if k == store_code and f
-        )
-        gap_sum = sum(self._gaps)
-        offset = self._fh.tell()
-        columns: Tuple[array, ...] = (kinds, self._addrs, self._gaps, flags)
-        if _BIG_ENDIAN:
-            columns = tuple(MemoryTrace._swapped(col) for col in columns)
-        for col in columns:
-            self._fh.write(col.tobytes())
+        columns: Tuple[array, ...] = (kinds, self._addrs, self._gaps, self._flags)
         self._entries.append(
-            (offset, len(kinds), loads, stores, persistent_stores, sfences, gap_sum)
+            (self._fh.tell(), len(kinds), *_segment_stats(kinds, self._gaps, self._flags))
         )
+        if _BIG_ENDIAN:
+            columns = tuple(array(col.typecode, col) for col in columns)
+            for col in columns:
+                col.byteswap()
+        for col in columns:
+            self._fh.write(col)
         self._count += len(kinds)
         self._reset_buffers()
 
@@ -888,9 +728,9 @@ class TraceWriter:
             self._fh.write(pack(*entry))
         self._fh.seek(0)
         self._fh.write(
-            _HEADER_V2.pack(
+            _HEADER.pack(
                 TRACE_MAGIC,
-                TRACE_FORMAT_VERSION_V2,
+                TRACE_FORMAT_VERSION,
                 0,
                 len(self._name_bytes),
                 self._count,
@@ -912,13 +752,13 @@ class TraceWriter:
 
 
 class TraceReader:
-    """Bounded-memory reader over the binary trace formats.
+    """Bounded-memory reader, the one parser and validator of the binary
+    trace format.
 
-    Parses the header (and, for v2, the segment index) eagerly with the
-    full hardening of :meth:`MemoryTrace.from_bytes`; the column data is
-    only touched by :meth:`chunks`, one segment at a time.  v1 traces
-    are chunked too (via per-column seeks), so every consumer can treat
-    both versions uniformly.
+    Parses and checks the header and the segment index eagerly; the
+    column data is only touched by :meth:`chunks`, one segment at a
+    time, and each segment is checked against its index entry as it is
+    read.  Every defect raises :class:`TraceFormatError`.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -932,9 +772,7 @@ class TraceReader:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "TraceReader":
-        """A reader over an in-memory serialized trace (tests, caches)."""
-        import io
-
+        """A reader over an in-memory serialized trace."""
         reader = cls.__new__(cls)
         reader._label = "<bytes>"
         reader._fh = io.BytesIO(blob)
@@ -960,34 +798,27 @@ class TraceReader:
 
     def _parse(self) -> None:
         fh = self._fh
-        fh.seek(0, 2)
-        self._size = fh.tell()
+        self._size = fh.seek(0, 2)
         fh.seek(0)
-        if self._size < _HEADER.size:
+        header = fh.read(_HEADER.size)
+        if len(header) < _PREAMBLE.size:
             self._fail(f"too short: {self._size} bytes < {_HEADER.size}-byte header")
-        magic, version, _reserved, name_len, count = _HEADER.unpack(
-            self._read_exact(_HEADER.size, "the header")
-        )
+        magic, version = _PREAMBLE.unpack_from(header)
         if magic != TRACE_MAGIC:
             self._fail(f"bad magic {magic!r} (expected {TRACE_MAGIC!r})")
-        if version not in (TRACE_FORMAT_VERSION, TRACE_FORMAT_VERSION_V2):
-            self._fail(f"unsupported trace format version {version}")
-        self.version = version
-        self.record_count = count
-        if version == TRACE_FORMAT_VERSION_V2:
-            tail = struct.Struct("<IIQ")
-            segment_ops, num_segments, index_offset = tail.unpack(
-                self._read_exact(tail.size, "the v2 header")
+        if version != TRACE_FORMAT_VERSION:
+            self._fail(
+                f"unsupported trace format version {version} "
+                f"(expected {TRACE_FORMAT_VERSION})"
             )
-            if segment_ops < 1:
-                self._fail(f"segment size {segment_ops} is not positive")
-            self.segment_ops = segment_ops
-            self._num_segments = num_segments
-            self._index_offset = index_offset
-        else:
-            self.segment_ops = DEFAULT_SEGMENT_OPS
-            self._num_segments = 0
-            self._index_offset = 0
+        if len(header) < _HEADER.size:
+            self._fail(f"too short: {self._size} bytes < {_HEADER.size}-byte header")
+        fields = _HEADER.unpack(header)
+        name_len, count, segment_ops, num_segments, index_offset = fields[3:]
+        if segment_ops < 1:
+            self._fail(f"segment size {segment_ops} is not positive")
+        self.record_count = count
+        self.segment_ops = segment_ops
         name_bytes = fh.read(name_len)
         if len(name_bytes) < name_len:
             self._fail(
@@ -1001,20 +832,10 @@ class TraceReader:
                 f"binary trace {self._label}: name is not UTF-8: {exc}"
             ) from None
         self._data_start = fh.tell()
-        if version == TRACE_FORMAT_VERSION_V2:
-            self._parse_index()
-            self.segments: Optional[List[TraceSegment]] = self._segments
-        else:
-            expected = self._data_start + _ROW_BYTES * count
-            if self._size != expected:
-                self._fail(f"payload is {self._size} bytes; header implies {expected}")
-            self._segments = None
-            self.segments = None
+        self.segments = self._parse_index(num_segments, index_offset)
 
-    def _parse_index(self) -> None:
+    def _parse_index(self, num_segments: int, index_offset: int) -> List[TraceSegment]:
         entry = _SEGMENT_ENTRY
-        index_offset = self._index_offset
-        num_segments = self._num_segments
         expected = index_offset + num_segments * entry.size
         if index_offset < self._data_start:
             self._fail(
@@ -1055,17 +876,17 @@ class TraceReader:
             cursor = seg.offset + seg.count * _ROW_BYTES
             total += seg.count
             segments.append(seg)
-        if cursor != self._index_offset:
+        if cursor != index_offset:
             self._fail(
                 f"mid-column cut: segment data ends at byte {cursor} but the "
-                f"index starts at {self._index_offset}"
+                f"index starts at {index_offset}"
             )
         if total != self.record_count:
             self._fail(
                 f"corrupt index: segments hold {total} ops, header promises "
                 f"{self.record_count}"
             )
-        self._segments = segments
+        return segments
 
     # ------------------------------------------------------------------
     # reading
@@ -1075,52 +896,27 @@ class TraceReader:
         return self.record_count
 
     def summary(self) -> TraceSummary:
-        """Whole-trace statistics.
-
-        O(header + index) for v2; a bounded-memory single pass for v1.
-        """
-        if self.version == TRACE_FORMAT_VERSION_V2:
-            segs = self._segments or []
-            return TraceSummary(
-                self.name,
-                self.version,
-                self.record_count,
-                self.segment_ops,
-                len(segs),
-                sum(s.loads for s in segs),
-                sum(s.stores for s in segs),
-                sum(s.persistent_stores for s in segs),
-                sum(s.sfences for s in segs),
-                sum(s.gap_sum for s in segs),
-            )
-        loads = stores = persistent_stores = sfences = gap_sum = 0
-        store_code = KIND_STORE
-        for chunk in self.chunks():
-            kinds = chunk.kind_codes
-            loads += kinds.count(KIND_LOAD)
-            stores += kinds.count(store_code)
-            sfences += kinds.count(KIND_SFENCE)
-            persistent_stores += sum(
-                1 for k, f in zip(kinds, chunk.persistent_flags) if k == store_code and f
-            )
-            gap_sum += sum(chunk.gaps)
+        """Whole-trace statistics from the header and the index alone."""
+        segs = self.segments
         return TraceSummary(
             self.name,
-            self.version,
+            TRACE_FORMAT_VERSION,
             self.record_count,
             self.segment_ops,
-            0,
-            loads,
-            stores,
-            persistent_stores,
-            sfences,
-            gap_sum,
+            len(segs),
+            sum(s.loads for s in segs),
+            sum(s.stores for s in segs),
+            sum(s.persistent_stores for s in segs),
+            sum(s.sfences for s in segs),
+            sum(s.gap_sum for s in segs),
         )
 
     def chunks(self, start: int = 0, stop: Optional[int] = None) -> Iterator[TraceChunk]:
         """Yield packed column chunks covering ops ``[start, stop)``.
 
-        At most one segment's columns are resident at a time.
+        At most one segment's columns are resident at a time.  Each
+        segment is read whole and checked against its index entry
+        before any of it is yielded.
         """
         total = self.record_count
         if stop is None:
@@ -1131,84 +927,53 @@ class TraceReader:
             )
         if start == stop:
             return
-        if self.version == TRACE_FORMAT_VERSION_V2:
-            yield from self._chunks_v2(start, stop)
-        else:
-            yield from self._chunks_v1(start, stop)
-
-    def _read_columns(
-        self, offsets: Tuple[int, int, int, int], count: int
-    ) -> Tuple[array, array, array, array]:
-        fh = self._fh
-        columns = (array("B"), array("Q"), array("I"), array("B"))
-        for col, offset in zip(columns, offsets):
-            fh.seek(offset)
-            col.frombytes(self._read_exact(col.itemsize * count, "column data"))
-        if _BIG_ENDIAN:
-            for col in columns:
-                col.byteswap()
-        return columns
-
-    def _chunks_v2(self, start: int, stop: int) -> Iterator[TraceChunk]:
-        base = 0
-        for seg in self._segments or []:
-            seg_start, seg_stop = base, base + seg.count
-            base = seg_stop
+        seg_stop = 0
+        for i, seg in enumerate(self.segments):
+            seg_start, seg_stop = seg_stop, seg_stop + seg.count
             if seg_stop <= start:
                 continue
             if seg_start >= stop:
                 break
-            # Column offsets within the segment payload.
-            off = seg.offset
-            offsets = (
-                off,
-                off + seg.count,
-                off + seg.count * 9,
-                off + seg.count * 13,
-            )
+            columns = self._read_segment(i, seg)
             lo = max(start, seg_start) - seg_start
             hi = min(stop, seg_stop) - seg_start
-            if lo == 0 and hi == seg.count:
-                kinds, addrs, gaps, flags = self._read_columns(offsets, seg.count)
-            else:
-                # Partial overlap: shift each column offset to the
-                # requested sub-range, read only hi - lo items.
-                offsets = (
-                    offsets[0] + lo,
-                    offsets[1] + lo * 8,
-                    offsets[2] + lo * 4,
-                    offsets[3] + lo,
-                )
-                kinds, addrs, gaps, flags = self._read_columns(offsets, hi - lo)
-            yield TraceChunk(seg_start + lo, kinds, addrs, gaps, flags)
+            if hi - lo != seg.count:
+                columns = tuple(col[lo:hi] for col in columns)
+            yield TraceChunk(seg_start + lo, *columns)
 
-    def _chunks_v1(self, start: int, stop: int) -> Iterator[TraceChunk]:
-        count = self.record_count
-        kind_base = self._data_start
-        addr_base = kind_base + count
-        gap_base = addr_base + count * 8
-        flag_base = gap_base + count * 4
-        step = self.segment_ops
-        for lo in range(start, stop, step):
-            hi = min(lo + step, stop)
-            n = hi - lo
-            offsets = (
-                kind_base + lo,
-                addr_base + lo * 8,
-                gap_base + lo * 4,
-                flag_base + lo,
+    def _read_segment(self, index: int, seg: TraceSegment) -> Tuple[array, array, array, array]:
+        """Segment ``index``'s four columns, checked against its entry."""
+        self._fh.seek(seg.offset)
+        # Read straight into the columns: no transient copy of the segment.
+        columns = tuple(array(code, [0]) * seg.count for code in "BQIB")
+        for col in columns:
+            if self._fh.readinto(col) != len(col) * col.itemsize:
+                self._fail("truncated reading column data")
+        if _BIG_ENDIAN:
+            for col in columns:
+                col.byteswap()
+        kinds, _addresses, gaps, flags = columns
+        found = _segment_stats(kinds, gaps, flags)
+        indexed = (seg.loads, seg.stores, seg.persistent_stores, seg.sfences, seg.gap_sum)
+        if found != indexed:
+            self._fail(
+                f"segment {index} data disagrees with its index entry: "
+                f"(loads, stores, persistent stores, sfences, gap sum) "
+                f"are {found}, the index says {indexed}"
             )
-            kinds, addrs, gaps, flags = self._read_columns(offsets, n)
-            yield TraceChunk(lo, kinds, addrs, gaps, flags)
+        return columns
 
     def read_all(self) -> MemoryTrace:
-        """Materialize the whole trace (the ``load_binary`` v2 path)."""
+        """Materialize the whole trace (what ``load_binary`` returns)."""
         trace = MemoryTrace(name=self.name)
         for chunk in self.chunks():
-            trace.kind_codes.extend(chunk.kind_codes)
-            trace.addresses.extend(chunk.addresses)
-            trace.gaps.extend(chunk.gaps)
-            trace.persistent_flags.extend(chunk.persistent_flags)
+            columns = (chunk.kind_codes, chunk.addresses, chunk.gaps, chunk.persistent_flags)
+            if chunk.start == 0:
+                # The first segment's columns are fresh arrays: adopt them.
+                (trace.kind_codes, trace.addresses, trace.gaps, trace.persistent_flags) = columns
+            else:
+                for col, part in zip(trace._columns(), columns):
+                    col.extend(part)
         return trace
 
     def close(self) -> None:

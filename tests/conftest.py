@@ -61,3 +61,17 @@ def small_tree(small_geometry, keys):
 def make_block(tag: int, size: int = 64) -> bytes:
     """Deterministic distinct 64-byte payloads for tests."""
     return bytes((tag * 31 + i) % 256 for i in range(size))
+
+
+def v1_trace_bytes(trace) -> bytes:
+    """``trace`` in the retired version-1 layout (a 24-byte header, the
+    name, then each whole column in turn), as older checkouts wrote
+    their trace-cache files."""
+    import struct
+
+    from repro.workloads.trace import TRACE_MAGIC
+
+    name = trace.name.encode("utf-8")
+    header = struct.pack("<8sHHIQ", TRACE_MAGIC, 1, 0, len(name), len(trace))
+    columns = (trace.kind_codes, trace.addresses, trace.gaps, trace.persistent_flags)
+    return b"".join((header, name, *(col.tobytes() for col in columns)))

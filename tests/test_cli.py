@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -349,6 +351,52 @@ def test_trace_inspect_is_header_only(capsys, tmp_path):
     code, out2, _ = run_cli(capsys, "trace", "--inspect", str(path))
     assert code == 0
     assert out2 == out
+
+
+def test_trace_export_reads_back_and_inspects(capsys, tmp_path):
+    from repro.sweep import cached_profile_trace
+    from repro.workloads.trace import TraceReader
+
+    path = tmp_path / "gcc.trace"
+    code, out, _ = run_cli(capsys, "trace", "gcc", "--ki", "5", "--out", str(path))
+    assert code == 0
+    assert f"wrote {path} (binary" in out
+    with TraceReader(path) as reader:
+        assert reader.read_all() == cached_profile_trace("gcc", 5)
+
+    code, out, _ = run_cli(capsys, "trace", "--inspect", str(path))
+    assert code == 0
+    rows = dict(re.split(r"\s{2,}", line.strip(), maxsplit=1) for line in out.splitlines()[3:])
+    assert rows["format version"] == "2"
+    assert rows["segments"] == "1 x 262,144 ops"
+    assert rows["records"] == f"{len(cached_profile_trace('gcc', 5)):,}"
+
+
+def test_trace_text_export_is_one_line_per_record(capsys, tmp_path):
+    from repro.sweep import cached_profile_trace
+
+    path = tmp_path / "gcc.txt"
+    code, _, _ = run_cli(
+        capsys, "trace", "gcc", "--ki", "5", "--out", str(path), "--format", "text"
+    )
+    assert code == 0
+    trace = cached_profile_trace("gcc", 5)
+    lines = path.read_text(encoding="ascii").splitlines()
+    assert lines[0] == "# trace gcc"
+    assert len(lines) == 1 + len(trace)
+    first = trace.records[0]
+    assert lines[1] == f"{first.kind.value} {first.address:x} {first.gap} {int(first.persistent)}"
+
+
+def test_trace_inspect_v1_file_fails_naming_its_version(capsys, tmp_path):
+    from conftest import v1_trace_bytes
+    from repro.sweep import cached_profile_trace
+
+    path = tmp_path / "old.trace"
+    path.write_bytes(v1_trace_bytes(cached_profile_trace("gcc", 5)))
+    code, _, err = run_cli(capsys, "trace", "--inspect", str(path))
+    assert code == 1
+    assert "unsupported trace format version 1 " in err
 
 
 def test_trace_inspect_missing_file_fails(capsys):

@@ -1,9 +1,7 @@
 """Cross-subsystem integration tests.
 
 These exercise whole pipelines: trace → functional memory → crash →
-recovery; trace → epoch tracker → coalescing → engine; and the
-consistency between the functional journal and the persist-order
-invariants.
+recovery; and trace → epoch tracker → coalescing → engine.
 """
 
 import random
@@ -16,7 +14,6 @@ from repro.core.update_engine import CycleAccurateEngine, EngineConfig
 from repro.crypto.bmt import BMTGeometry
 from repro.mem.wpq import TupleItem
 from repro.persistency.models import PersistencyModel
-from repro.persistency.ordering import PersistOrderLog
 from repro.recovery.crash import CrashInjector
 from repro.system.factory import run_trace
 from repro.system.config import SystemConfig
@@ -76,20 +73,6 @@ def test_kvstore_trace_through_epoch_memory():
     assert mem.recover().recovered
     for block, payload in committed.items():
         assert mem.load(block * 64) == payload
-
-
-def test_functional_journal_satisfies_persist_order_invariant():
-    """The functional memory's journal, interpreted as persist events,
-    must satisfy Invariant 2 under strict persistency."""
-    mem = FunctionalSecureMemory(num_pages=64)
-    for i in range(20):
-        mem.store((i % 8) * 64, make_block(i))
-    log = PersistOrderLog(PersistencyModel.STRICT)
-    for t, record in enumerate(mem._journal):
-        log.register_persist(record.persist_id, epoch_id=0)
-        for item in TupleItem:
-            log.record(record.persist_id, item, time=t)
-    assert log.is_consistent()
 
 
 def test_engine_driven_by_trace_epochs():

@@ -1,11 +1,9 @@
-"""Tests for persistency models, epoch tracking, and order logging."""
+"""Tests for persistency models and epoch tracking."""
 
 import pytest
 
-from repro.mem.wpq import TupleItem
 from repro.persistency.epochs import EpochTracker
 from repro.persistency.models import PersistencyModel
-from repro.persistency.ordering import PersistOrderLog
 
 
 # ----------------------------------------------------------------------
@@ -102,81 +100,3 @@ def test_none_epoch_size_requires_explicit_barriers():
 def test_invalid_epoch_size():
     with pytest.raises(ValueError):
         EpochTracker(epoch_size=0)
-
-
-# ----------------------------------------------------------------------
-# order log
-# ----------------------------------------------------------------------
-
-
-def _register_two(log, epoch_a=0, epoch_b=0):
-    log.register_persist(0, epoch_a)
-    log.register_persist(1, epoch_b)
-
-
-def test_ordered_events_are_consistent():
-    log = PersistOrderLog(PersistencyModel.STRICT)
-    _register_two(log)
-    for item in TupleItem:
-        log.record(0, item, time=10)
-        log.record(1, item, time=20)
-    assert log.is_consistent()
-
-
-def test_root_inversion_detected_under_sp():
-    log = PersistOrderLog(PersistencyModel.STRICT)
-    _register_two(log)
-    log.record(0, TupleItem.ROOT_ACK, time=30)
-    log.record(1, TupleItem.ROOT_ACK, time=20)
-    violations = log.violations()
-    assert len(violations) == 1
-    assert violations[0].item is TupleItem.ROOT_ACK
-    assert "persist 1" in violations[0].describe()
-
-
-def test_same_epoch_inversion_allowed_under_ep():
-    log = PersistOrderLog(PersistencyModel.EPOCH)
-    _register_two(log, epoch_a=5, epoch_b=5)
-    log.record(0, TupleItem.ROOT_ACK, time=30)
-    log.record(1, TupleItem.ROOT_ACK, time=20)
-    assert log.is_consistent()
-
-
-def test_cross_epoch_inversion_detected_under_ep():
-    log = PersistOrderLog(PersistencyModel.EPOCH)
-    _register_two(log, epoch_a=1, epoch_b=2)
-    log.record(0, TupleItem.COUNTER, time=30)
-    log.record(1, TupleItem.COUNTER, time=20)
-    assert not log.is_consistent()
-
-
-def test_non_adjacent_violation_detected():
-    """Transitivity: an inversion hidden behind an unordered run."""
-    log = PersistOrderLog(PersistencyModel.EPOCH)
-    log.register_persist(0, 0)
-    log.register_persist(1, 1)
-    log.register_persist(2, 1)
-    # Persist 2's item lands before persist 0's, but adjacent pairs
-    # (0,1) and (1,2) look fine.
-    log.record(0, TupleItem.MAC, time=25)
-    log.record(1, TupleItem.MAC, time=26)
-    log.record(2, TupleItem.MAC, time=10)
-    violations = log.violations()
-    assert any(v.older_persist == 0 and v.younger_persist == 2 for v in violations)
-
-
-def test_duplicate_event_rejected():
-    log = PersistOrderLog()
-    log.register_persist(0)
-    log.record(0, TupleItem.DATA, 1)
-    with pytest.raises(ValueError):
-        log.record(0, TupleItem.DATA, 2)
-
-
-def test_unregistered_persist_rejected():
-    log = PersistOrderLog()
-    with pytest.raises(KeyError):
-        log.record(0, TupleItem.DATA, 1)
-    log.register_persist(0)
-    with pytest.raises(ValueError):
-        log.register_persist(0)

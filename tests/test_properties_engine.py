@@ -8,8 +8,8 @@ skip-ahead rewrite must preserve:
   program order under epoch persistency;
 * **2SP gathering** — a WPQ entry is always gathered (enqueued) before
   it is released, on the telemetry streams of either engine family;
-* **monotone clock** — the discrete-event queue never runs time
-  backwards.
+* **monotone admission** — an occupancy ring never admits out of
+  order or past its capacity.
 
 ``hypothesis`` is an optional test dependency: without it this module
 skips cleanly (``pip install plp-repro[dev]`` brings it in).
@@ -25,7 +25,6 @@ from repro.core.schedulers import OccupancyRing, make_scoreboard
 from repro.core.schemes import UpdateScheme
 from repro.crypto.bmt import BMTGeometry
 from repro.mem.wpq import gather_before_release_violations
-from repro.sim.engine import Engine
 from repro.system.config import SystemConfig
 from repro.system.timing import TraceSimulator
 from repro.telemetry.config import TelemetryConfig
@@ -293,39 +292,8 @@ def test_wpq_gather_before_release(scheme, engine, ops, data):
 
 
 # ----------------------------------------------------------------------
-# monotone clocks
+# monotone admission
 # ----------------------------------------------------------------------
-
-
-@given(delays=st.lists(st.integers(0, 1000), min_size=1, max_size=50))
-@settings(max_examples=50, deadline=None)
-def test_event_queue_clock_is_monotone(delays):
-    engine = Engine()
-    fired = []
-    for delay in delays:
-        engine.schedule(delay, lambda: fired.append(engine.now))
-    engine.run()
-    assert fired == sorted(fired)
-    assert engine.now == max(delays)
-
-
-@given(
-    delays=st.lists(st.tuples(st.integers(0, 100), st.integers(0, 100)), min_size=1, max_size=30)
-)
-@settings(max_examples=50, deadline=None)
-def test_nested_scheduling_keeps_clock_monotone(delays):
-    """Callbacks that schedule further events never move time backwards."""
-    engine = Engine()
-    fired = []
-
-    def chain(extra):
-        fired.append(engine.now)
-        engine.schedule(extra, lambda: fired.append(engine.now))
-
-    for first, extra in delays:
-        engine.schedule(first, lambda extra=extra: chain(extra))
-    engine.run()
-    assert fired == sorted(fired)
 
 
 @given(

@@ -64,7 +64,7 @@ def test_ring_buffer_drops_oldest_and_counts():
     sink = RingBufferSink(capacity=3)
     tel = Telemetry(TelemetryConfig(enabled=True), sink=sink)
     for i in range(5):
-        tel.instant(EventKind.ENGINE_FIRE, i, "engine", ident=i)
+        tel.instant(EventKind.MDC_HIT, i, "mdc.ctr", ident=i)
     assert tel.emitted == 5
     assert tel.dropped == 2
     assert [e.ident for e in tel.events()] == [2, 3, 4]

@@ -1,7 +1,14 @@
 """Tests for trace records and (de)serialization."""
 
-import pytest
+import struct
+import subprocess
+import sys
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.workloads.spec_profiles import profile_trace
+from repro.workloads.synthetic import kvstore_trace
 from repro.workloads.trace import (
     KIND_LOAD,
     KIND_SFENCE,
@@ -10,8 +17,16 @@ from repro.workloads.trace import (
     MemoryTrace,
     OpKind,
     TraceFormatError,
+    TraceReader,
     TraceRecord,
+    _segment_stats,
 )
+
+from conftest import v1_trace_bytes
+
+# The binary layout's fixed offsets: a 40-byte header, then the name.
+HEADER_BYTES = 40
+INDEX_ENTRY_BYTES = struct.calcsize("<QIIIIIQ")
 
 
 def test_record_block_and_page_arithmetic():
@@ -71,10 +86,14 @@ def test_save_load_roundtrip(tmp_path):
         name="demo",
     )
     path = tmp_path / "demo.trace"
-    trace.save(path)
-    loaded = MemoryTrace.load(path)
+    trace.save_binary(path)
+    loaded = MemoryTrace.load_binary(path)
     assert loaded.records == trace.records
     assert loaded.name == "demo"
+    # The text export: a header naming the trace, one line per record.
+    text = tmp_path / "demo.txt"
+    trace.save(text)
+    assert text.read_text(encoding="ascii") == "# trace demo\nS 1000 7 1\nL 2040 0 0\nF 0 0 1\n"
 
 
 def test_empty_trace():
@@ -175,29 +194,16 @@ def test_repeated_statistics_are_cached():
 
 
 # ----------------------------------------------------------------------
-# text header (regression: load used to discard the header name)
+# binary format round trips
 # ----------------------------------------------------------------------
 
 
 def test_load_parses_header_name_not_file_stem(tmp_path):
     trace = MemoryTrace(SAMPLE, name="real-name")
     path = tmp_path / "different-stem.trace"
-    trace.save(path)
-    loaded = MemoryTrace.load(path)
+    trace.save_binary(path)
+    loaded = MemoryTrace.load_binary(path)
     assert loaded.name == "real-name"
-
-
-def test_load_without_header_falls_back_to_stem(tmp_path):
-    path = tmp_path / "stem-name.trace"
-    path.write_text("S 1000 7 1\n", encoding="ascii")
-    loaded = MemoryTrace.load(path)
-    assert loaded.name == "stem-name"
-    assert loaded.records == [TraceRecord(OpKind.STORE, 0x1000, gap=7)]
-
-
-# ----------------------------------------------------------------------
-# binary format round trips
-# ----------------------------------------------------------------------
 
 
 def _assert_traces_identical(a: MemoryTrace, b: MemoryTrace) -> None:
@@ -210,6 +216,11 @@ def _assert_traces_identical(a: MemoryTrace, b: MemoryTrace) -> None:
         assert mine.persistent == theirs.persistent
 
 
+def read_blob(blob: bytes) -> MemoryTrace:
+    with TraceReader.from_bytes(blob) as reader:
+        return reader.read_all()
+
+
 def test_binary_roundtrip_every_field(tmp_path):
     trace = MemoryTrace(SAMPLE, name="binary-demo")
     path = tmp_path / "demo.bin"
@@ -219,18 +230,7 @@ def test_binary_roundtrip_every_field(tmp_path):
 
 def test_bytes_roundtrip(tmp_path):
     trace = MemoryTrace(SAMPLE, name="bytes-demo")
-    _assert_traces_identical(MemoryTrace.from_bytes(trace.to_bytes()), trace)
-
-
-def test_text_binary_text_roundtrip(tmp_path):
-    trace = MemoryTrace(SAMPLE, name="cross-format")
-    text_path = tmp_path / "t.trace"
-    bin_path = tmp_path / "t.bin"
-    trace.save(text_path)
-    from_text = MemoryTrace.load(text_path)
-    from_text.save_binary(bin_path)
-    from_binary = MemoryTrace.load_binary(bin_path)
-    _assert_traces_identical(from_binary, trace)
+    _assert_traces_identical(read_blob(trace.to_bytes()), trace)
 
 
 def test_binary_roundtrip_empty_trace(tmp_path):
@@ -255,15 +255,15 @@ def test_binary_truncated_payload_raises(tmp_path):
     trace.save_binary(path)
     blob = path.read_bytes()
     path.write_bytes(blob[:-5])
-    with pytest.raises(TraceFormatError, match="truncated"):
+    with pytest.raises(TraceFormatError, match="corrupt index|truncated"):
         MemoryTrace.load_binary(path)
     with pytest.raises(TraceFormatError):
-        MemoryTrace.from_bytes(blob[:-5])
+        read_blob(blob[:-5])
 
 
 def test_bytes_roundtrip_zero_op_trace():
     trace = MemoryTrace(name="zero-ops")
-    restored = MemoryTrace.from_bytes(trace.to_bytes())
+    restored = read_blob(trace.to_bytes())
     assert len(restored) == 0
     assert restored.name == "zero-ops"
 
@@ -274,37 +274,38 @@ def test_from_bytes_truncated_inside_name_raises():
     trace = MemoryTrace(SAMPLE, name="a-rather-long-trace-name")
     blob = trace.to_bytes()
     with pytest.raises(TraceFormatError, match="name"):
-        MemoryTrace.from_bytes(blob[:30])  # header (24 B) + partial name
+        TraceReader.from_bytes(blob[: HEADER_BYTES + 6])  # header + partial name
 
 
 def test_from_bytes_non_utf8_name_raises():
     trace = MemoryTrace(SAMPLE, name="ascii")
     blob = bytearray(trace.to_bytes())
-    blob[24:29] = b"\xff\xfe\xff\xfe\xff"  # clobber the 5-byte name
+    blob[HEADER_BYTES : HEADER_BYTES + 5] = b"\xff\xfe\xff\xfe\xff"  # the 5-byte name
     with pytest.raises(TraceFormatError, match="UTF-8"):
-        MemoryTrace.from_bytes(bytes(blob))
+        TraceReader.from_bytes(bytes(blob))
 
 
 def test_from_bytes_cut_mid_column_raises():
     """Truncation landing mid-item in a column is a format error."""
     trace = MemoryTrace(SAMPLE, name="midcol")
     blob = trace.to_bytes()
+    columns = HEADER_BYTES + len("midcol")
     with pytest.raises(TraceFormatError, match="header implies"):
-        MemoryTrace.from_bytes(blob[:-3])  # not an item multiple
+        TraceReader.from_bytes(blob[: columns + len(SAMPLE) + 3])  # inside an address
     with pytest.raises(TraceFormatError, match="header implies"):
-        MemoryTrace.from_bytes(blob[: len(blob) - len(SAMPLE) * 8 // 2])
+        TraceReader.from_bytes(blob[:-3])  # inside the index entry
 
 
 def test_from_bytes_oversized_payload_raises():
     trace = MemoryTrace(SAMPLE, name="extra")
     with pytest.raises(TraceFormatError, match="header implies"):
-        MemoryTrace.from_bytes(trace.to_bytes() + b"\x00" * 7)
+        TraceReader.from_bytes(trace.to_bytes() + b"\x00" * 7)
 
 
 def test_load_binary_non_utf8_name_raises(tmp_path):
     trace = MemoryTrace(SAMPLE, name="ascii")
     blob = bytearray(trace.to_bytes())
-    blob[24:29] = b"\xff\xfe\xff\xfe\xff"
+    blob[HEADER_BYTES : HEADER_BYTES + 5] = b"\xff\xfe\xff\xfe\xff"
     path = tmp_path / "garbled.bin"
     path.write_bytes(bytes(blob))
     with pytest.raises(TraceFormatError, match="UTF-8"):
@@ -313,12 +314,141 @@ def test_load_binary_non_utf8_name_raises(tmp_path):
 
 def test_binary_unsupported_version_raises(tmp_path):
     trace = MemoryTrace(SAMPLE, name="ver")
-    blob = bytearray(trace.to_bytes())
+    blob = trace.to_bytes()
     assert blob[:8] == TRACE_MAGIC
-    blob[8] = 99  # version field (little-endian u16 after the magic)
-    with pytest.raises(TraceFormatError, match="version"):
-        MemoryTrace.from_bytes(bytes(blob))
-    path = tmp_path / "ver.bin"
+    # The version field (little-endian u16 after the magic) set to 99,
+    # and whole files in the retired version-1 layout, one of them
+    # shorter than the current header.
+    cases = [
+        (99, blob[:8] + struct.pack("<H", 99) + blob[10:]),
+        (1, v1_trace_bytes(trace)),
+        (1, v1_trace_bytes(MemoryTrace(name="empty"))),
+    ]
+    for version, data in cases:
+        expected = f"unsupported trace format version {version} "
+        with pytest.raises(TraceFormatError, match=expected):
+            TraceReader.from_bytes(data)
+        path = tmp_path / "ver.bin"
+        path.write_bytes(data)
+        with pytest.raises(TraceFormatError, match=expected):
+            MemoryTrace.load_binary(path)
+
+
+# ----------------------------------------------------------------------
+# segment data checked against its index entry
+# ----------------------------------------------------------------------
+
+
+def test_segment_stats_match_a_python_loop():
+    trace = kvstore_trace(300)
+    trace.append_op(KIND_STORE, 0x40, 0xFFFF_FFFF, 2)  # the widest gap, a flag of 2
+    trace.append_op(7, 0x80, 0xFFFF_FFFF, 1)  # a code outside {0, 1, 2} is no kind
+    kinds, gaps, flags = trace.kind_codes, trace.gaps, trace.persistent_flags
+    expected = (
+        sum(k == KIND_LOAD for k in kinds),
+        sum(k == KIND_STORE for k in kinds),
+        sum(k == KIND_STORE and f != 0 for k, f in zip(kinds, flags)),
+        sum(k == KIND_SFENCE for k in kinds),
+        sum(gaps),
+    )
+    assert _segment_stats(kinds, gaps, flags) == expected
+
+
+def test_invalid_kind_code_raises(tmp_path):
+    """A kind code outside {0, 1, 2} breaks the batched == skip_ahead
+    contract (on this file, 43,341 against 43,584 cycles under sp), so
+    the file must not load."""
+    trace = profile_trace("gcc", 2, 2020)
+    blob = bytearray(trace.to_bytes())
+    blob[HEADER_BYTES + len(trace.name) + 10] = 7  # op 10's kind byte
+    path = tmp_path / "bad-kind.trace"
     path.write_bytes(bytes(blob))
-    with pytest.raises(TraceFormatError, match="version"):
+    with TraceReader(path) as reader:
+        assert len(reader) == len(trace)  # the index is intact
+    with pytest.raises(TraceFormatError, match="segment 0 data disagrees with its index"):
         MemoryTrace.load_binary(path)
+
+
+def test_every_indexed_statistic_is_checked():
+    trace = MemoryTrace(SAMPLE, name="stats")
+    columns = HEADER_BYTES + len("stats")
+    n = len(SAMPLE)
+    flipped_bytes = (
+        columns + 1,  # a kind code: the load becomes a store
+        columns + 9 * n,  # the first record's gap
+        columns + 13 * n,  # the first (persistent) store's flag
+    )
+    for pos in flipped_bytes:
+        blob = bytearray(trace.to_bytes())
+        blob[pos] ^= 1
+        with pytest.raises(TraceFormatError, match="disagrees with its index"):
+            read_blob(bytes(blob))
+        with TraceReader.from_bytes(bytes(blob)) as reader:
+            with pytest.raises(TraceFormatError, match="disagrees with its index"):
+                list(reader.chunks(1, 2))  # a partial read checks the whole segment
+
+
+# ----------------------------------------------------------------------
+# corruption: every defect is a TraceFormatError
+# ----------------------------------------------------------------------
+
+
+def _corruption_targets():
+    trace = kvstore_trace(60)
+    trace.append_op(KIND_STORE, 0x7FFF_0040, 3, 0)
+    targets = []
+    for segment_ops in (1 << 18, 16):  # one segment, then eight
+        blob = trace.to_bytes(segment_ops=segment_ops)
+        with TraceReader.from_bytes(blob) as reader:
+            index = len(blob) - len(reader.segments) * INDEX_ENTRY_BYTES
+        columns = HEADER_BYTES + len(trace.name)
+        regions = {
+            "header": (0, HEADER_BYTES),
+            "name": (HEADER_BYTES, columns),
+            "columns": (columns, index),
+            "index": (index, len(blob)),
+        }
+        targets.append((blob, regions))
+    return targets
+
+
+CORRUPTION_TARGETS = _corruption_targets()
+
+
+@st.composite
+def corrupted_blobs(draw):
+    blob, regions = draw(st.sampled_from(CORRUPTION_TARGETS))
+    region = draw(st.sampled_from(["truncate", *regions]))
+    if region == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    lo, hi = regions[region]
+    flips = draw(
+        st.lists(st.tuples(st.integers(lo, hi - 1), st.integers(1, 255)), min_size=1, max_size=3)
+    )
+    mangled = bytearray(blob)
+    for pos, mask in flips:
+        mangled[pos] ^= mask
+    return bytes(mangled)
+
+
+@given(blob=corrupted_blobs())
+@settings(max_examples=400, deadline=None)
+def test_corrupt_blobs_raise_format_errors_or_read_consistently(blob):
+    try:
+        with TraceReader.from_bytes(blob) as reader:
+            summary = reader.summary()
+            trace = reader.read_all()
+    except TraceFormatError:
+        return
+    assert set(trace.kind_codes) <= {KIND_LOAD, KIND_STORE, KIND_SFENCE}
+    assert len(trace) == summary.record_count
+    assert trace.count(OpKind.LOAD) == summary.loads
+    assert trace.count(OpKind.STORE) == summary.stores
+    assert trace.count(OpKind.STORE, persistent_only=True) == summary.persistent_stores
+    assert trace.count(OpKind.SFENCE) == summary.sfences
+    assert trace.instruction_count == summary.instruction_count
+
+
+def test_importing_the_trace_module_loads_no_numpy():
+    code = "import sys, repro.workloads.trace; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)

@@ -11,6 +11,8 @@ from repro.system.config import SystemConfig
 from repro.system.timing import TraceSimulator
 from repro.workloads.spec_profiles import profile_trace
 
+from conftest import v1_trace_bytes
+
 KI = 3
 
 
@@ -64,14 +66,21 @@ def test_cached_trace_simulates_bit_identically(tmp_path):
 
 
 def test_corrupt_cache_entry_treated_as_miss(tmp_path):
-    cache = TraceCache(tmp_path)
-    cache.load_or_generate("gamess", KI)
-    path = cache.path_for(trace_key("gamess", KI, 2020))
-    path.write_bytes(b"garbage")
-    recovered = cache.load_or_generate("gamess", KI)
-    assert recovered.records == profile_trace("gamess", KI, 2020).records
-    # The rebuilt entry replaced the corrupt one.
-    assert TraceCache(tmp_path).get("gamess", KI, 2020) is not None
+    fresh = profile_trace("gamess", KI, 2020)
+    # Garbage, and the same trace in the retired version-1 layout that
+    # older checkouts wrote.
+    for stale in (b"garbage", v1_trace_bytes(fresh)):
+        cache = TraceCache(tmp_path)
+        cache.load_or_generate("gamess", KI)
+        path = cache.path_for(trace_key("gamess", KI, 2020))
+        path.write_bytes(stale)
+        misses = cache.misses
+        recovered = cache.load_or_generate("gamess", KI)
+        assert cache.misses == misses + 1
+        assert recovered.records == fresh.records
+        # The rebuilt entry replaced the corrupt one.
+        assert TraceCache(tmp_path).get("gamess", KI, 2020) is not None
+        assert path.read_bytes() == fresh.to_bytes()
 
 
 def test_env_root_override_and_disable(tmp_path, monkeypatch):

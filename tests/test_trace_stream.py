@@ -1,12 +1,13 @@
-"""Chunked v2 trace format: writer/reader, hardening, streamed runs.
+"""Chunked binary trace format: writer/reader, hardening, streamed runs.
 
-Covers the PLPTRACE v2 layer end to end: ``TraceWriter`` emission vs
-``save_binary``, v1<->v2 round-trips, the O(1) ``TraceReader.summary``,
-chunk iteration parity with ``MemoryTrace.chunks``, the reader's
-``from_bytes``-grade hardening against truncated/corrupt files, and the
-bounded-memory ``run_stream`` differential against the materialized
-``run`` on every scheme, through both transports of the streamed
-functional chain: in-process and the forked producer.
+Covers the PLPTRACE layer end to end: ``TraceWriter`` emission vs
+``save_binary``, round-trips across segment sizes, the O(1)
+``TraceReader.summary``, chunk iteration parity with
+``MemoryTrace.chunks``, the reader's hardening against truncated and
+corrupt files, and the bounded-memory ``run_stream`` differential
+against the materialized ``run`` on every scheme, through both
+transports of the streamed functional chain: in-process and the forked
+producer.
 """
 
 import multiprocessing
@@ -24,6 +25,7 @@ from repro.system.timing import TraceSimulator
 from repro.telemetry import TelemetryConfig
 from repro.workloads.synthetic import kvstore_trace
 from repro.workloads.trace import (
+    DEFAULT_SEGMENT_OPS,
     KIND_LOAD,
     KIND_SFENCE,
     KIND_STORE,
@@ -56,7 +58,7 @@ def trace():
 def test_writer_matches_save_binary(trace, tmp_path):
     via_save = tmp_path / "save.plptrace"
     via_writer = tmp_path / "writer.plptrace"
-    trace.save_binary(via_save, version=2, segment_ops=64)
+    trace.save_binary(via_save, segment_ops=64)
     with TraceWriter(via_writer, name=trace.name, segment_ops=64) as writer:
         for code, address, gap, flag in zip(
             trace.kind_codes, trace.addresses, trace.gaps, trace.persistent_flags
@@ -80,26 +82,24 @@ def test_writer_extend_packed_matches_append_op(trace, tmp_path):
     assert one.read_bytes() == two.read_bytes()
 
 
-def test_v1_v2_roundtrip(trace, tmp_path):
-    v1 = tmp_path / "v1.plptrace"
-    v2 = tmp_path / "v2.plptrace"
-    trace.save_binary(v1, version=1)
-    loaded_v1 = MemoryTrace.load_binary(v1)
-    loaded_v1.save_binary(v2, version=2, segment_ops=37)
-    loaded_v2 = MemoryTrace.load_binary(v2)
-    assert loaded_v2 == trace
-    assert loaded_v2.name == trace.name
-    loaded_v2.save_binary(v1, version=1)
-    assert MemoryTrace.load_binary(v1) == trace
+def test_resegmented_roundtrip(trace, tmp_path):
+    small = tmp_path / "small.plptrace"
+    whole = tmp_path / "whole.plptrace"
+    trace.save_binary(small, segment_ops=37)
+    loaded_small = MemoryTrace.load_binary(small)
+    assert loaded_small == trace
+    assert loaded_small.name == trace.name
+    loaded_small.save_binary(whole)
+    assert MemoryTrace.load_binary(whole) == trace
+    assert whole.read_bytes() == trace.to_bytes()
 
 
-def test_reader_read_all_both_versions(trace, tmp_path):
-    for version, segment_ops in ((1, None), (2, 53)):
-        path = tmp_path / f"v{version}.plptrace"
-        kwargs = {} if segment_ops is None else {"segment_ops": segment_ops}
-        trace.save_binary(path, version=version, **kwargs)
-        with TraceReader(path) as reader:
-            assert reader.read_all() == trace
+@pytest.mark.parametrize("segment_ops", [53, DEFAULT_SEGMENT_OPS])
+def test_reader_read_all_any_segment_size(trace, tmp_path, segment_ops):
+    path = tmp_path / "t.plptrace"
+    trace.save_binary(path, segment_ops=segment_ops)
+    with TraceReader(path) as reader:
+        assert reader.read_all() == trace
 
 
 # ----------------------------------------------------------------------
@@ -111,7 +111,7 @@ def test_summary_matches_trace_statistics(trace, tmp_path):
     from repro.workloads.trace import OpKind
 
     path = tmp_path / "t.plptrace"
-    trace.save_binary(path, version=2, segment_ops=61)
+    trace.save_binary(path, segment_ops=61)
     with TraceReader(path) as reader:
         summary = reader.summary()
     assert summary.name == trace.name
@@ -130,7 +130,7 @@ def test_summary_matches_trace_statistics(trace, tmp_path):
 def test_summary_reads_no_column_data(trace, tmp_path):
     """The v2 summary must come from the header + index alone."""
     path = tmp_path / "t.plptrace"
-    trace.save_binary(path, version=2, segment_ops=61)
+    trace.save_binary(path, segment_ops=61)
     with TraceReader(path) as reader:
         golden = reader.summary()
         first = reader.segments[0]
@@ -143,16 +143,6 @@ def test_summary_reads_no_column_data(trace, tmp_path):
         summary = reader.summary()
     assert summary.record_count == golden.record_count
     assert summary.stores == golden.stores
-
-
-def test_summary_v1_streams_columns(trace, tmp_path):
-    path = tmp_path / "t.plptrace"
-    trace.save_binary(path, version=1)
-    with TraceReader(path) as reader:
-        summary = reader.summary()
-    assert summary.version == 1
-    assert summary.record_count == len(trace)
-    assert summary.instruction_count == trace.instruction_count
 
 
 # ----------------------------------------------------------------------
@@ -175,11 +165,10 @@ def _concat_chunks(chunks):
     return starts, kinds, addrs, gaps, flags
 
 
-@pytest.mark.parametrize("version,segment_ops", [(1, 41), (2, 41)])
-def test_reader_chunks_match_memory_chunks(trace, tmp_path, version, segment_ops):
+@pytest.mark.parametrize("segment_ops", [41, DEFAULT_SEGMENT_OPS])
+def test_reader_chunks_match_memory_chunks(trace, tmp_path, segment_ops):
     path = tmp_path / "t.plptrace"
-    kwargs = {"segment_ops": segment_ops} if version == 2 else {}
-    trace.save_binary(path, version=version, **kwargs)
+    trace.save_binary(path, segment_ops=segment_ops)
     with TraceReader(path) as reader:
         file_chunks = _concat_chunks(reader.chunks())
     mem_chunks = _concat_chunks(trace.chunks(segment_ops=reader.segment_ops))
@@ -192,7 +181,7 @@ def test_reader_chunks_match_memory_chunks(trace, tmp_path, version, segment_ops
 
 def test_reader_chunks_subrange(trace, tmp_path):
     path = tmp_path / "t.plptrace"
-    trace.save_binary(path, version=2, segment_ops=29)
+    trace.save_binary(path, segment_ops=29)
     lo, hi = 33, len(trace) - 17
     with TraceReader(path) as reader:
         _starts, _kinds, addrs, _gaps, _flags = _concat_chunks(
@@ -202,12 +191,12 @@ def test_reader_chunks_subrange(trace, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# hardening: reader parity with from_bytes
+# hardening
 # ----------------------------------------------------------------------
 
 
 def _v2_bytes(trace, segment_ops=32) -> bytes:
-    return trace.to_bytes(version=2, segment_ops=segment_ops)
+    return trace.to_bytes(segment_ops=segment_ops)
 
 
 def test_reader_truncated_segment_raises(trace, tmp_path):
@@ -274,8 +263,8 @@ def test_reader_empty_segment_rejected(trace):
 
 
 def _stream_v2(trace, path, config, warmup_fraction, segment_ops):
-    """Write ``trace`` as a v2 file of ``segment_ops``-op segments and stream it."""
-    trace.save_binary(path, version=2, segment_ops=segment_ops)
+    """Write ``trace`` as a file of ``segment_ops``-op segments and stream it."""
+    trace.save_binary(path, segment_ops=segment_ops)
     with TraceReader(path) as reader:
         return TraceSimulator(config).run_stream(reader, warmup_fraction)
 
@@ -284,12 +273,12 @@ def _stream_v2(trace, path, config, warmup_fraction, segment_ops):
 def test_run_stream_matches_run_batched(trace, tmp_path, scheme):
     config = SystemConfig(scheme=scheme)
     ref = TraceSimulator(config).run(trace, 0.2)
-    # On-disk v2 source with an awkward segment size.
+    # On-disk source with an awkward segment size.
     streamed = _stream_v2(trace, tmp_path / "awkward.plptrace", config, 0.2, 67)
     assert streamed == ref
-    # On-disk v2 source.
+    # On-disk source.
     path = tmp_path / "t.plptrace"
-    trace.save_binary(path, version=2, segment_ops=59)
+    trace.save_binary(path, segment_ops=59)
     with TraceReader(path) as reader:
         from_file = TraceSimulator(config).run_stream(reader, 0.2)
     assert from_file == ref
@@ -435,7 +424,7 @@ def one_cpu(monkeypatch):
 
 
 def streamed_run(path, config, warmup_fraction=0.2):
-    """Stream the v2 file at ``path``; returns the result and telemetry."""
+    """Stream the trace file at ``path``; returns the result and telemetry."""
     sim = TraceSimulator(config)
     with TraceReader(path) as reader:
         result = sim.run_stream(reader, warmup_fraction)
@@ -447,7 +436,7 @@ def streamed_run(path, config, warmup_fraction=0.2):
 
 def assert_transports_match_run(trace, path, config, monkeypatch, producers, warmup=0.2):
     """Pipelined == in-process == ``run`` on the materialized trace."""
-    trace.save_binary(path, version=2, segment_ops=150)
+    trace.save_binary(path, segment_ops=150)
     ref = TraceSimulator(config).run(trace, warmup)
     pipelined = streamed_run(path, config, warmup)
     forked = producers()
@@ -506,7 +495,7 @@ def test_pipelined_stream_non_default_mac_latency(trace, tmp_path, monkeypatch, 
 
 def test_pipelined_truncated_segment_raises_in_parent(trace, tmp_path, producers):
     path = tmp_path / "t.plptrace"
-    trace.save_binary(path, version=2, segment_ops=150)
+    trace.save_binary(path, segment_ops=150)
     with TraceReader(path) as reader:
         # Cut the file inside the last segment after the index was read.
         os.truncate(path, reader.segments[-1].offset + 3)
@@ -514,6 +503,31 @@ def test_pipelined_truncated_segment_raises_in_parent(trace, tmp_path, producers
             TraceSimulator(SystemConfig(scheme=UpdateScheme.SP)).run_stream(reader)
     assert len(producers()) == 1
     assert multiprocessing.active_children() == []
+
+
+def test_bad_segment_data_raises_in_parent_on_both_transports(
+    trace, tmp_path, monkeypatch, producers
+):
+    """A kind code outside {0, 1, 2} in the last segment fails the
+    segment check wherever the chunk is read: in the forked producer or
+    in-process."""
+    path = tmp_path / "t.plptrace"
+    trace.save_binary(path, segment_ops=150)
+    with TraceReader(path) as reader:
+        last = len(reader.segments) - 1
+        offset = reader.segments[last].offset
+    raw = bytearray(path.read_bytes())
+    raw[offset + 10] = 7
+    path.write_bytes(bytes(raw))
+    sim = TraceSimulator(SystemConfig(scheme=UpdateScheme.SP))
+    for transport in ("pipelined", "in-process"):
+        if transport == "in-process":
+            one_cpu(monkeypatch)
+        with TraceReader(path) as reader:
+            with pytest.raises(TraceFormatError, match=f"segment {last} data disagrees"):
+                sim.run_stream(reader)
+        assert len(producers()) == 1
+        assert multiprocessing.active_children() == []
 
 
 def test_pipelined_short_source_raises_in_parent(trace, producers):

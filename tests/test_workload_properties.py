@@ -87,6 +87,6 @@ def test_trace_roundtrip_preserves_everything(tmp_path):
     trace = generate_trace(spec)
     trace.append(TraceRecord(OpKind.SFENCE))
     path = tmp_path / "t.trace"
-    trace.save(path)
-    loaded = MemoryTrace.load(path)
+    trace.save_binary(path)
+    loaded = MemoryTrace.load_binary(path)
     assert loaded.records == trace.records
