@@ -47,13 +47,6 @@ from repro.telemetry.events import EventKind, level_track
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.bus import Telemetry
 
-ENGINE_KINDS = ("batched", "skip_ahead")
-"""Timing-engine families: the array-native batched engine (default,
-see :mod:`repro.sim.batched`) and the scalar skip-ahead event-queue
-engine.  The batched engine dispatches its eventful ops through the
-skip-ahead scoreboards, so both map to the same scoreboard classes
-here."""
-
 _RING_COMPACT_THRESHOLD = 1024
 """Released-slot prefix length that triggers ring-buffer compaction."""
 
@@ -628,22 +621,16 @@ def make_scoreboard(
     ett_capacity: int = 2,
     wpq_ring: Optional[OccupancyRing] = None,
     telemetry: "Optional[Telemetry]" = None,
-    engine: str = "skip_ahead",
     triad_levels: int = 2,
 ) -> ScoreboardBase:
     """Build the scoreboard matching a scheme.
 
     The class comes from :data:`SCOREBOARDS`; its extra constructor
     arguments from the scheme's spec (epoch schemes take the ETT and
-    WPQ ring, the Triad-NVM frontier its depth).  ``engine`` names the
-    timing family; ``"batched"`` and ``"skip_ahead"`` share the
-    event-queue scoreboards (the batched engine only changes how the
-    trace walk reaches them).
+    WPQ ring, the Triad-NVM frontier its depth).  Both timing engines
+    share these scoreboards: the batched engine only changes how the
+    trace walk reaches them.
     """
-    if engine not in ENGINE_KINDS:
-        raise ValueError(
-            f"engine must be one of {ENGINE_KINDS}, got {engine!r}"
-        )
     cls = SCOREBOARDS[scheme]
     spec = scheme.spec
     kwargs = {}

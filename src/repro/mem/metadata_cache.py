@@ -13,22 +13,11 @@ its metadata blocks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.crypto.bmt import BMTGeometry
 from repro.mem.cache import Cache, cache_counters
 from repro.sim.stats import StatsRegistry
-from repro.telemetry.bus import Telemetry
-from repro.telemetry.events import EventKind
-
-
-@dataclass
-class MetadataLookup:
-    """Hit/miss outcome for the three metadata structures."""
-
-    counter_hit: bool
-    mac_hit: bool
 
 
 class MetadataCaches:
@@ -44,7 +33,6 @@ class MetadataCaches:
         ideal: bool = False,
         blocks_per_counter_block: int = 64,
         stats: Optional[StatsRegistry] = None,
-        telemetry: Optional[Telemetry] = None,
     ) -> None:
         """Create the three metadata caches.
 
@@ -73,68 +61,21 @@ class MetadataCaches:
         self._mac_access = self.mac_cache.access
         self._bmt_access = self.bmt_cache.access
         self._bmt_arity = geometry.arity
-        # Telemetry: install instrumented *instance* methods only when a
-        # bus is present, so the disabled path keeps the uninstrumented
-        # class methods — zero overhead, not even a dead branch.
-        if telemetry is not None and telemetry.config.cache_events and not ideal:
-            self._instrument(telemetry)
 
     @classmethod
     def counters_only(cls, stats: StatsRegistry) -> "MetadataCaches":
-        """Metadata caches with no sets, for a run that scripts every access.
+        """Metadata caches with no sets, for a batched run.
 
-        A scripted batched run (:func:`repro.system.timing.scripts_metadata`)
-        replays each metadata-cache outcome from a precomputed script,
-        whose feed installs the access methods, so it needs only the
-        ctr/mac/bmt counters, registered in the order the live caches
-        register them.
+        The batched engine replays each metadata-cache outcome from a
+        precomputed script (:mod:`repro.sim.batched`), whose feed
+        installs the access methods, so it needs only the ctr/mac/bmt
+        counters, registered in the order the live caches register them.
         """
         caches = cls.__new__(cls)
         caches.ideal = False
         for name in ("ctr", "mac", "bmt"):
             cache_counters(name, stats)
         return caches
-
-    def _instrument(self, telemetry: Telemetry) -> None:
-        """Shadow the access methods with event-emitting closures."""
-        hit_kind, miss_kind, evict_kind = (
-            EventKind.MDC_HIT,
-            EventKind.MDC_MISS,
-            EventKind.MDC_EVICT,
-        )
-
-        def make(track: str, cache_access, key_of):
-            instant = telemetry.instant
-
-            def access(data_key: int, is_write: bool) -> bool:
-                key = key_of(data_key)
-                hit, victim = cache_access(key, is_write)
-                # clock read through the bus each call: the simulator
-                # rebinds ``telemetry.clock`` after instrumentation.
-                now = telemetry.clock()
-                instant(hit_kind if hit else miss_kind, now, track, ident=key)
-                if victim is not None:
-                    instant(evict_kind, now, track, ident=victim.block)
-                return hit
-
-            return access
-
-        self.access_counter = make(  # type: ignore[method-assign]
-            "mdc.ctr", self._counter_access, self.counter_block_of
-        )
-        self.access_mac = make(  # type: ignore[method-assign]
-            "mdc.mac", self._mac_access, self.mac_block_of
-        )
-        bmt_inner = make(
-            "mdc.bmt", self._bmt_access, lambda label: (label - 1) // self._bmt_arity
-        )
-
-        def access_bmt(label: int, is_write: bool) -> bool:
-            if label == 0:  # pinned root always hits, no cache touch
-                return True
-            return bmt_inner(label, is_write)
-
-        self.access_bmt_node = access_bmt  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     # address maps

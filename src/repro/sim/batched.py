@@ -667,6 +667,26 @@ class _CacheReplay:
             self.counts[i] += count
 
 
+class _IdealReplay:
+    """A :class:`_CacheReplay` stand-in for ideal metadata caches: every
+    access hits and nothing is counted, as in ``MetadataCaches`` with
+    ``ideal=True``.  A load's read walk stops at its first node."""
+
+    __slots__ = ()
+
+    counts = (0, 0, 0, 0)
+
+    def accesses(self, keys, writes, out: bytearray) -> None:
+        out.extend(b"\x01" * len(keys))
+
+    def walks(self, walks, codes: array, reads: bytearray) -> None:
+        for nodes, code in walks:
+            if code:
+                codes.append(code)
+            elif nodes:
+                reads.append(1)
+
+
 class MetadataReplay:
     """Chunk-resumable replay of the metadata caches and combiner.
 
@@ -684,8 +704,8 @@ class MetadataReplay:
       full path under ``WALK_FULL`` (o3), the LCA-truncated path under
       ``WALK_LCA`` (coalescing; the truncation is a pure function of
       the leaf sequence and keeps a prefix of the leaf's path;
-      ``CoalescingUnit.now`` only stamps telemetry, which is off
-      whenever the script is in use; empty coalesced paths never reach
+      ``CoalescingUnit.now`` only stamps telemetry, and the replay's own
+      ``CoalescingUnit`` has no bus; empty coalesced paths never reach
       ``_level_costs``, so they add no walk entry).
 
     Each BMT update walk is recorded as one walk code (see
@@ -694,7 +714,9 @@ class MetadataReplay:
 
     The replay reads no scheme and no latency: ``walk`` (a
     :class:`ReplayShape` walk policy) and the metadata-cache fields of
-    ``config`` fix its output.  :meth:`feed` consumes one chunk of
+    ``config`` fix its output.  Under ``ideal_metadata`` each cache is
+    an :class:`_IdealReplay`, so every outcome is a hit and every count
+    zero.  :meth:`feed` consumes one chunk of
     prepass events and buffers the scripted outcomes; :meth:`take`
     drains the buffers.  The memoized path (:func:`_metadata_script_for`)
     feeds the whole event partition at once.
@@ -722,10 +744,13 @@ class MetadataReplay:
         self._bpcb = config.blocks_per_counter_block
         self._num_leaves = geometry.num_leaves
         self._full_top = 1 << geometry.levels
-        assoc = config.metadata_assoc
-        self._ctr = _CacheReplay(config.counter_cache_bytes, assoc)
-        self._mac = _CacheReplay(config.mac_cache_bytes, assoc)
-        self._bmt = _CacheReplay(config.bmt_cache_bytes, assoc)
+        if config.ideal_metadata:
+            self._ctr = self._mac = self._bmt = _IdealReplay()
+        else:
+            assoc = config.metadata_assoc
+            self._ctr = _CacheReplay(config.counter_cache_bytes, assoc)
+            self._mac = _CacheReplay(config.mac_cache_bytes, assoc)
+            self._bmt = _CacheReplay(config.bmt_cache_bytes, assoc)
         # The WPQ write-combiner (timing._WriteCombiner): an LRU over
         # (kind, block) keys, insertion order = LRU.
         self._comb: dict = {}
@@ -747,7 +772,7 @@ class MetadataReplay:
     @property
     def counts(self) -> Tuple[int, ...]:
         """Cumulative ctr/mac/bmt hit/miss/eviction/dirty totals."""
-        return tuple(self._ctr.counts + self._mac.counts + self._bmt.counts)
+        return (*self._ctr.counts, *self._mac.counts, *self._bmt.counts)
 
     def take(self) -> tuple:
         """Drain the buffered ``(ctr, mac, bmt, walks, combiner)`` outcomes."""
@@ -851,10 +876,10 @@ def _metadata_script_for(sim, trace: MemoryTrace, boundary: int) -> MetadataScri
     (everything that shapes the event partition), plus the BMT-walk
     policy, the warmup boundary (window displacements inside the warmup
     emit no writeback accesses) and the metadata-cache fields the
-    replay reads.  No latency is in the key (each run prices the
-    outcomes), so Fig. 9's MAC-latency variants share one script, and
-    the eight write-through schemes (class ``"wt"``, policy
-    ``WALK_FULL``) share one per (trace, cache config).
+    replay reads, ``ideal_metadata`` among them.  No latency is in the
+    key (each run prices the outcomes), so Fig. 9's MAC-latency variants
+    share one script, and the eight write-through schemes (class
+    ``"wt"``, policy ``WALK_FULL``) share one per (trace, cache config).
     Sharing across schemes is sound because of the scheme-zoo invariant (2) in
     DESIGN.md: each of those scoreboards
     calls ``_level_costs`` exactly once per persist with the full path,
@@ -875,6 +900,7 @@ def _metadata_script_for(sim, trace: MemoryTrace, boundary: int) -> MetadataScri
         cfg.mac_cache_bytes,
         cfg.bmt_cache_bytes,
         cfg.metadata_assoc,
+        cfg.ideal_metadata,
         cfg.blocks_per_counter_block,
         geometry.num_leaves,
         geometry.arity,
@@ -903,22 +929,10 @@ def _column(column, dtype):
     return np.frombuffer(memoryview(column), dtype=dtype)
 
 
-def wants_script(sim) -> bool:
-    """Whether ``sim`` takes the scripted-metadata fast path.
-
-    :func:`repro.system.timing.scripts_metadata` decides, from the
-    config alone, so a scripted simulator was built with no live
-    metadata cache sets.  The instrumented, ideal and outsized-tree
-    paths keep the live code, so those runs stay bit-identical through
-    shared code.
-    """
-    return timing.scripts_metadata(sim.config)
-
-
 class ScriptFeed:
     """Deque-fed scripted metadata accessors installed on a simulator.
 
-    Replaces the three metadata-cache accessors (a scripted simulator
+    Replaces the three metadata-cache accessors (a batched simulator
     builds no live cache sets), the scoreboard's BMT walk costing and
     the WPQ write-combiner with reads of a precomputed
     :class:`MetadataScript` — the single hottest cost in the timed
@@ -1026,11 +1040,10 @@ def merge_counts(stats, counts: Tuple[int, ...]) -> None:
     """Add replayed cache totals to the live registry.
 
     ``counts`` is a prepass's l1/l2/l3 hit/miss/eviction/dirty-eviction
-    twelve (:attr:`FunctionalPrepass.counters`), optionally followed by
-    a metadata replay's ctr/mac/bmt twelve (:attr:`MetadataReplay.counts`).
-    The data-cache totals go through the registry by name (the batched
-    engine never builds the live hierarchy); the metadata totals add to
-    whatever the live caches absorbed before scripting took over.
+    twelve (:attr:`FunctionalPrepass.counters`) followed by a metadata
+    replay's ctr/mac/bmt twelve (:attr:`MetadataReplay.counts`).  Both
+    go through the registry by name: the batched engine builds neither
+    the live hierarchy nor live metadata caches.
     """
     for i in range(0, len(counts), 4):
         for counter, value in zip(cache_counters(_COUNTED[i // 4], stats), counts[i : i + 4]):
@@ -1044,7 +1057,7 @@ def _open_window(sim, snap: Tuple[int, int, int]):
     return sim._snapshot(snap[2])
 
 
-def run_pass2(sim, name: str, boundary: int, parts, scripted: bool):
+def run_pass2(sim, name: str, boundary: int, parts):
     """Pass 2: jump the clock between eventful ops, dispatch each one
     through the shared timed handlers, and assemble the ``SimResult``.
 
@@ -1053,8 +1066,8 @@ def run_pass2(sim, name: str, boundary: int, parts, scripted: bool):
     prepass events, the tick of each (:func:`chunk_ticks`), the
     ``(ops, ticks, instructions)`` position after the span, the warmup
     position when it falls inside the span (else ``None``), its
-    metadata-script buffers (:attr:`MetadataScript.buffers`, ``None``
-    unless ``scripted``), and replayed cache totals to merge
+    metadata-script buffers (:attr:`MetadataScript.buffers`), and
+    replayed cache totals to merge
     (:func:`merge_counts`) or ``None``.  The memoized run passes the
     whole trace as one part, the streamed run parts of at most
     :data:`PART_OPS` ops plus the end-of-trace drain.  ``sim`` is a
@@ -1070,12 +1083,11 @@ def run_pass2(sim, name: str, boundary: int, parts, scripted: bool):
     window = None
     snap = end = (0, 0, 0)
     sim._in_warmup = boundary > 0
-    feed = ScriptFeed(sim) if scripted else None
+    feed = ScriptFeed(sim)
     try:
         for events, ticks, end, part_snap, script, counts in parts:
             snap = part_snap or snap
-            if script is not None:
-                feed.extend(*script)
+            feed.extend(*script)
             for ev, tick in zip(events, ticks):
                 op_idx = ev[0]
                 if window is None and op_idx >= boundary:
@@ -1112,10 +1124,8 @@ def run_pass2(sim, name: str, boundary: int, parts, scripted: bool):
             if counts is not None:
                 merge_counts(sim.stats, counts)
     finally:
-        if feed is not None:
-            feed.restore()
-    if feed is not None:
-        feed.assert_drained()
+        feed.restore()
+    feed.assert_drained()
     return sim._make_result(name, window, end[2])
 
 
@@ -1147,16 +1157,10 @@ def run_batched(sim, trace: MemoryTrace, warmup_fraction: float):
     n = len(trace)
     boundary = int(n * warmup_fraction)
     pre = _prepass_for(sim, trace)
-    scripted = wants_script(sim)
-    script = None
-    counts = pre.cache_counts
-    if scripted:
-        md = _metadata_script_for(sim, trace, boundary)
-        script = md.buffers
-        counts += md.counts
+    md = _metadata_script_for(sim, trace, boundary)
     ticks, end, snap = _ticks_for(sim, trace, pre.events, boundary)
-    part = (pre.events, ticks, end, snap, script, counts)
-    return run_pass2(sim, trace.name, boundary, (part,), scripted)
+    part = (pre.events, ticks, end, snap, md.buffers, pre.cache_counts + md.counts)
+    return run_pass2(sim, trace.name, boundary, (part,))
 
 
 PART_OPS = 65_536
@@ -1185,7 +1189,7 @@ def _split(chunk):
         )
 
 
-def _stream_parts(source, config, n: int, boundary: int, scripted: bool):
+def _stream_parts(source, config, n: int, boundary: int):
     """The pass-2 parts of a streamed run, in trace order.
 
     One :class:`FunctionalPrepass` and one :class:`MetadataReplay`
@@ -1196,11 +1200,9 @@ def _stream_parts(source, config, n: int, boundary: int, scripted: bool):
     """
     shape = replay_shape(config)
     pre = FunctionalPrepass(shape, config)
-    md = MetadataReplay(shape.walk, config, boundary) if scripted else None
+    md = MetadataReplay(shape.walk, config, boundary)
 
     def script_of(events):
-        if md is None:
-            return None
         md.feed(events)
         return md.take()
 
@@ -1218,8 +1220,7 @@ def _stream_parts(source, config, n: int, boundary: int, scripted: bool):
     if pre.next_index != n:
         raise RuntimeError(f"chunk source yielded {pre.next_index} ops; header promised {n}")
     script = script_of(tail)
-    counts = pre.counters + (md.counts if md is not None else ())
-    yield tail, [pos[1]] * len(tail), pos, None, script, counts
+    yield tail, [pos[1]] * len(tail), pos, None, script, pre.counters + md.counts
 
 
 def _producer_context(n: int):
@@ -1301,17 +1302,16 @@ def run_batched_stream(sim, source, name: str, n: int, warmup_fraction: float):
     process dispatches the previous part; otherwise it runs in-process.
     """
     boundary = int(n * warmup_fraction)
-    scripted = wants_script(sim)
-    parts = _stream_parts(source, sim.config, n, boundary, scripted)
+    parts = _stream_parts(source, sim.config, n, boundary)
     ctx = _producer_context(n)
     if ctx is None:
-        return run_pass2(sim, name, boundary, parts, scripted)
+        return run_pass2(sim, name, boundary, parts)
     recv_end, send_end = ctx.Pipe(duplex=False)
     producer = ctx.Process(target=_produce, args=(parts, recv_end, send_end), daemon=True)
     producer.start()
     send_end.close()
     try:
-        return run_pass2(sim, name, boundary, _received(recv_end, producer), scripted)
+        return run_pass2(sim, name, boundary, _received(recv_end, producer))
     finally:
         # Closing our end fails the producer's next send if it is still
         # running; joining here, not in generator finalization, because

@@ -16,6 +16,8 @@ GB = 1024 * MB
 
 BLOCK_BYTES = 64
 PAGE_BYTES = 4096
+MAX_BMT_LEVELS = 63
+"""Deepest BMT a 64-bit walk code (``repro.sim.batched``) encodes."""
 
 _GEOMETRY_CACHE: dict = {}
 
@@ -35,8 +37,10 @@ class SystemConfig:
 
     Defaults reproduce Table III: 4 GHz OOO core, 64 KB L1 / 512 KB L2 /
     4 MB L3, 32-entry WPQ, 128 KB counter/MAC/BMT caches, 9-level BMT,
-    40-cycle MAC latency, 8 GB PCM, epoch size 32, 64-entry PTT,
-    2-entry ETT.
+    40-cycle MAC latency, 8 GB PCM, epoch size 32, 2-entry ETT.  Table
+    III's 64-entry PTT sizes the cycle engine
+    (:class:`~repro.core.update_engine.EngineConfig`), not the
+    scoreboards these runs use.
     """
 
     scheme: UpdateScheme = UpdateScheme.SP
@@ -83,7 +87,6 @@ class SystemConfig:
 
     # Persistency.
     epoch_size: int = 32
-    ptt_entries: int = 64
     ett_entries: int = 2
     protect_stack: bool = False
     """``True`` models the paper's '_full' configurations where every
@@ -115,7 +118,7 @@ class SystemConfig:
         # (zero rates and associativities divide by zero).
         for name in (
             "clock_ghz", "core_ipc", "load_mlp", "l1_assoc", "l2_assoc", "l3_assoc",
-            "metadata_assoc", "wpq_entries", "ptt_entries", "ett_entries", "epoch_size",
+            "metadata_assoc", "wpq_entries", "ett_entries", "epoch_size",
             "bmt_arity", "bmt_min_levels", "triad_persist_levels", "memory_bytes",
         ):
             value = getattr(self, name)
@@ -141,6 +144,14 @@ class SystemConfig:
         if self.counter_organization not in ("split", "monolithic"):
             raise ValueError(
                 "counter_organization must be 'split' or 'monolithic'"
+            )
+        # A batched run scripts each BMT update walk as one 64-bit code:
+        # a miss bit per node plus a top bit at the path length.
+        levels = self.geometry().levels
+        if levels > MAX_BMT_LEVELS:
+            raise ValueError(
+                f"the BMT may have at most {MAX_BMT_LEVELS} levels, got {levels}"
+                " (bmt_min_levels sets the floor)"
             )
 
     @property

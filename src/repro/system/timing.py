@@ -99,24 +99,6 @@ def prehistoric_dirty_blocks() -> range:
     return range(0x100000, 0x100000 + 9 * DIRTY_WINDOW_CAPACITY, 9)
 
 
-def scripts_metadata(config: SystemConfig) -> bool:
-    """Whether a run under ``config`` replays its metadata from a script.
-
-    Batched runs do (see :func:`repro.sim.batched.wants_script`), unless
-    the metadata caches are ideal, telemetry's ``cache_events``
-    instruments them, or a BMT path is too long for a 64-bit walk code:
-    those runs, like every skip_ahead run, use live metadata caches.  A
-    scripted run builds no live metadata cache sets.
-    """
-    tel = config.telemetry
-    return (
-        config.engine == "batched"
-        and not config.ideal_metadata
-        and not (tel.enabled and tel.cache_events)
-        and config.geometry().levels < 64
-    )
-
-
 def _source_name_len(source) -> Tuple[str, int]:
     """Name and op count of a chunk source (TraceReader or MemoryTrace)."""
     if hasattr(source, "summary"):
@@ -222,14 +204,17 @@ class TraceSimulator:
             self.telemetry.clock = self._clock_int
         if config.engine == "batched":
             # The batched engine replays all replacement state in its
-            # functional prepass (repro.sim.batched) and never touches a
-            # live hierarchy or dirty-residency window; skip allocating
-            # them but register the stat counters in construction order
-            # so ``stats.as_dict()`` carries the same keys either way.
+            # functional prepass and every metadata-cache outcome from
+            # its script (repro.sim.batched), so it never touches a live
+            # hierarchy, dirty-residency window or metadata cache; skip
+            # allocating them but register the stat counters in
+            # construction order so ``stats.as_dict()`` carries the same
+            # keys either way.
             self.hierarchy = None
             self._dirty_window = None
             for level in ("l1", "l2", "l3"):
                 cache_counters(level, self.stats)
+            self.metadata = MetadataCaches.counters_only(self.stats)
         else:
             self.hierarchy = CacheHierarchy(
                 l1_bytes=config.l1_bytes,
@@ -242,9 +227,6 @@ class TraceSimulator:
                 stats=self.stats,
             )
             self._dirty_window = OrderedDict.fromkeys(prehistoric_dirty_blocks())
-        if scripts_metadata(config):
-            self.metadata = MetadataCaches.counters_only(self.stats)
-        else:
             self.metadata = MetadataCaches(
                 self.geometry,
                 counter_bytes=config.counter_cache_bytes,
@@ -254,7 +236,6 @@ class TraceSimulator:
                 ideal=config.ideal_metadata,
                 blocks_per_counter_block=config.blocks_per_counter_block,
                 stats=self.stats,
-                telemetry=self.telemetry,
             )
         self.nvm = NVMModel(config.nvm, stats=self.stats)
         self.wpq_ring = OccupancyRing(config.wpq_entries)
@@ -267,7 +248,6 @@ class TraceSimulator:
             ett_capacity=config.ett_entries,
             wpq_ring=self.wpq_ring if self.scheme.uses_epochs else None,
             telemetry=self.telemetry,
-            engine=config.engine,
             triad_levels=config.triad_persist_levels,
         )
         # NVM writes issued per persist beyond the data/counter/MAC

@@ -21,7 +21,7 @@ bit-identity with telemetry on and off) and is strictly zero-overhead
 when disabled: no bus is constructed and no instrumentation installed.
 """
 
-from repro.telemetry.bus import NullSink, RingBufferSink, Telemetry, TelemetrySink
+from repro.telemetry.bus import RingBufferSink, Telemetry
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.events import (
     OPEN_KINDS,
@@ -42,13 +42,11 @@ from repro.telemetry.series import GaugeSeries, WindowStats, interpolated_percen
 __all__ = [
     "EventKind",
     "GaugeSeries",
-    "NullSink",
     "OPEN_KINDS",
     "RingBufferSink",
     "SPAN_KINDS",
     "Telemetry",
     "TelemetryConfig",
-    "TelemetrySink",
     "TraceEvent",
     "WindowStats",
     "chrome_trace",

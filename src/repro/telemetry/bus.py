@@ -1,13 +1,10 @@
-"""The telemetry bus: typed event emission into bounded sinks.
+"""The telemetry bus: typed event emission into one bounded ring.
 
 Design contract (enforced by ``bench_perf.py`` and the timing tests):
 
 * **Zero overhead when disabled.**  Instrumented modules accept
-  ``telemetry=None`` and either guard emissions with a single ``is not
-  None`` check off the per-instruction hot path, or — for the hottest
-  call sites (metadata-cache accesses) — install instrumented bound
-  methods *only* when a bus is present, leaving the disabled path's
-  bytecode untouched.
+  ``telemetry=None`` and guard emissions with a single ``is not None``
+  check off the per-instruction hot path.
 * **Observation only.**  Nothing in this package feeds back into timing
   state; simulation results are bit-identical with telemetry on or off.
 """
@@ -22,17 +19,7 @@ from repro.telemetry.events import EventKind, TraceEvent, level_track
 from repro.telemetry.series import GaugeSeries
 
 
-class TelemetrySink:
-    """Receives every emitted event.  Subclasses override :meth:`record`."""
-
-    def record(self, event: TraceEvent) -> None:
-        raise NotImplementedError
-
-    def events(self) -> List[TraceEvent]:
-        raise NotImplementedError
-
-
-class RingBufferSink(TelemetrySink):
+class RingBufferSink:
     """A bounded FIFO of events; the oldest are dropped (and counted).
 
     Events are retained *packed* — the ``(kind, time, track, ident,
@@ -51,24 +38,12 @@ class RingBufferSink(TelemetrySink):
         self._events: Deque[tuple] = deque(maxlen=capacity)
         self._recorded = 0
 
-    def record(self, event: TraceEvent) -> None:
-        """Slow-path entry for externally built events."""
-        self._recorded += 1
-        self._events.append(
-            (event.kind, event.time, event.track, event.ident, event.duration, event.args)
-        )
-
-    def record_packed(self, packed: tuple) -> None:
-        """Append one packed event tuple (the bus's fast path).
+    def record_many(self, packed_batch: List[tuple]) -> None:
+        """Bulk-append a batch of packed tuples (bus buffer flush).
 
         The deque's ``maxlen`` performs the drop; :attr:`dropped` is
-        derived from the running count, so the append stays branch-free.
+        derived from the running count.
         """
-        self._recorded += 1
-        self._events.append(packed)
-
-    def record_many(self, packed_batch: List[tuple]) -> None:
-        """Bulk-append a batch of packed tuples (bus buffer flush)."""
         self._recorded += len(packed_batch)
         self._events.extend(packed_batch)
 
@@ -86,22 +61,12 @@ class RingBufferSink(TelemetrySink):
         return len(self._events)
 
 
-class NullSink(TelemetrySink):
-    """Discards everything (explicit sink for smoke tests and sizing)."""
-
-    def record(self, event: TraceEvent) -> None:  # pragma: no cover - trivial
-        pass
-
-    def events(self) -> List[TraceEvent]:
-        return []
-
-
 def _zero_clock() -> int:
     return 0
 
 
 class Telemetry:
-    """The bus: owns the sink, the gauge registry, and the clock.
+    """The bus: owns the ring, the gauge registry, and the clock.
 
     Instrumented structures without their own notion of time (the
     functional WPQ, the coalescing unit) read :attr:`clock`, a zero-arg
@@ -118,31 +83,21 @@ class Telemetry:
         "_buf",
         "_flushed",
         "_flush_at",
-        "_record_many",
     )
 
-    def __init__(
-        self,
-        config: Optional[TelemetryConfig] = None,
-        sink: Optional[TelemetrySink] = None,
-    ) -> None:
+    def __init__(self, config: Optional[TelemetryConfig] = None) -> None:
         self.config = config if config is not None else TelemetryConfig(enabled=True)
-        self.sink = sink if sink is not None else RingBufferSink(self.config.ring_capacity)
+        self.sink = RingBufferSink(self.config.ring_capacity)
         self.clock: Callable[[], int] = _zero_clock
         self._gauges: Dict[str, GaugeSeries] = {}
         # Emission hot path: events are appended packed to a plain list
-        # and handed to the sink in batches — one ``list.append`` per
-        # event instead of a call chain through the sink.  The buffer
+        # and handed to the ring in batches — one ``list.append`` per
+        # event instead of a call chain through the ring.  The buffer
         # drains whenever any observer (events/emitted/dropped) looks,
-        # and at ``_flush_at`` to bound memory; sinks that implement
-        # ``record_many`` take the batch packed, others get typed
-        # TraceEvents one at a time, in emission order either way.
+        # and at ``_flush_at`` to bound memory.
         self._buf: List[tuple] = []
         self._flushed = 0
         self._flush_at = self.config.ring_capacity
-        self._record_many: Optional[Callable[[List[tuple]], None]] = getattr(
-            self.sink, "record_many", None
-        )
 
     # ------------------------------------------------------------------
     # events
@@ -153,17 +108,7 @@ class Telemetry:
         if not buf:
             return
         self._flushed += len(buf)
-        record_many = self._record_many
-        if record_many is not None:
-            record_many(buf)
-        else:
-            record = self.sink.record
-            for kind, time, track, ident, duration, args in buf:
-                record(
-                    TraceEvent(
-                        kind, time, track, ident=ident, duration=duration, args=args
-                    )
-                )
+        self.sink.record_many(buf)
         buf.clear()
 
     def emit(
@@ -221,7 +166,7 @@ class Telemetry:
             self._flush()
 
     def events(self) -> List[TraceEvent]:
-        """Events currently retained by the sink, in emission order."""
+        """Events currently retained by the ring, in emission order."""
         self._flush()
         return self.sink.events()
 
@@ -233,7 +178,7 @@ class Telemetry:
     @property
     def dropped(self) -> int:
         self._flush()
-        return getattr(self.sink, "dropped", 0)
+        return self.sink.dropped
 
     # ------------------------------------------------------------------
     # gauges

@@ -15,10 +15,10 @@ class TelemetryConfig:
     """Knobs for the structured event/metrics subsystem.
 
     Telemetry is **off by default** and must never change simulation
-    results: with ``enabled=False`` no instrumentation is installed at
-    all (the hot paths keep their uninstrumented bound methods), and
-    with ``enabled=True`` the emitted events are derived from — never
-    fed back into — the timing state.  ``bench_perf.py`` enforces both
+    results: with ``enabled=False`` no bus is built at all (each call
+    site's ``is None`` guard skips emission), and with ``enabled=True``
+    the emitted events are derived from — never fed back into — the
+    timing state.  ``bench_perf.py`` enforces both
     properties (bit-identical ``SimResult`` and a bounded overhead).
     """
 
@@ -31,15 +31,6 @@ class TelemetryConfig:
     sample_stride: int = 64
     """Gauge rollup window, in cycles: samples landing in the same
     ``time // stride`` window aggregate into one min/mean/max cell."""
-
-    cache_events: bool = False
-    """Emit per-access metadata-cache hit/miss/evict events (opt-in
-    deep-inspection mode).  These are by far the highest-volume events
-    — one per counter/MAC/BMT-node access — and installing their
-    instrumented closures forces the batched engine onto its live
-    metadata machinery, so the default keeps them off: the structural
-    (WPQ/PTT/BMT/epoch) timeline stays cheap and the ring is not
-    flooded.  Results are bit-identical either way."""
 
     window_value_cap: int = 64
     """Raw samples retained per gauge window for percentile rollups;

@@ -33,11 +33,6 @@ class EventKind(enum.IntEnum):
     # Coalescing unit.
     COALESCE_DELEGATE = 30
 
-    # Metadata caches.
-    MDC_HIT = 40
-    MDC_MISS = 41
-    MDC_EVICT = 42
-
     # Epoch persistency.
     EPOCH_OPEN = 50
     EPOCH_DRAIN = 51
@@ -61,7 +56,7 @@ class TraceEvent:
         time: Cycle (or logical tick) the event happened at.
         duration: Span length in cycles; 0 for instant events.
         track: Hardware-structure track label (e.g. ``"wpq"``,
-            ``"bmt.L3"``, ``"mdc.ctr"``, ``"epochs"``).
+            ``"bmt.L3"``, ``"epochs"``).
         ident: Persist/epoch/block identifier; -1 when not applicable.
         args: Optional extra payload (small dict), ``None`` when empty.
     """

@@ -108,6 +108,14 @@ def test_sweep_unknown_param_fails(capsys):
             ("sweep", "--param", "metadata_assoc", "--values", "0"),
             "metadata_assoc must be positive",
         ),
+        (
+            ("sweep", "--param", "ptt_entries", "--values", "1"),
+            "unknown SystemConfig parameter 'ptt_entries'",
+        ),
+        (
+            ("sweep", "--param", "bmt_min_levels", "--values", "64"),
+            "at most 63 levels",
+        ),
     ],
     ids=[
         "run-unknown-scheme",
@@ -134,6 +142,8 @@ def test_sweep_unknown_param_fails(capsys):
         "sweep-negative-l1-assoc",
         "sweep-zero-core-ipc",
         "sweep-zero-metadata-assoc",
+        "sweep-removed-ptt-entries",
+        "sweep-bmt-deeper-than-63-levels",
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv, message):

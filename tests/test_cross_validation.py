@@ -32,12 +32,9 @@ def run_engine(scheme, leaves, epochs=None, mac=40):
     return engine
 
 
-ENGINES = ["skip_ahead"]
-
-
-def run_scoreboard(scheme, leaves, epochs=None, mac=40, engine="skip_ahead"):
+def run_scoreboard(scheme, leaves, epochs=None, mac=40):
     geometry = BMTGeometry(num_leaves=512, arity=8)
-    sb = make_scoreboard(scheme, geometry, mac_latency=mac, engine=engine)
+    sb = make_scoreboard(scheme, geometry, mac_latency=mac)
     if scheme.uses_epochs:
         completions = {}
         by_epoch = {}
@@ -53,25 +50,23 @@ def run_scoreboard(scheme, leaves, epochs=None, mac=40, engine="skip_ahead"):
     return completions, sb
 
 
-@pytest.mark.parametrize("engine_kind", ENGINES)
 @pytest.mark.parametrize("scheme", [UpdateScheme.SP, UpdateScheme.PIPELINE])
-def test_strict_schemes_agree_exactly(scheme, engine_kind):
+def test_strict_schemes_agree_exactly(scheme):
     rng = random.Random(42)
     leaves = [rng.randrange(512) for _ in range(24)]
     engine = run_engine(scheme, leaves)
-    completions, sb = run_scoreboard(scheme, leaves, engine=engine_kind)
+    completions, sb = run_scoreboard(scheme, leaves)
     assert engine.completions == completions
     assert engine.node_update_count == sb.node_update_count
 
 
-@pytest.mark.parametrize("engine_kind", ENGINES)
 @pytest.mark.parametrize("scheme", [UpdateScheme.O3, UpdateScheme.COALESCING])
-def test_epoch_schemes_agree_within_tolerance(scheme, engine_kind):
+def test_epoch_schemes_agree_within_tolerance(scheme):
     rng = random.Random(43)
     leaves = [rng.randrange(512) for _ in range(24)]
     epochs = [i // 8 for i in range(24)]
     engine = run_engine(scheme, leaves, epochs)
-    completions, sb = run_scoreboard(scheme, leaves, epochs, engine=engine_kind)
+    completions, sb = run_scoreboard(scheme, leaves, epochs)
     assert engine.node_update_count == sb.node_update_count
     assert set(engine.completions) == set(completions)
     for pid in completions:

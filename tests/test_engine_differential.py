@@ -8,9 +8,8 @@ for event.  This suite runs the engines over randomized (seeded)
 configs x workloads x every scheme and asserts exact equality; any
 drift in the batched prepass or metadata script fails here first.
 
-The scoreboard-level differential reuses ``test_cross_validation``'s
-machinery; the scoreboards themselves are validated against the
-cycle-accurate engine by the tests there.
+Both engines share one set of scoreboards; ``test_cross_validation``
+validates them against the cycle-accurate engine.
 """
 
 import random
@@ -23,8 +22,6 @@ from repro.system.config import SystemConfig
 from repro.system.timing import TraceSimulator
 from repro.telemetry.config import TelemetryConfig
 from repro.workloads.spec_profiles import profile_trace
-
-from test_cross_validation import run_scoreboard
 
 ALL_SCHEMES = list(UpdateScheme)
 WORKLOADS = ["gamess", "gcc"]
@@ -100,21 +97,11 @@ def test_telemetry_streams_identical(scheme):
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.value)
-def test_cache_event_streams_identical(scheme):
-    """Deep-inspection mode (per-access metadata-cache events) matches too.
-
-    ``cache_events=True`` installs instrumented closures on the
-    metadata caches, which forces the batched engine off its scripted
-    metadata replay and onto the live machinery — the streams (and
-    results) must still be identical, event for event.
-    """
-    trace = _trace("gcc")
-    config = SystemConfig(
-        scheme=scheme,
-        telemetry=TelemetryConfig(enabled=True, cache_events=True),
-    )
-    out = run_both(config, trace)
-    assert out["batched"] == out["skip_ahead"]
+def test_ideal_metadata_bit_identical(scheme):
+    """Ideal metadata caches are scripted too: every outcome a hit,
+    every count zero, every walk priced at the MAC latency alone."""
+    out = run_both(SystemConfig(scheme=scheme, ideal_metadata=True), _trace("gcc"))
+    assert out["batched"][0] == out["skip_ahead"][0]
 
 
 @pytest.mark.parametrize("order", ["forward", "reverse"])
@@ -181,27 +168,36 @@ def test_latency_variants_share_metadata_scripts():
     assert len(scripts) == 4
 
 
-def test_outsized_tree_runs_live_metadata():
-    """A BMT path longer than a 64-bit walk code can encode (here 64
-    levels) keeps the live metadata caches and still matches skip_ahead."""
-    from repro.sim.batched import MetadataScript
+@pytest.mark.parametrize("order", ["real_first", "ideal_first"])
+def test_ideal_and_real_metadata_scripts_kept_apart(order):
+    """sp with and without ideal metadata on one shared trace, in both
+    orders: each batched run matches a fresh-trace skip_ahead run.  The
+    two configs differ only in ``ideal_metadata``, so a script memo key
+    without it hands the second run the first run's script."""
+    flags = [False, True] if order == "real_first" else [True, False]
+    shared = _trace("gcc")
+    for ideal in flags:
+        config = SystemConfig(scheme=UpdateScheme.SP, ideal_metadata=ideal)
+        batched = TraceSimulator(config).run(shared)
+        reference = TraceSimulator(config.variant(engine="skip_ahead")).run(_trace("gcc"))
+        assert batched == reference, ideal
 
-    config = SystemConfig(scheme=UpdateScheme.SP, bmt_min_levels=64)
-    trace = _trace("gcc")
-    batched = TraceSimulator(config).run(trace)
+
+def test_deepest_tree_scripts_its_walks():
+    """A 63-level BMT, the deepest a 64-bit walk code encodes (deeper
+    configs are rejected), matches skip_ahead."""
+    config = SystemConfig(scheme=UpdateScheme.SP, bmt_min_levels=63)
+    assert config.geometry().levels == 63
+    batched = TraceSimulator(config).run(_trace("gcc"))
     assert batched == TraceSimulator(config.variant(engine="skip_ahead")).run(_trace("gcc"))
-    assert not any(isinstance(v, MetadataScript) for v in trace._stat_cache.values())
 
 
 def test_scripted_run_builds_no_live_metadata_sets():
-    """A scripted batched run replays every metadata access, so it
+    """A batched run replays every metadata access from a script, so it
     allocates no live cache sets; its stats keep skip_ahead's keys, in
     skip_ahead's order."""
-    from repro.sim.batched import wants_script
-
     config = SystemConfig(scheme=UpdateScheme.SP)
     sim = TraceSimulator(config)
-    assert wants_script(sim)
     assert not hasattr(sim.metadata, "counter_cache")
     result = sim.run(_trace("gcc"))
     reference = TraceSimulator(config.variant(engine="skip_ahead")).run(_trace("gcc"))
@@ -211,27 +207,22 @@ def test_scripted_run_builds_no_live_metadata_sets():
 
 @pytest.mark.parametrize(
     "changes",
-    [
-        {"ideal_metadata": True},
-        {"telemetry": TelemetryConfig(enabled=True, cache_events=True)},
-        {"bmt_min_levels": 64},
-    ],
-    ids=["ideal", "cache_events", "64_levels"],
+    [{"ideal_metadata": True}, {"telemetry": TelemetryConfig(enabled=True)}],
+    ids=["ideal", "telemetry"],
 )
-def test_unscriptable_batched_runs_keep_live_metadata(changes):
-    """Ideal metadata, per-access cache telemetry and a tree too deep for
-    a walk code keep the live caches under the batched engine, use them
-    (ideal caches are never touched), and match skip_ahead."""
-    from repro.sim.batched import wants_script
+def test_ideal_and_telemetry_runs_are_scripted(changes):
+    """Ideal metadata and an enabled bus take the one scripted path: the
+    batched simulator builds no live cache sets, its run builds a
+    script, and its result and event stream equal skip_ahead's."""
+    from repro.sim.batched import MetadataScript
 
     config = SystemConfig(scheme=UpdateScheme.COALESCING, **changes)
-    sim = TraceSimulator(config)
-    assert not wants_script(sim)
-    result = sim.run(_trace("gcc"))
-    reference = TraceSimulator(config.variant(engine="skip_ahead")).run(_trace("gcc"))
-    assert result == reference
-    resident = len(sim.metadata.counter_cache) + len(sim.metadata.bmt_cache)
-    assert (resident == 0) == config.ideal_metadata
+    assert not hasattr(TraceSimulator(config).metadata, "counter_cache")
+    trace = _trace("gcc")
+    out = run_both(config, trace)
+    assert out["batched"] == out["skip_ahead"]
+    assert list(out["batched"][0].stats) == list(out["skip_ahead"][0].stats)
+    assert any(isinstance(v, MetadataScript) for v in trace._stat_cache.values())
 
 
 @pytest.mark.parametrize(
@@ -263,34 +254,6 @@ def test_memoized_script_mismatch_raises_and_restores(corrupt, error):
         sim.run(trace)
     assert "access_counter" not in sim.metadata.__dict__
     assert isinstance(sim._combiner, _WriteCombiner)
-
-
-@pytest.mark.parametrize("engine", ["batched", "skip_ahead"])
-@pytest.mark.parametrize(
-    "scheme",
-    [
-        UpdateScheme.SP,
-        UpdateScheme.PIPELINE,
-        UpdateScheme.O3,
-        UpdateScheme.TRIAD_NVM,
-        UpdateScheme.PHOENIX,
-        UpdateScheme.SECPM_WT,
-        UpdateScheme.ANUBIS,
-    ],
-    ids=lambda s: s.value,
-)
-def test_scoreboard_level_differential(scheme, engine):
-    """Scoreboard timings agree across engines on random leaf streams.
-
-    Uses the cross-validation machinery directly, without a trace: the
-    same leaves produce the same completion map under either family.
-    """
-    rng = random.Random(99)
-    leaves = [rng.randrange(512) for _ in range(32)]
-    epochs = [i // 8 for i in range(32)] if scheme.uses_epochs else None
-    baseline, _ = run_scoreboard(scheme, leaves, epochs, engine="skip_ahead")
-    other, _ = run_scoreboard(scheme, leaves, epochs, engine=engine)
-    assert other == baseline
 
 
 def test_engine_field_validation():

@@ -5,7 +5,8 @@ skip-ahead rewrite must preserve:
 
 * **Invariant 2** — persist completion order matches program order
   under strict persistency (SP / pipelined SP), and epochs drain in
-  program order under epoch persistency;
+  program order under epoch persistency, on the scoreboards alone and
+  on the telemetry of either engine family driving them;
 * **2SP gathering** — a WPQ entry is always gathered (enqueued) before
   it is released, on the telemetry streams of either engine family;
 * **monotone admission** — an occupancy ring never admits out of
@@ -28,6 +29,7 @@ from repro.mem.wpq import gather_before_release_violations
 from repro.system.config import SystemConfig
 from repro.system.timing import TraceSimulator
 from repro.telemetry.config import TelemetryConfig
+from repro.telemetry.events import EventKind
 from repro.workloads.trace import KIND_LOAD, KIND_SFENCE, KIND_STORE, MemoryTrace
 
 GEOMETRY = BMTGeometry(num_leaves=512, arity=8)
@@ -42,12 +44,11 @@ ENGINES = ["batched", "skip_ahead"]
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("scheme", [UpdateScheme.SP, UpdateScheme.PIPELINE])
 @given(leaves=leaf_streams, gaps=gap_streams)
 @settings(max_examples=30, deadline=None)
-def test_strict_completions_follow_program_order(scheme, engine, leaves, gaps):
-    sb = make_scoreboard(scheme, GEOMETRY, engine=engine)
+def test_scoreboard_strict_completions_follow_program_order(scheme, leaves, gaps):
+    sb = make_scoreboard(scheme, GEOMETRY)
     arrival = 0
     completions = []
     for i, leaf in enumerate(leaves):
@@ -58,15 +59,14 @@ def test_strict_completions_follow_program_order(scheme, engine, leaves, gaps):
     )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("scheme", [UpdateScheme.O3, UpdateScheme.COALESCING])
 @given(leaves=leaf_streams, epoch_size=st.integers(1, 8), gap=st.integers(0, 1000))
 @settings(max_examples=30, deadline=None)
-def test_epochs_drain_in_program_order(scheme, engine, leaves, epoch_size, gap):
+def test_scoreboard_epochs_drain_in_program_order(scheme, leaves, epoch_size, gap):
     """Under EP, whole epochs complete in order even if persists inside
     one epoch complete out of order (the per-epoch drain frontier is
     non-decreasing, and no persist completes before the prior epoch)."""
-    sb = make_scoreboard(scheme, GEOMETRY, engine=engine)
+    sb = make_scoreboard(scheme, GEOMETRY)
     frontiers = []
     arrival = 0
     for start in range(0, len(leaves), epoch_size):
@@ -83,6 +83,69 @@ def test_epochs_drain_in_program_order(scheme, engine, leaves, epoch_size, gap):
         frontiers.append(max(t.completion for t in timings))
         arrival += gap
     assert frontiers == sorted(frontiers)
+
+
+def _engine_events(config, leaves, gaps):
+    """Telemetry of ``config``'s engine run over persistent stores to
+    ``leaves`` (one counter block each), ``gaps[i]`` instructions before
+    store ``i``.  The engine's own metadata path (live caches under
+    skip_ahead, the script under batched) prices each BMT walk."""
+    trace = MemoryTrace(name="prop")
+    for leaf, gap in zip(leaves, gaps):
+        block = leaf * config.blocks_per_counter_block
+        trace.append_op(KIND_STORE, block << 6, gap=gap, persistent=1)
+    sim = TraceSimulator(config)
+    sim.run(trace, warmup_fraction=0.0)
+    return sim.telemetry.events()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("scheme", [UpdateScheme.SP, UpdateScheme.PIPELINE])
+@given(leaves=leaf_streams, gaps=gap_streams)
+@settings(max_examples=30, deadline=None)
+def test_strict_completions_follow_program_order(scheme, engine, leaves, gaps):
+    """Invariant 2 as each engine drives the scoreboard: every persist's
+    WPQ release (its completion) follows the release of the one before."""
+    config = SystemConfig(
+        scheme=scheme, engine=engine, telemetry=TelemetryConfig(enabled=True)
+    )
+    gaps = [gaps[i % len(gaps)] for i in range(len(leaves))]
+    events = _engine_events(config, leaves, gaps)
+    releases = sorted(
+        (e.ident, e.time) for e in events if e.kind is EventKind.WPQ_RELEASE
+    )
+    assert [ident for ident, _ in releases] == list(range(len(leaves)))
+    completions = [time for _, time in releases]
+    assert completions == sorted(completions), (
+        "Invariant 2 violated: a younger persist completed before an older one"
+    )
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("scheme", [UpdateScheme.O3, UpdateScheme.COALESCING])
+@given(leaves=leaf_streams, epoch_size=st.integers(1, 8), gap=st.integers(0, 1000))
+@settings(max_examples=30, deadline=None)
+def test_epochs_drain_in_program_order(scheme, engine, leaves, epoch_size, gap):
+    """The EP drain order as each engine drives the scoreboard.  An
+    epoch's WPQ releases follow its EPOCH_DRAIN on the bus, so each
+    release is checked against the drain of the epoch before."""
+    config = SystemConfig(
+        scheme=scheme,
+        engine=engine,
+        epoch_size=epoch_size,
+        telemetry=TelemetryConfig(enabled=True),
+    )
+    gaps = [gap if i % epoch_size == 0 else 0 for i in range(len(leaves))]
+    drains = []
+    for event in _engine_events(config, leaves, gaps):
+        if event.kind is EventKind.EPOCH_DRAIN:
+            drains.append(event.time)
+        elif event.kind is EventKind.WPQ_RELEASE and len(drains) > 1:
+            assert event.time >= drains[-2], (
+                "a persist completed before the previous epoch drained"
+            )
+    assert len(drains) == -(-len(leaves) // epoch_size)
+    assert drains == sorted(drains)
 
 
 # ----------------------------------------------------------------------

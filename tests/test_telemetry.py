@@ -7,7 +7,6 @@ import pytest
 from repro.telemetry import (
     EventKind,
     GaugeSeries,
-    RingBufferSink,
     Telemetry,
     TelemetryConfig,
     TraceEvent,
@@ -61,10 +60,9 @@ def test_emit_preserves_order_and_counts():
 
 
 def test_ring_buffer_drops_oldest_and_counts():
-    sink = RingBufferSink(capacity=3)
-    tel = Telemetry(TelemetryConfig(enabled=True), sink=sink)
+    tel = Telemetry(TelemetryConfig(enabled=True, ring_capacity=3))
     for i in range(5):
-        tel.instant(EventKind.MDC_HIT, i, "mdc.ctr", ident=i)
+        tel.instant(EventKind.WPQ_ENQUEUE, i, "wpq", ident=i)
     assert tel.emitted == 5
     assert tel.dropped == 2
     assert [e.ident for e in tel.events()] == [2, 3, 4]
@@ -245,9 +243,9 @@ def test_render_timeline_empty_bus():
 
 
 def test_trace_event_as_dict_omits_empty_fields():
-    event = TraceEvent(EventKind.MDC_HIT, 7, "mdc.ctr", ident=3)
+    event = TraceEvent(EventKind.WPQ_ENQUEUE, 7, "wpq", ident=3)
     d = event.as_dict()
-    assert d == {"kind": "MDC_HIT", "time": 7, "track": "mdc.ctr", "ident": 3}
+    assert d == {"kind": "WPQ_ENQUEUE", "time": 7, "track": "wpq", "ident": 3}
     spanned = TraceEvent(
         EventKind.BMT_LEVEL_SPAN, 7, "bmt.L0", ident=1, duration=4, args={"x": 1}
     )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.schemes import UpdateScheme
+from repro.core.update_engine import EngineConfig
 from repro.system.config import SystemConfig
 from repro.system.factory import build_simulator, run_benchmark, run_trace
 from repro.system.timing import TraceSimulator
@@ -28,9 +29,9 @@ def test_config_defaults_match_table_iii():
     assert cfg.counter_cache_bytes == 128 * 1024
     assert cfg.mac_latency == 40
     assert cfg.epoch_size == 32
-    assert cfg.ptt_entries == 64
     assert cfg.ett_entries == 2
     assert cfg.geometry().levels == 9
+    assert EngineConfig().ptt_capacity == 64
 
 
 def test_config_variants():
@@ -53,7 +54,6 @@ def test_config_validation():
     [
         "epoch_size",
         "wpq_entries",
-        "ptt_entries",
         "ett_entries",
         "bmt_arity",
         "triad_persist_levels",
@@ -97,6 +97,14 @@ def test_config_boundary_values():
         SystemConfig(l1_bytes=7 * 64, l1_assoc=8)
     with pytest.raises(ValueError, match="bmt_cache_bytes must be positive and hold at least one set"):
         SystemConfig(bmt_cache_bytes=64, metadata_assoc=8)
+
+
+def test_config_rejects_a_bmt_deeper_than_63_levels():
+    """A batched run scripts each BMT update walk as a 64-bit code, so a
+    64-level tree has no encoding; 63 levels is the deepest accepted."""
+    assert SystemConfig(bmt_min_levels=63).geometry().levels == 63
+    with pytest.raises(ValueError, match="at most 63 levels, got 64"):
+        SystemConfig(bmt_min_levels=64)
 
 
 @pytest.mark.parametrize(

@@ -450,8 +450,8 @@ def assert_transports_match_run(trace, path, config, monkeypatch, producers, war
 
 @pytest.mark.parametrize("scheme", list(UpdateScheme))
 def test_pipelined_stream_matches_run(trace, tmp_path, monkeypatch, producers, scheme):
-    # 403 ops in 150-op segments and 64-op parts: parts end inside and
-    # at segment edges, and the 20 % warmup ends inside a part.
+    # 801 ops in six 150-op segments and 64-op parts: parts end inside
+    # and at segment edges, and the 20 % warmup ends inside a part.
     assert_transports_match_run(
         trace, tmp_path / "t.plptrace", SystemConfig(scheme=scheme), monkeypatch, producers
     )
@@ -470,11 +470,9 @@ def test_pipelined_stream_ideal_metadata(trace, tmp_path, monkeypatch, producers
 
 
 @pytest.mark.parametrize("scheme", [UpdateScheme.SP, UpdateScheme.COALESCING])
-def test_pipelined_stream_cache_event_telemetry(trace, tmp_path, monkeypatch, producers, scheme):
+def test_pipelined_stream_telemetry(trace, tmp_path, monkeypatch, producers, scheme):
     """Telemetry stays in the consumer: the event streams match too."""
-    config = SystemConfig(
-        scheme=scheme, telemetry=TelemetryConfig(enabled=True, cache_events=True)
-    )
+    config = SystemConfig(scheme=scheme, telemetry=TelemetryConfig(enabled=True))
     _result, events = assert_transports_match_run(
         trace, tmp_path / "t.plptrace", config, monkeypatch, producers, warmup=0.0
     )
