@@ -35,13 +35,13 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.coalescing import CoalescedPersist, CoalescingUnit
 from repro.core.schemes import EXTRA_FRONTIER, UpdateScheme
 from repro.crypto.bmt import BMTGeometry
 from repro.mem.metadata_cache import MetadataCaches
+from repro.sim.memo import Memo
 from repro.telemetry.events import EventKind, level_track
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -49,18 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _RING_COMPACT_THRESHOLD = 1024
 """Released-slot prefix length that triggers ring-buffer compaction."""
-
-
-@dataclass
-class PersistTiming:
-    """Timing outcome for one persist."""
-
-    __slots__ = ("persist_id", "arrival", "completion", "node_updates")
-
-    persist_id: int
-    arrival: int
-    completion: int
-    node_updates: int
 
 
 class OccupancyRing:
@@ -123,7 +111,13 @@ class OccupancyRing:
 
 
 class ScoreboardBase:
-    """Shared path-cost logic for all scoreboard engines."""
+    """Shared path-cost logic for all scoreboard engines.
+
+    ``metadata`` is the run's metadata layer: live
+    :class:`~repro.mem.metadata_cache.MetadataCaches`, or a batched
+    run's :class:`~repro.sim.batched.ScriptedMetadata`.  Either answers
+    ``update_walk``; without one every BMT node hits.
+    """
 
     def __init__(
         self,
@@ -140,6 +134,17 @@ class ScoreboardBase:
         self.telemetry = telemetry
         self.node_update_count = 0
         self.bmt_cache_misses = 0
+        # Walk code -> (per-node costs, misses), priced once per code;
+        # every walk with that code shares the one costs list.
+        self._prices = Memo(
+            lambda code: (
+                [
+                    mac_latency + bmt_miss_latency if code >> i & 1 else mac_latency
+                    for i in range(code.bit_length() - 1)
+                ],
+                bin(code).count("1") - 1,
+            )
+        )
 
     def _emit_serial_spans(
         self, persist_id: int, start: int, costs: Sequence[int]
@@ -156,22 +161,17 @@ class ScoreboardBase:
         )
 
     def _level_costs(self, path: Sequence[int]) -> List[int]:
-        """Per-node update cost (MAC latency + any BMT cache miss)."""
-        mac = self.mac_latency
+        """Per-node cost of a BMT update walk along ``path``: the MAC
+        latency, plus the BMT miss latency for each node that missed.
+
+        The metadata layer walks the path and names the nodes that
+        missed in a walk code (bit ``i`` for node ``i``, the top bit at
+        ``len(path)``).  The returned list is shared by every walk with
+        the same code: callers must not mutate it.
+        """
         metadata = self.metadata
-        if metadata is None:
-            self.node_update_count += len(path)
-            return [mac] * len(path)
-        miss = self.bmt_miss_latency
-        access = metadata.access_bmt_node
-        costs = []
-        misses = 0
-        for label in path:
-            if access(label, is_write=True):
-                costs.append(mac)
-            else:
-                costs.append(mac + miss)
-                misses += 1
+        code = 1 << len(path) if metadata is None else metadata.update_walk(path)
+        costs, misses = self._prices[code]
         self.bmt_cache_misses += misses
         self.node_update_count += len(path)
         return costs
@@ -193,7 +193,7 @@ class SequentialScoreboard(ScoreboardBase):
         super().__init__(*args, **kwargs)
         self._engine_free = 0
 
-    def submit(self, persist_id: int, leaf_index: int, arrival: int) -> PersistTiming:
+    def submit(self, persist_id: int, leaf_index: int, arrival: int) -> int:
         path = self.geometry.path_tuple(leaf_index)
         costs = self._level_costs(path)
         # One lane: wait for the engine to free, then walk the path.
@@ -202,7 +202,7 @@ class SequentialScoreboard(ScoreboardBase):
         completion = self._engine_free = start + sum(costs)
         if self.telemetry is not None:
             self._emit_serial_spans(persist_id, start, costs)
-        return PersistTiming(persist_id, arrival, completion, len(path))
+        return completion
 
     def engine_busy_until(self) -> int:
         return self._engine_free
@@ -217,7 +217,7 @@ class PipelineScoreboard(ScoreboardBase):
         # per-lane integer-array state the skip-ahead engine jumps on.
         self._level_done = array("q", bytes(8 * (self.geometry.depth + 1)))
 
-    def submit(self, persist_id: int, leaf_index: int, arrival: int) -> PersistTiming:
+    def submit(self, persist_id: int, leaf_index: int, arrival: int) -> int:
         path = self.geometry.path_tuple(leaf_index)
         costs = self._level_costs(path)
         t = arrival
@@ -239,7 +239,7 @@ class PipelineScoreboard(ScoreboardBase):
                     duration=cost,
                 )
             level -= 1
-        return PersistTiming(persist_id, arrival, t, len(path))
+        return t
 
     def engine_busy_until(self) -> int:
         # A demand verification enters at the leaf stage.
@@ -260,7 +260,7 @@ class SGXPathScoreboard(SequentialScoreboard):
         self.node_persist_cycles = node_persist_cycles
         self.path_persists = 0
 
-    def submit(self, persist_id: int, leaf_index: int, arrival: int) -> PersistTiming:
+    def submit(self, persist_id: int, leaf_index: int, arrival: int) -> int:
         path = self.geometry.path_tuple(leaf_index)
         costs = self._level_costs(path)
         free = self._engine_free
@@ -270,7 +270,7 @@ class SGXPathScoreboard(SequentialScoreboard):
         self.path_persists += len(path)
         if self.telemetry is not None:
             self._emit_serial_spans(persist_id, start, costs)
-        return PersistTiming(persist_id, arrival, completion, len(path))
+        return completion
 
 
 class TriadNVMScoreboard(SequentialScoreboard):
@@ -297,7 +297,7 @@ class TriadNVMScoreboard(SequentialScoreboard):
         self.node_persist_cycles = node_persist_cycles
         self.path_persists = 0
 
-    def submit(self, persist_id: int, leaf_index: int, arrival: int) -> PersistTiming:
+    def submit(self, persist_id: int, leaf_index: int, arrival: int) -> int:
         path = self.geometry.path_tuple(leaf_index)
         costs = self._level_costs(path)
         free = self._engine_free
@@ -312,7 +312,7 @@ class TriadNVMScoreboard(SequentialScoreboard):
         self.path_persists += persisted
         if self.telemetry is not None:
             self._emit_serial_spans(persist_id, start, costs)
-        return PersistTiming(persist_id, arrival, completion, len(path))
+        return completion
 
 
 class PhoenixScoreboard(TriadNVMScoreboard):
@@ -347,7 +347,7 @@ class SecPMScoreboard(SequentialScoreboard):
         self.node_persist_cycles = node_persist_cycles
         self.counter_persists = 0
 
-    def submit(self, persist_id: int, leaf_index: int, arrival: int) -> PersistTiming:
+    def submit(self, persist_id: int, leaf_index: int, arrival: int) -> int:
         path = self.geometry.path_tuple(leaf_index)
         costs = self._level_costs(path)
         free = self._engine_free
@@ -356,7 +356,7 @@ class SecPMScoreboard(SequentialScoreboard):
         self.counter_persists += 1
         if self.telemetry is not None:
             self._emit_serial_spans(persist_id, start, costs)
-        return PersistTiming(persist_id, arrival, completion, len(path))
+        return completion
 
 
 class AnubisScoreboard(PipelineScoreboard):
@@ -373,10 +373,9 @@ class AnubisScoreboard(PipelineScoreboard):
         self.shadow_write_cycles = shadow_write_cycles
         self.shadow_writes = 0
 
-    def submit(self, persist_id: int, leaf_index: int, arrival: int) -> PersistTiming:
+    def submit(self, persist_id: int, leaf_index: int, arrival: int) -> int:
         path = self.geometry.path_tuple(leaf_index)
-        # Copy, never mutate: _level_costs may hand out memoized lists
-        # (the batched engine's scripted walks are reused across runs).
+        # Copy, never mutate: _level_costs hands out memoized lists.
         shadow = self.shadow_write_cycles
         costs = [cost + shadow for cost in self._level_costs(path)]
         self.shadow_writes += len(path)
@@ -397,18 +396,18 @@ class AnubisScoreboard(PipelineScoreboard):
                     duration=cost,
                 )
             level -= 1
-        return PersistTiming(persist_id, arrival, t, len(path))
+        return t
 
 
 class UnorderedScoreboard(ScoreboardBase):
     """Strawman: root ordering unenforced; stores never wait for the root."""
 
-    def submit(self, persist_id: int, leaf_index: int, arrival: int) -> PersistTiming:
+    def submit(self, persist_id: int, leaf_index: int, arrival: int) -> int:
         path = self.geometry.path_tuple(leaf_index)
         costs = self._level_costs(path)
         if self.telemetry is not None:
             self._emit_serial_spans(persist_id, arrival, costs)
-        return PersistTiming(persist_id, arrival, arrival, len(path))
+        return arrival
 
 
 class OutOfOrderScoreboard(ScoreboardBase):
@@ -485,7 +484,7 @@ class OutOfOrderScoreboard(ScoreboardBase):
 
     def submit_epoch(
         self, persists: Sequence[Tuple[int, int]], arrival: int
-    ) -> List[PersistTiming]:
+    ) -> List[int]:
         """Submit an epoch's persists.
 
         Args:
@@ -493,7 +492,7 @@ class OutOfOrderScoreboard(ScoreboardBase):
             arrival: Cycle at which the epoch boundary flush begins.
 
         Returns:
-            Per-persist timings (root-ack completion times).
+            Each persist's root-ack completion cycle, in input order.
         """
         admission, root_gate = self._epoch_gates()
         start_floor = admission if admission > arrival else arrival
@@ -513,7 +512,7 @@ class OutOfOrderScoreboard(ScoreboardBase):
             self._release_wpq(completion)
             if tel is not None:
                 self._emit_serial_spans(persist_id, first_issue, costs)
-            results.append(PersistTiming(persist_id, arrival, completion, len(path)))
+            results.append(completion)
         self._drain_epoch_span(epoch_span, epoch_frontier)
         self._epoch_done.append(epoch_frontier)
         return results
@@ -547,7 +546,7 @@ class CoalescingScoreboard(OutOfOrderScoreboard):
 
     def submit_epoch(
         self, persists: Sequence[Tuple[int, int]], arrival: int
-    ) -> List[PersistTiming]:
+    ) -> List[int]:
         admission, root_gate = self._epoch_gates()
         start_floor = admission if admission > arrival else arrival
         epoch_span = self._open_epoch_span(start_floor)
@@ -585,9 +584,7 @@ class CoalescingScoreboard(OutOfOrderScoreboard):
             if completion > epoch_frontier:
                 epoch_frontier = completion
             self._release_wpq(completion)
-            results.append(
-                PersistTiming(persist.persist_id, arrival, completion, persist.update_count)
-            )
+            results.append(completion)
         self._drain_epoch_span(epoch_span, epoch_frontier)
         self._epoch_done.append(epoch_frontier)
         return results

@@ -13,10 +13,10 @@ its metadata blocks:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.crypto.bmt import BMTGeometry
-from repro.mem.cache import Cache, cache_counters
+from repro.mem.cache import Cache
 from repro.sim.stats import StatsRegistry
 
 
@@ -62,21 +62,6 @@ class MetadataCaches:
         self._bmt_access = self.bmt_cache.access
         self._bmt_arity = geometry.arity
 
-    @classmethod
-    def counters_only(cls, stats: StatsRegistry) -> "MetadataCaches":
-        """Metadata caches with no sets, for a batched run.
-
-        The batched engine replays each metadata-cache outcome from a
-        precomputed script (:mod:`repro.sim.batched`), whose feed
-        installs the access methods, so it needs only the ctr/mac/bmt
-        counters, registered in the order the live caches register them.
-        """
-        caches = cls.__new__(cls)
-        caches.ideal = False
-        for name in ("ctr", "mac", "bmt"):
-            cache_counters(name, stats)
-        return caches
-
     # ------------------------------------------------------------------
     # address maps
     # ------------------------------------------------------------------
@@ -86,21 +71,6 @@ class MetadataCaches:
         if self._counter_shift is not None:
             return data_block >> self._counter_shift
         return data_block // self.blocks_per_counter_block
-
-    @staticmethod
-    def mac_block_of(data_block: int) -> int:
-        """MAC block index holding the data block's 8-byte MAC."""
-        return data_block >> 3
-
-    def bmt_cache_block_of(self, label: int) -> int:
-        """Cache block identifier for a BMT node label.
-
-        Sibling hashes are co-located: nodes that share a parent share a
-        cache block, which is what gives BMT caching its locality.
-        """
-        if label == self.geometry.ROOT_LABEL:
-            return self.geometry.ROOT_LABEL
-        return self.geometry.parent(label)
 
     # ------------------------------------------------------------------
     # accesses
@@ -129,3 +99,26 @@ class MetadataCaches:
             return True
         hit, _ = self._bmt_access((label - 1) // self._bmt_arity, is_write)
         return hit
+
+    def verify_fill(self, leaf: int) -> None:
+        """Integrity-verify a fill under BMT leaf ``leaf``: read its path
+        up to the first cached node, a trusted one (the root is pinned).
+
+        Verification overlaps use (§VI), so it adds no latency; its node
+        reads only occupy, and pollute, the BMT cache.
+        """
+        access = self.access_bmt_node
+        for label in self.geometry.path_tuple(leaf):
+            if access(label, False):
+                break
+
+    def update_walk(self, path: Sequence[int]) -> int:
+        """Write every node of a BMT update path, leaf first; return its
+        walk code: bit ``i`` set when node ``i`` missed, and bit
+        ``len(path)`` set to mark the length."""
+        access = self.access_bmt_node
+        code = 1 << len(path)
+        for i, label in enumerate(path):
+            if not access(label, True):
+                code |= 1 << i
+        return code

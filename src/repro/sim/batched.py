@@ -32,8 +32,9 @@ state.  The batched engine exploits that:
    through the *same* timed handlers the skip-ahead scalar loop uses
    (``_load_timed`` / ``_persist_store`` / ``_flush_timed`` /
    ``_handle_writeback`` on :class:`~repro.system.timing.TraceSimulator`),
-   against the same live NVM / WPQ / scoreboard state, with the
-   metadata caches and the write-combiner read from the script.
+   against the same live NVM / WPQ / scoreboard state, with the run's
+   metadata layer and write-combiner answering from the script
+   (:class:`ScriptedMetadata`).
 
 Pass 2 (:func:`run_pass2`) is the only code that dispatches prepass
 events.  The memoized run (:func:`run_batched`) hands it the whole
@@ -546,38 +547,40 @@ class MetadataScript:
     or on a latency — only the costs charged for them do — so
     everything the handlers ask of the metadata layer can be replayed
     from precomputed outcomes in pass 2 instead of live LRU caches.
-    The three caches and the write-combiner are independent, so each
-    accessor reads its own buffer, in the order it is called:
+    The caches and the write-combiner are independent, so each accessor
+    of :class:`ScriptedMetadata` reads its own buffer, in the order the
+    handlers call it:
 
     * ``ctr``, ``mac`` — one hit (1) / miss (0) byte per counter / MAC
       read or write;
-    * ``bmt`` — one hit / miss byte per node of a load's BMT read walk;
-    * ``walks`` — one walk code per ``_level_costs`` call (the
-      scoreboards' BMT update walks): bit ``i`` is set when node ``i``
-      of the path missed, the top set bit marks the path length, and
-      pass 2 prices it (:class:`ScriptFeed`);
+    * ``walks`` — one walk code per BMT update walk (``update_walk``):
+      bit ``i`` is set when node ``i`` of the path missed, the top set
+      bit marks the path length, and the run's scoreboard prices it;
     * ``combiner`` — one byte per ``_tuple_writes`` call: how many of
       the tuple's data/counter/MAC writes the WPQ write-combiner let
       through (0–3);
     * ``counts`` — (hits, misses, evictions, dirty_evictions) totals
       per metadata cache, merged into the registry after pass 2.
+
+    A load's BMT read walk has no buffer: it never affects timing, so
+    its effect on the BMT cache and its counts is all the replay keeps.
     """
 
-    __slots__ = ("ctr", "mac", "bmt", "walks", "combiner", "counts")
+    __slots__ = ("ctr", "mac", "walks", "combiner", "counts")
 
     def __init__(self, buffers: tuple, counts: Tuple[int, ...]) -> None:
-        self.ctr, self.mac, self.bmt, self.walks, self.combiner = buffers
+        self.ctr, self.mac, self.walks, self.combiner = buffers
         self.counts = counts
 
     @property
     def buffers(self) -> tuple:
-        """``(ctr, mac, bmt, walks, combiner)``, as :meth:`ScriptFeed.extend`
-        takes them."""
-        return (self.ctr, self.mac, self.bmt, self.walks, self.combiner)
+        """``(ctr, mac, walks, combiner)``, as
+        :meth:`ScriptedMetadata.extend` takes them."""
+        return (self.ctr, self.mac, self.walks, self.combiner)
 
 
 def _empty_buffers() -> tuple:
-    return (bytearray(), bytearray(), bytearray(), array("Q"), bytearray())
+    return (bytearray(), bytearray(), array("Q"), bytearray())
 
 
 class _CacheReplay:
@@ -619,7 +622,7 @@ class _CacheReplay:
             emit(0)
         self._add(hits, misses, evictions, dirty_evictions)
 
-    def walks(self, walks, codes: array, reads: bytearray) -> None:
+    def walks(self, walks, codes: array) -> None:
         """Run BMT walks in turn.
 
         Each is ``(nodes, code)``, ``nodes`` being ``((cache key,
@@ -628,13 +631,12 @@ class _CacheReplay:
         node and appends ``code``, with each missing node's bit set, to
         ``codes``.  A zero ``code`` is a load's read walk: it reads
         nodes up to the first hit (verification stops at a trusted
-        node) and appends one hit byte per node read to ``reads``.
+        node) and appends nothing, since no handler consumes it.
         """
         sets = self._sets
         num_sets, mask, assoc = self._dims
         hits = misses = evictions = dirty_evictions = 0
-        emit_code = codes.append
-        emit_read = reads.append
+        emit = codes.append
         for nodes, code in walks:
             update = code != 0
             for key, bit in nodes:
@@ -646,7 +648,6 @@ class _CacheReplay:
                     hits += 1
                     if update:
                         continue
-                    emit_read(1)
                     break
                 misses += 1
                 if len(d) >= assoc:
@@ -654,12 +655,9 @@ class _CacheReplay:
                     if d.pop(next(iter(d))):
                         dirty_evictions += 1
                 d[key] = update
-                if update:
-                    code |= bit
-                else:
-                    emit_read(0)
+                code |= bit
             if update:
-                emit_code(code)
+                emit(code)
         self._add(hits, misses, evictions, dirty_evictions)
 
     def _add(self, *counts: int) -> None:
@@ -670,7 +668,7 @@ class _CacheReplay:
 class _IdealReplay:
     """A :class:`_CacheReplay` stand-in for ideal metadata caches: every
     access hits and nothing is counted, as in ``MetadataCaches`` with
-    ``ideal=True``.  A load's read walk stops at its first node."""
+    ``ideal=True``."""
 
     __slots__ = ()
 
@@ -679,12 +677,8 @@ class _IdealReplay:
     def accesses(self, keys, writes, out: bytearray) -> None:
         out.extend(b"\x01" * len(keys))
 
-    def walks(self, walks, codes: array, reads: bytearray) -> None:
-        for nodes, code in walks:
-            if code:
-                codes.append(code)
-            elif nodes:
-                reads.append(1)
+    def walks(self, walks, codes: array) -> None:
+        codes.extend(code for _, code in walks if code)
 
 
 class MetadataReplay:
@@ -696,7 +690,8 @@ class MetadataReplay:
       tuple writes through the combiner, plus a full-path BMT update
       walk under the ``WALK_WRITEBACK`` policy (``secure_wb``);
     * a load's NVM fill: counter R, MAC R, then a BMT read walk that
-      stops at the first cached node (or the pinned root);
+      stops at the first cached node (or the pinned root) — replayed
+      for its effect on the BMT cache, with no script entry;
     * a write-through persist: counter W, MAC W, tuple writes, and a
       full-path BMT walk;
     * an epoch flush: counter W + MAC W + tuple writes per dirty block
@@ -775,7 +770,7 @@ class MetadataReplay:
         return (*self._ctr.counts, *self._mac.counts, *self._bmt.counts)
 
     def take(self) -> tuple:
-        """Drain the buffered ``(ctr, mac, bmt, walks, combiner)`` outcomes."""
+        """Drain the buffered ``(ctr, mac, walks, combiner)`` outcomes."""
         out = self._out
         self._out = _empty_buffers()
         return out
@@ -841,10 +836,10 @@ class MetadataReplay:
                         walks.append((nodes[persist.leaf_index][:length], 1 << length))
             else:
                 walks.extend((nodes[b // bpcb % num_leaves], full_top) for b in flushed)
-        ctr, mac, bmt, codes, comb = self._out
+        ctr, mac, codes, comb = self._out
         self._ctr.accesses([b // bpcb for b in blocks], writes, ctr)
         self._mac.accesses([b >> 3 for b in blocks], writes, mac)
-        self._bmt.walks(walks, codes, bmt)
+        self._bmt.walks(walks, codes)
         self._combine(combined, comb)
 
     def _combine(self, blocks: List[int], out: bytearray) -> None:
@@ -884,8 +879,8 @@ def _metadata_script_for(sim, trace: MemoryTrace, boundary: int) -> MetadataScri
     DESIGN.md: each of those scoreboards
     calls ``_level_costs`` exactly once per persist with the full path,
     so all of them consume the same access sequence, and pass 2's
-    consumed-exactly check (:meth:`ScriptFeed.assert_drained`) verifies
-    that on every run.  A future scheme whose scoreboard walks a
+    consumed-exactly check (:meth:`ScriptedMetadata.assert_drained`)
+    verifies that on every run.  A future scheme whose scoreboard walks a
     truncated path needs its own walk policy in :func:`replay_shape`.
     """
     cfg = sim.config
@@ -916,87 +911,62 @@ def _metadata_script_for(sim, trace: MemoryTrace, boundary: int) -> MetadataScri
     return script
 
 
-class _ScriptedCombiner:
-    """Drop-in for ``timing._WriteCombiner`` replaying scripted counts."""
-
-    __slots__ = ("tuple_writes",)
-
-    def __init__(self, nxt) -> None:
-        self.tuple_writes = lambda block, counter_block: nxt()
-
-
 def _column(column, dtype):
     return np.frombuffer(memoryview(column), dtype=dtype)
 
 
-class ScriptFeed:
-    """Deque-fed scripted metadata accessors installed on a simulator.
+class ScriptedMetadata:
+    """A batched run's metadata layer and write-combiner, answered from
+    its :class:`MetadataScript`.
 
-    Replaces the three metadata-cache accessors (a batched simulator
-    builds no live cache sets), the scoreboard's BMT walk costing and
-    the WPQ write-combiner with reads of a precomputed
-    :class:`MetadataScript` — the single hottest cost in the timed
-    handlers.  Outcomes arrive part by part via :meth:`extend`, which
-    prices each walk code under this run's scoreboard latencies, and
-    the shadowed accessors pop them in the order the timed handlers
-    consume them.  :meth:`restore` removes the shadowing accessors;
-    :meth:`assert_drained` is the consumed-exactly check (a shortfall
-    surfaces earlier, as the ``IndexError`` of an empty deque).
+    :class:`~repro.system.timing.TraceSimulator` builds one for every
+    batched run, where skip_ahead builds live
+    :class:`~repro.mem.metadata_cache.MetadataCaches` and a write-combiner.
+    It registers the ctr/mac/bmt counters in the live caches' order
+    (pass 2 adds the replayed totals to them) and answers each accessor
+    from its own queue, which :meth:`extend` fills part by part with
+    the script's buffers.  ``update_walk`` hands the scoreboard a walk
+    code to price.  ``verify_fill`` does nothing: the replay already
+    applied each load's read walk to the BMT cache and its counts.
+    :meth:`assert_drained` is the consumed-exactly check that ends each
+    run (a shortfall surfaces earlier, as the ``IndexError`` of an
+    empty queue).
     """
 
-    __slots__ = ("_sim", "_scoreboard", "_combiner", "_prices", "_queues")
+    # No live cache answers a batched run, not even under
+    # ``ideal_metadata``: every outcome comes from the script.
+    # perfbench's traced runs count scripted runs by this flag.
+    ideal = False
 
-    def __init__(self, sim) -> None:
-        self._sim = sim
-        self._scoreboard = sim.scoreboard
-        self._combiner = sim._combiner
-        # Walk code -> (costs, misses) under this run's latencies, priced
-        # once per code and shared (no scoreboard mutates its costs).
-        mac, miss = sim.scoreboard.mac_latency, sim.scoreboard.bmt_miss_latency
-        self._prices = Memo(
-            lambda code: (
-                [mac + miss if code >> i & 1 else mac for i in range(code.bit_length() - 1)],
-                bin(code).count("1") - 1,
-            )
-        )
+    def __init__(self, stats) -> None:
+        for name in ("ctr", "mac", "bmt"):
+            cache_counters(name, stats)
         # One queue per MetadataScript buffer, in ``buffers`` order.
-        self._queues = ctr, mac_q, bmt, walks, comb = tuple(deque() for _ in range(5))
-        ctr_next, mac_next, bmt_next = ctr.popleft, mac_q.popleft, bmt.popleft
-        walk_next = walks.popleft
-        scoreboard = sim.scoreboard
-        metadata = sim.metadata
-        metadata.access_counter = lambda block, is_write: ctr_next()
-        metadata.access_mac = lambda block, is_write: mac_next()
+        self._queues = ctr, mac, walks, combiner = tuple(deque() for _ in range(4))
+        self._ctr = ctr.popleft
+        self._mac = mac.popleft
+        self._walk = walks.popleft
+        self._combiner = combiner.popleft
 
-        def _scripted_bmt(label: int, is_write: bool) -> bool:
-            return True if label == 0 else bmt_next()
-
-        metadata.access_bmt_node = _scripted_bmt
-
-        def _scripted_level_costs(path):
-            costs, misses = walk_next()
-            scoreboard.bmt_cache_misses += misses
-            scoreboard.node_update_count += len(path)
-            return costs
-
-        scoreboard._level_costs = _scripted_level_costs
-        sim._combiner = _ScriptedCombiner(comb.popleft)
-
-    def extend(self, ctr, mac, bmt, walks, comb) -> None:
+    def extend(self, ctr, mac, walks, combiner) -> None:
         """Queue one part's script buffers (:attr:`MetadataScript.buffers`)."""
-        queues = self._queues
-        queues[0].extend(ctr)
-        queues[1].extend(mac)
-        queues[2].extend(bmt)
-        queues[3].extend(map(self._prices.__getitem__, walks))
-        queues[4].extend(comb)
+        for queue, buffer in zip(self._queues, (ctr, mac, walks, combiner)):
+            queue.extend(buffer)
 
-    def restore(self) -> None:
-        metadata = self._sim.metadata
-        del metadata.access_counter, metadata.access_mac
-        del metadata.access_bmt_node
-        del self._scoreboard._level_costs
-        self._sim._combiner = self._combiner
+    def access_counter(self, data_block: int, is_write: bool) -> int:
+        return self._ctr()
+
+    def access_mac(self, data_block: int, is_write: bool) -> int:
+        return self._mac()
+
+    def verify_fill(self, leaf: int) -> None:
+        pass
+
+    def update_walk(self, path) -> int:
+        return self._walk()
+
+    def tuple_writes(self, block: int, counter_block: int) -> int:
+        return self._combiner()
 
     def assert_drained(self) -> None:
         if any(self._queues):
@@ -1080,52 +1050,49 @@ def run_pass2(sim, name: str, boundary: int, parts):
     load_timed = sim._load_timed
     flush_timed = sim._flush_timed
     persist_store = sim._persist_store
+    metadata = sim.metadata
     window = None
     snap = end = (0, 0, 0)
     sim._in_warmup = boundary > 0
-    feed = ScriptFeed(sim)
-    try:
-        for events, ticks, end, part_snap, script, counts in parts:
-            snap = part_snap or snap
-            feed.extend(*script)
-            for ev, tick in zip(events, ticks):
-                op_idx = ev[0]
-                if window is None and op_idx >= boundary:
-                    window = _open_window(sim, snap)
-                sim._ticks = tick
-                tag = ev[1]
-                if tag == _EV_STORE:
-                    for victim in ev[3]:
-                        handle_writeback(victim)
-                    if ev[4]:
-                        allocate_stall()
-                    displaced = ev[5]
-                    if displaced is not None and op_idx >= boundary:
-                        handle_writeback(displaced)
-                    flush = ev[6]
-                    if flush is not None:
-                        flush_timed(flush)
-                        _record_epoch(epochs, flush, ev[7])
-                    elif ev[7]:
-                        persist_store(ev[2])
-                elif tag == _EV_LOAD:
-                    load_timed(ev[2], ev[3], ev[4])
-                else:  # _EV_FLUSH (sfence boundary or end-of-trace drain)
-                    flush_timed(ev[6])
-                    _record_epoch(epochs, ev[6], ev[7])
-            # Release this part before the next one is read and fed.
-            del events, ticks, script
-            if window is None and end[0] >= boundary:
-                # The boundary passed with no eventful op after it; take
-                # the snapshot exactly where the scalar loop would have
-                # (nothing it reads moves before the next event).
+    for events, ticks, end, part_snap, script, counts in parts:
+        snap = part_snap or snap
+        metadata.extend(*script)
+        for ev, tick in zip(events, ticks):
+            op_idx = ev[0]
+            if window is None and op_idx >= boundary:
                 window = _open_window(sim, snap)
-            sim._ticks = end[1]
-            if counts is not None:
-                merge_counts(sim.stats, counts)
-    finally:
-        feed.restore()
-    feed.assert_drained()
+            sim._ticks = tick
+            tag = ev[1]
+            if tag == _EV_STORE:
+                for victim in ev[3]:
+                    handle_writeback(victim)
+                if ev[4]:
+                    allocate_stall()
+                displaced = ev[5]
+                if displaced is not None and op_idx >= boundary:
+                    handle_writeback(displaced)
+                flush = ev[6]
+                if flush is not None:
+                    flush_timed(flush)
+                    _record_epoch(epochs, flush, ev[7])
+                elif ev[7]:
+                    persist_store(ev[2])
+            elif tag == _EV_LOAD:
+                load_timed(ev[2], ev[3], ev[4])
+            else:  # _EV_FLUSH (sfence boundary or end-of-trace drain)
+                flush_timed(ev[6])
+                _record_epoch(epochs, ev[6], ev[7])
+        # Release this part before the next one is read and fed.
+        del events, ticks, script
+        if window is None and end[0] >= boundary:
+            # The boundary passed with no eventful op after it; take
+            # the snapshot exactly where the scalar loop would have
+            # (nothing it reads moves before the next event).
+            window = _open_window(sim, snap)
+        sim._ticks = end[1]
+        if counts is not None:
+            merge_counts(sim.stats, counts)
+    metadata.assert_drained()
     return sim._make_result(name, window, end[2])
 
 

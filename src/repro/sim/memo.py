@@ -1,11 +1,11 @@
 """The bound every process-wide memo keeps.
 
-Memos that live as long as the process — the batched engine's per-leaf
-and per-walk-code memos, and :class:`~repro.crypto.bmt.BMTGeometry`'s
-label-arithmetic memos on the shared geometries — must not grow with a
-run's footprint: a streamed run is meant to run in bounded memory
-however many leaves it touches.  Each starts over once it holds
-:data:`MEMO_ENTRIES` keys.
+Memos that live as long as a run or the process — the batched metadata
+replay's per-leaf memo, each scoreboard's walk-code prices, and
+:class:`~repro.crypto.bmt.BMTGeometry`'s label-arithmetic memos on the
+shared geometries — must not grow with a run's footprint: a streamed
+run is meant to run in bounded memory however many leaves it touches.
+Each starts over once it holds :data:`MEMO_ENTRIES` keys.
 """
 
 from __future__ import annotations

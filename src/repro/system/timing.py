@@ -204,17 +204,19 @@ class TraceSimulator:
             self.telemetry.clock = self._clock_int
         if config.engine == "batched":
             # The batched engine replays all replacement state in its
-            # functional prepass and every metadata-cache outcome from
-            # its script (repro.sim.batched), so it never touches a live
-            # hierarchy, dirty-residency window or metadata cache; skip
-            # allocating them but register the stat counters in
-            # construction order so ``stats.as_dict()`` carries the same
-            # keys either way.
+            # functional prepass and every metadata-cache and combiner
+            # outcome from its script (repro.sim.batched), so it never
+            # touches a live hierarchy, dirty-residency window, metadata
+            # cache or combiner; skip allocating them but register the
+            # stat counters in construction order so ``stats.as_dict()``
+            # carries the same keys either way.
+            from repro.sim.batched import ScriptedMetadata
+
             self.hierarchy = None
             self._dirty_window = None
             for level in ("l1", "l2", "l3"):
                 cache_counters(level, self.stats)
-            self.metadata = MetadataCaches.counters_only(self.stats)
+            self.metadata = self._combiner = ScriptedMetadata(self.stats)
         else:
             self.hierarchy = CacheHierarchy(
                 l1_bytes=config.l1_bytes,
@@ -237,6 +239,7 @@ class TraceSimulator:
                 blocks_per_counter_block=config.blocks_per_counter_block,
                 stats=self.stats,
             )
+            self._combiner = _WriteCombiner(COMBINER_CAPACITY)
         self.nvm = NVMModel(config.nvm, stats=self.stats)
         self.wpq_ring = OccupancyRing(config.wpq_entries)
         self.scoreboard = make_scoreboard(
@@ -266,7 +269,6 @@ class TraceSimulator:
         self.epochs = (
             EpochTracker(config.epoch_size) if self.scheme.uses_epochs else None
         )
-        self._combiner = _WriteCombiner(COMBINER_CAPACITY)
         self._num_leaves = self.geometry.num_leaves
         self._blocks_per_counter_block = config.blocks_per_counter_block
         self._protect_stack = config.protect_stack
@@ -457,13 +459,8 @@ class TraceSimulator:
             done = max(done, self.nvm.read(now))
         if not metadata.access_mac(block, False):
             done = max(done, self.nvm.read(now))
-        # The fill is integrity-verified up the BMT; verification is
-        # overlapped with use (§VI) so it adds no latency, but its node
-        # reads occupy — and pollute — the BMT cache.
-        access_bmt = metadata.access_bmt_node
-        for label in self.geometry.path_tuple(self._leaf_of(block)):
-            if access_bmt(label, False):
-                break  # verification stops at the first trusted cached node
+        # Verification up the BMT overlaps use (§VI): it only reads nodes.
+        metadata.verify_fill(self._leaf_of(block))
         # The fill's demand verification queues behind in-flight BMT
         # updates (bounded: demand requests are prioritized after at most
         # one full update path) — the effect that lets the PLP schemes
@@ -549,7 +546,7 @@ class TraceSimulator:
         persist_id = self._next_persist_id
         completion = self.scoreboard.submit(
             persist_id, block // self._blocks_per_counter_block % self._num_leaves, arrival
-        ).completion
+        )
         self._next_persist_id = persist_id + 1
         self._persist_count += 1
         if completion > self._last_completion:
@@ -637,17 +634,12 @@ class TraceSimulator:
                     EventKind.WPQ_ENQUEUE, arrival, "wpq", ident=persist_id
                 )
             tel.sample("wpq.occupancy", arrival, self.wpq_ring.occupancy(arrival))
-        timings = self.scoreboard.submit_epoch(persists, arrival)
+        completions = self.scoreboard.submit_epoch(persists, arrival)
         self._persist_count += len(persists)
-        for timing in timings:
-            self._last_completion = max(self._last_completion, timing.completion)
-            if tel is not None:
-                tel.instant(
-                    EventKind.WPQ_RELEASE,
-                    timing.completion,
-                    "wpq",
-                    ident=timing.persist_id,
-                )
+        self._last_completion = max(self._last_completion, *completions)
+        if tel is not None:
+            for (persist_id, _), completion in zip(persists, completions):
+                tel.instant(EventKind.WPQ_RELEASE, completion, "wpq", ident=persist_id)
         # The core stalls while flush issue waits for WPQ slots / the ETT.
         issue_done = self.scoreboard.last_issue_time
         now_f = self._clock()
@@ -672,9 +664,7 @@ class TraceSimulator:
             self._anchor(float(admit))
             arrival = max(arrival, admit)
         persist_id = self._next_persist_id
-        completion = self.scoreboard.submit(
-            persist_id, self._leaf_of(block), arrival
-        ).completion
+        completion = self.scoreboard.submit(persist_id, self._leaf_of(block), arrival)
         self._next_persist_id = persist_id + 1
         self._persist_count += 1
         if completion > self._last_completion:

@@ -677,17 +677,26 @@ class TraceWriter:
         )
 
     def extend_packed(self, kinds: array, addresses: array, gaps: array, flags: array) -> None:
-        """Bulk-append parallel column slices (segment-boundary aware)."""
+        """Bulk-append parallel column slices (segment-boundary aware).
+
+        Each column is copied once, byte for byte, from its buffer into
+        the open segment's column, whose item size it must share.
+        """
         total = len(kinds)
+        views = []
+        for column, into in zip(
+            (kinds, addresses, gaps, flags), (self._kinds, self._addrs, self._gaps, self._flags)
+        ):
+            view = memoryview(column)
+            if view.itemsize != into.itemsize:
+                raise TypeError(f"a {into.typecode!r} column got {view.itemsize}-byte items")
+            views.append(view.cast("B"))
         pos = 0
         while pos < total:
-            room = self.segment_ops - len(self._kinds)
-            take = min(room, total - pos)
-            end = pos + take
-            self._kinds.extend(kinds[pos:end])
-            self._addrs.extend(addresses[pos:end])
-            self._gaps.extend(gaps[pos:end])
-            self._flags.extend(flags[pos:end])
+            end = min(pos + self.segment_ops - len(self._kinds), total)
+            for buffer, view in zip((self._kinds, self._addrs, self._gaps, self._flags), views):
+                size = buffer.itemsize
+                buffer.frombytes(view[pos * size : end * size])
             pos = end
             if len(self._kinds) >= self.segment_ops:
                 self._flush_segment()

@@ -41,12 +41,13 @@ def run_scoreboard(scheme, leaves, epochs=None, mac=40):
         for i, leaf in enumerate(leaves):
             by_epoch.setdefault(epochs[i], []).append((i, leaf))
         for epoch in sorted(by_epoch):
-            for timing in sb.submit_epoch(by_epoch[epoch], arrival=0):
-                completions[timing.persist_id] = timing.completion
+            persists = by_epoch[epoch]
+            for (persist_id, _), completion in zip(
+                persists, sb.submit_epoch(persists, arrival=0)
+            ):
+                completions[persist_id] = completion
         return completions, sb
-    completions = {
-        i: sb.submit(i, leaf, arrival=0).completion for i, leaf in enumerate(leaves)
-    }
+    completions = {i: sb.submit(i, leaf, arrival=0) for i, leaf in enumerate(leaves)}
     return completions, sb
 
 
@@ -84,13 +85,13 @@ def test_sequential_agreement_with_gaps():
     sb = make_scoreboard(UpdateScheme.SP, geometry, mac_latency=40)
     engine.submit(0, 5)
     engine.run_until_drained()
-    sb_t0 = sb.submit(0, 5, arrival=0).completion
+    sb_t0 = sb.submit(0, 5, arrival=0)
     assert engine.completions[0] == sb_t0
     # Second persist arrives long after the first finished.
     engine.tick(1000 - engine.now)
     engine.submit(1, 9)
     engine.run_until_drained()
-    sb_t1 = sb.submit(1, 9, arrival=1000).completion
+    sb_t1 = sb.submit(1, 9, arrival=1000)
     assert engine.completions[1] == sb_t1
 
 
@@ -104,7 +105,7 @@ def test_pipeline_agreement_with_staggered_arrivals():
     leaves = [3, 100, 3, 200, 511]
     expected = {}
     for i, (arrival, leaf) in enumerate(zip(arrivals, leaves)):
-        expected[i] = sb.submit(i, leaf, arrival=arrival).completion
+        expected[i] = sb.submit(i, leaf, arrival=arrival)
     for i, (arrival, leaf) in enumerate(zip(arrivals, leaves)):
         engine.tick(max(0, arrival - engine.now))
         engine.submit(i, leaf)

@@ -37,7 +37,7 @@ def test_sgx_scoreboard_charges_path_persists(geometry):
     t_bmt = bmt.submit(0, 0, arrival=0)
     t_sgx = sgx.submit(0, 0, arrival=0)
     # Same MAC work plus serialized per-node persist cost.
-    assert t_sgx.completion == t_bmt.completion + 3 * sgx.node_persist_cycles
+    assert t_sgx == t_bmt + 3 * sgx.node_persist_cycles
     assert sgx.path_persists == 3
 
 
@@ -45,7 +45,7 @@ def test_sgx_scoreboard_serializes_like_sp(geometry):
     sgx = make_scoreboard(UpdateScheme.SGX_SP, geometry, mac_latency=40)
     t0 = sgx.submit(0, 0, arrival=0)
     t1 = sgx.submit(1, 1, arrival=0)
-    assert t1.completion == 2 * t0.completion
+    assert t1 == 2 * t0
 
 
 def test_sgx_scheme_slower_than_sp_end_to_end():

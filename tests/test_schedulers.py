@@ -55,18 +55,15 @@ def test_ring_invalid_capacity():
 
 def test_sequential_back_to_back(geometry):
     sb = SequentialScoreboard(geometry, mac_latency=40)
-    t0 = sb.submit(0, 0, arrival=0)
-    t1 = sb.submit(1, 1, arrival=0)
-    assert t0.completion == 120
-    assert t1.completion == 240
+    assert sb.submit(0, 0, arrival=0) == 120
+    assert sb.submit(1, 1, arrival=0) == 240
     assert sb.engine_busy_until() == 240
 
 
 def test_sequential_idle_gap(geometry):
     sb = SequentialScoreboard(geometry, mac_latency=40)
     sb.submit(0, 0, arrival=0)
-    t1 = sb.submit(1, 1, arrival=1000)
-    assert t1.completion == 1120
+    assert sb.submit(1, 1, arrival=1000) == 1120
 
 
 # ----------------------------------------------------------------------
@@ -76,20 +73,19 @@ def test_sequential_idle_gap(geometry):
 
 def test_pipeline_throughput_one_per_stage(geometry):
     sb = PipelineScoreboard(geometry, mac_latency=40)
-    completions = [sb.submit(i, i, arrival=0).completion for i in range(4)]
+    completions = [sb.submit(i, i, arrival=0) for i in range(4)]
     assert completions == [120, 160, 200, 240]
 
 
 def test_pipeline_respects_arrival(geometry):
     sb = PipelineScoreboard(geometry, mac_latency=40)
     sb.submit(0, 0, arrival=0)
-    late = sb.submit(1, 1, arrival=500)
-    assert late.completion == 620
+    assert sb.submit(1, 1, arrival=500) == 620
 
 
 def test_pipeline_root_updates_in_order(geometry):
     sb = PipelineScoreboard(geometry, mac_latency=40)
-    times = [sb.submit(i, (i * 7) % 64, arrival=i * 3).completion for i in range(10)]
+    times = [sb.submit(i, (i * 7) % 64, arrival=i * 3) for i in range(10)]
     assert times == sorted(times)
 
 
@@ -100,8 +96,7 @@ def test_pipeline_root_updates_in_order(geometry):
 
 def test_unordered_never_waits(geometry):
     sb = UnorderedScoreboard(geometry, mac_latency=40)
-    t = sb.submit(0, 0, arrival=17)
-    assert t.completion == 17
+    assert sb.submit(0, 0, arrival=17) == 17
     assert sb.node_update_count == 3  # updates still happen
 
 
@@ -114,8 +109,7 @@ def test_o3_epoch_roots_gated_on_prior_epoch(geometry):
     sb = OutOfOrderScoreboard(geometry, mac_latency=40)
     first = sb.submit_epoch([(0, 0), (1, 1)], arrival=0)
     second = sb.submit_epoch([(2, 2), (3, 3)], arrival=0)
-    last_first = max(t.completion for t in first)
-    assert all(t.completion >= last_first for t in second)
+    assert min(second) >= max(first)
 
 
 def test_o3_admission_gated_two_epochs_back(geometry):
@@ -123,13 +117,13 @@ def test_o3_admission_gated_two_epochs_back(geometry):
     e0 = sb.submit_epoch([(0, 0)], arrival=0)
     sb.submit_epoch([(1, 1)], arrival=0)
     e2 = sb.submit_epoch([(2, 2)], arrival=0)
-    assert min(t.completion for t in e2) - 120 >= max(t.completion for t in e0)
+    assert min(e2) - 120 >= max(e0)
 
 
 def test_o3_parallel_within_epoch(geometry):
     sb = OutOfOrderScoreboard(geometry, mac_latency=40)
-    timings = sb.submit_epoch([(i, i) for i in range(8)], arrival=0)
-    spread = max(t.completion for t in timings) - min(t.completion for t in timings)
+    completions = sb.submit_epoch([(i, i) for i in range(8)], arrival=0)
+    spread = max(completions) - min(completions)
     assert spread <= 8  # issue port spacing, not serial 120-cycle steps
 
 
@@ -158,16 +152,16 @@ def test_coalescing_counts_fewer_updates(geometry):
 
 def test_coalescing_delegates_complete_with_final_delegate(geometry):
     sb = CoalescingScoreboard(geometry, mac_latency=40)
-    timings = sb.submit_epoch([(0, 0), (1, 1)], arrival=0)
+    leading, trailing = sb.submit_epoch([(0, 0), (1, 1)], arrival=0)
     # The leading persist's root ack comes from the trailing persist.
-    assert timings[0].completion == timings[1].completion
+    assert leading == trailing
 
 
 def test_coalescing_cross_epoch_ordering_kept(geometry):
     sb = CoalescingScoreboard(geometry, mac_latency=40)
     first = sb.submit_epoch([(0, 0), (1, 1)], arrival=0)
     second = sb.submit_epoch([(2, 32), (3, 33)], arrival=0)
-    assert min(t.completion for t in second) >= max(t.completion for t in first)
+    assert min(second) >= max(first)
 
 
 # ----------------------------------------------------------------------

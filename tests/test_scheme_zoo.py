@@ -88,20 +88,20 @@ def _submit_one(scheme, geometry, **kwargs):
 def test_secpm_adds_one_counter_persist_over_sp(geometry):
     _, sp = _submit_one(UpdateScheme.SP, geometry)
     sb, wt = _submit_one(UpdateScheme.SECPM_WT, geometry)
-    assert wt.completion == sp.completion + sb.node_persist_cycles
+    assert wt == sp + sb.node_persist_cycles
     assert sb.counter_persists == 1
 
 
 def test_triad_acks_at_persisted_frontier(geometry):
     """The store is durable once the lowest N levels persisted; the
     relaxed upper walk continues occupying the engine."""
-    sb, timing = _submit_one(UpdateScheme.TRIAD_NVM, geometry, triad_levels=2)
+    sb, completion = _submit_one(UpdateScheme.TRIAD_NVM, geometry, triad_levels=2)
     _, sp = _submit_one(UpdateScheme.SP, geometry)
     # Ack covers 2 of 3 path nodes + 2 node persists — earlier than a
     # full sequential walk would finish, but the engine stays busy for
     # the remaining level.
-    assert timing.completion < sp.completion + 2 * sb.node_persist_cycles
-    assert sb.engine_busy_until() > timing.completion
+    assert completion < sp + 2 * sb.node_persist_cycles
+    assert sb.engine_busy_until() > completion
     assert sb.path_persists == 2
 
 
@@ -127,13 +127,11 @@ def test_anubis_pipelines_with_shadow_cost(geometry):
     p1 = pipe.submit(0, leaf_index=5, arrival=0)
     p2 = pipe.submit(1, leaf_index=6, arrival=0)
     levels = geometry.levels
-    assert t1.completion == p1.completion + levels * sb.shadow_write_cycles
+    assert t1 == p1 + levels * sb.shadow_write_cycles
     assert sb.shadow_writes == 2 * levels
     # Pipelining: the second persist finishes one stage (not one whole
     # walk) after the first, exactly as the plain pipeline does.
-    assert t2.completion - t1.completion == (p2.completion - p1.completion) + (
-        sb.shadow_write_cycles
-    )
+    assert t2 - t1 == (p2 - p1) + sb.shadow_write_cycles
 
 
 def test_zoo_runs_through_the_timing_simulator():

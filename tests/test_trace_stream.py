@@ -15,6 +15,7 @@ import os
 import struct
 import threading
 import types
+from array import array
 
 import pytest
 
@@ -80,6 +81,35 @@ def test_writer_extend_packed_matches_append_op(trace, tmp_path):
         ):
             writer.append_op(*record)
     assert one.read_bytes() == two.read_bytes()
+
+
+@pytest.mark.parametrize("cuts", [(2, 3, 3, 130, 401), (49, 50, 51, 333)])
+def test_writer_extend_packed_pieces_match_append_op(trace, tmp_path, cuts):
+    """Column slices cut at ``cuts``, appended one ``extend_packed``
+    call each after one ``append_op``, so 50-op segment boundaries fall
+    inside the slices at varying offsets: the file equals an
+    op-by-op write byte for byte."""
+    columns = (trace.kind_codes, trace.addresses, trace.gaps, trace.persistent_flags)
+    pieces = tmp_path / "pieces.plptrace"
+    ops = tmp_path / "ops.plptrace"
+    with TraceWriter(pieces, name=trace.name, segment_ops=50) as writer:
+        writer.append_op(*(column[0] for column in columns))
+        bounds = (1, *cuts, len(trace))
+        for lo, hi in zip(bounds, bounds[1:]):
+            writer.extend_packed(*(column[lo:hi] for column in columns))
+        assert writer.count == len(trace)
+    with TraceWriter(ops, name=trace.name, segment_ops=50) as writer:
+        for record in zip(*columns):
+            writer.append_op(*record)
+    assert pieces.read_bytes() == ops.read_bytes()
+
+
+def test_writer_extend_packed_rejects_a_column_of_another_item_size(tmp_path):
+    with TraceWriter(tmp_path / "t.plptrace") as writer:
+        with pytest.raises(TypeError, match="'Q' column got 4-byte items"):
+            writer.extend_packed(
+                array("B", [KIND_STORE]), array("I", [64]), array("I", [0]), array("B", [1])
+            )
 
 
 def test_resegmented_roundtrip(trace, tmp_path):
@@ -328,8 +358,8 @@ def test_run_stream_drains_open_epoch(tmp_path, scheme):
     assert _stream_v2(trace, tmp_path / "t.plptrace", config, 0.2, 47) == ref
 
 
-def test_run_stream_script_surplus_raises(trace, monkeypatch):
-    """A replay that scripts one outcome too many trips the drained check."""
+def script_surplus(monkeypatch):
+    """Make every metadata replay script one counter outcome too many."""
     from repro.sim.batched import MetadataReplay
 
     take = MetadataReplay.take
@@ -339,10 +369,13 @@ def test_run_stream_script_surplus_raises(trace, monkeypatch):
         return (ctr + b"\x01", *rest)
 
     monkeypatch.setattr(MetadataReplay, "take", take_with_surplus)
-    sim = TraceSimulator(SystemConfig(scheme=UpdateScheme.SP))
+
+
+def test_run_stream_script_surplus_raises(trace, monkeypatch):
+    """A replay that scripts one outcome too many trips the drained check."""
+    script_surplus(monkeypatch)
     with pytest.raises(RuntimeError, match="not fully consumed"):
-        sim.run_stream(trace, 0.2)
-    assert "access_counter" not in sim.metadata.__dict__
+        TraceSimulator(SystemConfig(scheme=UpdateScheme.SP)).run_stream(trace, 0.2)
 
 
 class _OverpromisingSource:
@@ -560,7 +593,48 @@ def test_pipelined_script_mismatch_reaps_producer(monkeypatch, producers, skew):
     assert len(producers()) == 1
     assert producers(finished=True) == producers()
     assert multiprocessing.active_children() == []
-    assert "access_counter" not in sim.metadata.__dict__
+
+
+def test_runs_leave_the_metadata_layer_and_scoreboard_as_built(
+    trace, tmp_path, monkeypatch, producers
+):
+    """A batched simulator is built on its scripted metadata layer, not
+    patched onto a live one: no run adds, shadows or deletes an
+    attribute of the layer (also the run's write-combiner) or of the
+    scoreboard.  Checked for the memoized run, a stream through the
+    forked producer, a stream pinned in-process, and a run stopped by
+    a surplus script."""
+    from repro.sim.batched import ScriptedMetadata
+
+    path = tmp_path / "t.plptrace"
+    trace.save_binary(path, segment_ops=150)
+
+    def stream(sim):
+        with TraceReader(path) as reader:
+            sim.run_stream(reader)
+
+    def keys_kept_by(run):
+        sim = TraceSimulator(SystemConfig(scheme=UpdateScheme.SP))
+        assert isinstance(sim.metadata, ScriptedMetadata)
+        assert sim._combiner is sim.metadata
+        before = (set(vars(sim.metadata)), set(vars(sim.scoreboard)))
+        run(sim)
+        assert (set(vars(sim.metadata)), set(vars(sim.scoreboard))) == before
+
+    keys_kept_by(lambda sim: sim.run(trace))
+    keys_kept_by(stream)
+    assert len(producers()) == 1
+    one_cpu(monkeypatch)
+    keys_kept_by(stream)
+    assert len(producers()) == 1
+
+    script_surplus(monkeypatch)
+
+    def surplus(sim):
+        with pytest.raises(RuntimeError, match="not fully consumed"):
+            sim.run(small_trace())
+
+    keys_kept_by(surplus)
 
 
 def _stream_into(trace, conn):
