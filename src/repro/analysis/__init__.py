@@ -1,6 +1,6 @@
 """Result aggregation and table/figure rendering for the harness."""
 
-from repro.analysis.report import Table, format_series, normalized
+from repro.analysis.report import Table, normalized
 from repro.analysis.campaign import (
     CampaignViolation,
     summarize,
@@ -13,7 +13,6 @@ from repro.analysis.campaign import (
 __all__ = [
     "CampaignViolation",
     "Table",
-    "format_series",
     "normalized",
     "summarize",
     "summarize_app",

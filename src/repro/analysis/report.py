@@ -7,7 +7,7 @@ rows/series the paper reports, ready to paste into ``EXPERIMENTS.md``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Sequence, Union
 
 Number = Union[int, float]
 
@@ -67,13 +67,3 @@ def normalized(
     if base == 0:
         raise ValueError("baseline value is zero")
     return {key: value / base for key, value in results.items()}
-
-
-def format_series(
-    name: str, xs: Iterable[Number], ys: Iterable[Number], x_label: str = "x"
-) -> str:
-    """Render one figure series as aligned (x, y) pairs."""
-    lines = [f"{name} [{x_label} -> value]"]
-    for x, y in zip(xs, ys):
-        lines.append(f"  {x:>10} -> {_fmt(float(y))}")
-    return "\n".join(lines)

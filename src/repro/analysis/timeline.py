@@ -23,13 +23,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import Table
-from repro.core.schemes import UpdateScheme
+from repro.sweep.runner import SweepJob, cached_profile_trace
 from repro.system.config import SystemConfig
 from repro.system.timing import SimResult, TraceSimulator
 from repro.telemetry.bus import Telemetry
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.export import paired_spans
-from repro.workloads.spec_profiles import SPEC_PROFILES, profile_trace
+from repro.workloads.spec_profiles import SPEC_PROFILES
 
 DEFAULT_TIMELINE_SCHEMES = ("sp", "pipeline")
 
@@ -89,18 +89,6 @@ def level_busy_fractions(
         level: merged_length(ivs) / window for level, ivs in sorted(per_level.items())
     }
     return fractions, (t0, t1)
-
-
-def average_occupied_levels(telemetry: Telemetry) -> float:
-    """Expected number of simultaneously busy BMT levels.
-
-    The sum of per-level busy fractions: at a uniformly random cycle of
-    the observation window, how many levels hold an in-flight update on
-    average.  ~1 for the strict sequential baseline (one level at a
-    time, minus idle gaps); noticeably higher once updates pipeline.
-    """
-    fractions, _ = level_busy_fractions(telemetry)
-    return sum(fractions.values())
 
 
 @dataclass
@@ -192,23 +180,22 @@ def run_timeline(
 ) -> TimelineReport:
     """Simulate ``benchmark`` under each scheme with telemetry enabled.
 
-    Runs in-process (unlike the sweep runner) because the telemetry bus
+    Each run is configured as the sweep runner configures the same
+    :class:`SweepJob`, but runs in-process because the telemetry bus
     lives on the simulator; results and event streams are deterministic
     for a fixed ``(benchmark, ki, seed)``.
     """
     if benchmark not in SPEC_PROFILES:
         raise KeyError(f"unknown benchmark {benchmark!r}")
-    profile = SPEC_PROFILES[benchmark]
-    trace = profile_trace(benchmark, kilo_instructions, seed)
+    trace = cached_profile_trace(benchmark, kilo_instructions, seed)
     tel_config = telemetry_config or TelemetryConfig(enabled=True)
-    base = config or SystemConfig()
     timelines = []
     for scheme in schemes:
-        cfg = base.variant(
-            scheme=UpdateScheme.from_name(scheme) if isinstance(scheme, str) else scheme,
-            core_ipc=profile.core_ipc,
+        job = SweepJob.make(
+            benchmark, scheme, kilo_instructions, seed, warmup_fraction,
             telemetry=tel_config,
         )
+        cfg = job.resolved_config(config)
         simulator = TraceSimulator(cfg)
         result = simulator.run(trace, warmup_fraction=warmup_fraction)
         telemetry = simulator.telemetry

@@ -26,7 +26,6 @@ from repro.core.schemes import UpdateScheme
 from repro.core.ptt import PersistTrackingTable, PTTEntry
 from repro.core.ett import EpochTrackingTable, ETTEntry
 from repro.core.coalescing import CoalescingUnit, CoalescedPersist
-from repro.core.controller import MemoryControllerPipeline, PersistOutcome
 from repro.core.update_engine import (
     CycleAccurateEngine,
     EngineConfig,
@@ -50,8 +49,6 @@ __all__ = [
     "ETTEntry",
     "CoalescingUnit",
     "CoalescedPersist",
-    "MemoryControllerPipeline",
-    "PersistOutcome",
     "CycleAccurateEngine",
     "EngineConfig",
     "PersistEvent",

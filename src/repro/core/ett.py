@@ -42,11 +42,6 @@ class ETTEntry:
     start: int = 0
     end: int = 0
 
-    @property
-    def lvl(self) -> int:
-        """Paper-style level number (root = 1)."""
-        return self.level + 1
-
 
 class ETTFullError(RuntimeError):
     """Raised when opening more concurrent epochs than the ETT can track."""
@@ -108,18 +103,6 @@ class EpochTrackingTable:
                 return previous
             previous = entry
         raise KeyError(f"epoch {epoch_id} not active")
-
-    def level_authorized(self, epoch_id: int, level: int) -> bool:
-        """Whether ``epoch_id`` may update BMT level ``level``.
-
-        Each BMT level may be updated by persists of a single epoch: an
-        epoch may only work strictly below (deeper than) the frontier of
-        its predecessor.
-        """
-        predecessor = self.predecessor(epoch_id)
-        if predecessor is None:
-            return True
-        return level > predecessor.level
 
     def close_epoch(self, epoch_id: int) -> ETTEntry:
         """Retire a completed epoch.  Must be the oldest active one."""

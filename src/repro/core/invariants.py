@@ -33,13 +33,6 @@ class RootOrderViolation:
     older_ack: int
     younger_ack: int
 
-    def describe(self) -> str:
-        return (
-            f"BMT root for persist {self.younger_persist} updated at "
-            f"t={self.younger_ack} before older persist {self.older_persist} "
-            f"(t={self.older_ack})"
-        )
-
 
 def check_root_order(
     events: Sequence[PersistEvent], model: PersistencyModel

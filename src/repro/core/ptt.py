@@ -52,11 +52,6 @@ class PTTEntry:
     # Coalescing: persist whose root ack this entry delegates to.
     delegated_to: Optional[int] = None
 
-    @property
-    def lvl(self) -> int:
-        """Paper-style level number (root = 1)."""
-        return self.level + 1
-
     def advance(self) -> bool:
         """Move to the next node on the update path.
 

@@ -37,7 +37,7 @@ from array import array
 from bisect import bisect_right
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.coalescing import CoalescedPersist, CoalescingUnit
+from repro.core.coalescing import CoalescingUnit
 from repro.core.schemes import EXTRA_FRONTIER, UpdateScheme
 from repro.crypto.bmt import BMTGeometry
 from repro.mem.metadata_cache import MetadataCaches
@@ -49,6 +49,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _RING_COMPACT_THRESHOLD = 1024
 """Released-slot prefix length that triggers ring-buffer compaction."""
+
+NODE_PERSIST_CYCLES = 8
+"""Cycles one serialized tree-node (or counter-block) persist adds in the
+zoo schemes that persist metadata with the store (SGX tree, Triad-NVM,
+Phoenix, SecPM)."""
+
+SHADOW_WRITE_CYCLES = 4
+"""Cycles Anubis's shadow-table write adds to each level update."""
 
 
 class OccupancyRing:
@@ -255,9 +263,8 @@ class SGXPathScoreboard(SequentialScoreboard):
     node persists — and shadow-copy atomicity keeps the walk exclusive.
     """
 
-    def __init__(self, *args, node_persist_cycles: int = 8, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.node_persist_cycles = node_persist_cycles
         self.path_persists = 0
 
     def submit(self, persist_id: int, leaf_index: int, arrival: int) -> int:
@@ -265,7 +272,7 @@ class SGXPathScoreboard(SequentialScoreboard):
         costs = self._level_costs(path)
         free = self._engine_free
         start = free if free > arrival else arrival
-        persist_cost = len(path) * self.node_persist_cycles
+        persist_cost = len(path) * NODE_PERSIST_CYCLES
         completion = self._engine_free = start + sum(costs) + persist_cost
         self.path_persists += len(path)
         if self.telemetry is not None:
@@ -283,18 +290,11 @@ class TriadNVMScoreboard(SequentialScoreboard):
     single engine lane.  Recovery rebuilds only the relaxed levels.
     """
 
-    def __init__(
-        self,
-        *args,
-        persist_levels: int = 2,
-        node_persist_cycles: int = 8,
-        **kwargs,
-    ) -> None:
+    def __init__(self, *args, persist_levels: int = 2, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         if persist_levels <= 0:
             raise ValueError("persist_levels must be positive")
         self.persist_levels = persist_levels
-        self.node_persist_cycles = node_persist_cycles
         self.path_persists = 0
 
     def submit(self, persist_id: int, leaf_index: int, arrival: int) -> int:
@@ -305,7 +305,7 @@ class TriadNVMScoreboard(SequentialScoreboard):
         persisted = min(self.persist_levels, len(path))
         # Ack once the persisted frontier (leaf upward) is durable ...
         completion = (
-            start + sum(costs[:persisted]) + persisted * self.node_persist_cycles
+            start + sum(costs[:persisted]) + persisted * NODE_PERSIST_CYCLES
         )
         # ... while the relaxed upper levels keep the engine busy.
         self._engine_free = completion + sum(costs[persisted:])
@@ -324,13 +324,8 @@ class PhoenixScoreboard(TriadNVMScoreboard):
     persisted frontier.
     """
 
-    def __init__(self, *args, node_persist_cycles: int = 8, **kwargs) -> None:
-        super().__init__(
-            *args,
-            persist_levels=1,
-            node_persist_cycles=node_persist_cycles,
-            **kwargs,
-        )
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, persist_levels=1, **kwargs)
 
 
 class SecPMScoreboard(SequentialScoreboard):
@@ -342,9 +337,8 @@ class SecPMScoreboard(SequentialScoreboard):
     the root like sp does.
     """
 
-    def __init__(self, *args, node_persist_cycles: int = 8, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.node_persist_cycles = node_persist_cycles
         self.counter_persists = 0
 
     def submit(self, persist_id: int, leaf_index: int, arrival: int) -> int:
@@ -352,7 +346,7 @@ class SecPMScoreboard(SequentialScoreboard):
         costs = self._level_costs(path)
         free = self._engine_free
         start = free if free > arrival else arrival
-        completion = self._engine_free = start + sum(costs) + self.node_persist_cycles
+        completion = self._engine_free = start + sum(costs) + NODE_PERSIST_CYCLES
         self.counter_persists += 1
         if self.telemetry is not None:
             self._emit_serial_spans(persist_id, start, costs)
@@ -363,21 +357,19 @@ class AnubisScoreboard(PipelineScoreboard):
     """Scheme zoo: Anubis (arXiv:1912.04726) shadow-metadata tracking.
 
     The pipelined recurrence of PLP 1, with every level update also
-    writing its shadow-table entry (``shadow_write_cycles`` folded into
-    the stage occupancy).  Shadow writes are what recovery replays, so
+    writing its shadow-table entry (:data:`SHADOW_WRITE_CYCLES` folded
+    into the stage occupancy).  Shadow writes are what recovery replays, so
     they are counted for the recovery model.
     """
 
-    def __init__(self, *args, shadow_write_cycles: int = 4, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.shadow_write_cycles = shadow_write_cycles
         self.shadow_writes = 0
 
     def submit(self, persist_id: int, leaf_index: int, arrival: int) -> int:
         path = self.geometry.path_tuple(leaf_index)
         # Copy, never mutate: _level_costs hands out memoized lists.
-        shadow = self.shadow_write_cycles
-        costs = [cost + shadow for cost in self._level_costs(path)]
+        costs = [cost + SHADOW_WRITE_CYCLES for cost in self._level_costs(path)]
         self.shadow_writes += len(path)
         t = arrival
         level_done = self._level_done
@@ -537,11 +529,9 @@ class OutOfOrderScoreboard(ScoreboardBase):
 class CoalescingScoreboard(OutOfOrderScoreboard):
     """PLP 3: OOO + paired LCA coalescing of same-epoch updates."""
 
-    def __init__(self, *args, coalescing_policy: str = "paired", **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._coalescer = CoalescingUnit(
-            self.geometry, policy=coalescing_policy, telemetry=self.telemetry
-        )
+        self._coalescer = CoalescingUnit(self.geometry, telemetry=self.telemetry)
         self.coalesced_away = 0
 
     def submit_epoch(

@@ -13,7 +13,7 @@ configurable *modelled* latency (Table III: MAC latency 40 cycles).
 """
 
 from repro.crypto.keys import KeySchedule
-from repro.crypto.counters import CounterBlock, MonolithicCounter, SplitCounter
+from repro.crypto.counters import MonolithicCounter, SplitCounter
 from repro.crypto.encryption import CounterModeEncryptor
 from repro.crypto.mac import StatefulMAC
 from repro.crypto.bmt import BMTGeometry, BonsaiMerkleTree
@@ -21,7 +21,6 @@ from repro.crypto.sgx_tree import SGXCounterTree
 
 __all__ = [
     "KeySchedule",
-    "CounterBlock",
     "MonolithicCounter",
     "SplitCounter",
     "CounterModeEncryptor",

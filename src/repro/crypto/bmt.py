@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.crypto.keys import KeySchedule
-from repro.crypto.primitives import HASH_SIZE, int_bytes, keyed_hash
+from repro.crypto.primitives import HASH_SIZE, keyed_hash
 from repro.sim.memo import remember
 
 
@@ -87,10 +87,6 @@ class BMTGeometry:
         if label < 0 or label >= self._level_offsets[self.levels]:
             raise IndexError(f"label out of range: {label}")
         return bisect_right(self._level_offsets, label, 1, self.levels) - 1
-
-    def index_of(self, label: int) -> int:
-        """Index of a label within its level."""
-        return label - self._level_offsets[self.level_of(label)]
 
     def nodes_at_level(self, level: int) -> int:
         self._check_level(level)
@@ -202,21 +198,6 @@ class BMTGeometry:
     def lca_of_leaves(self, leaf_a: int, leaf_b: int) -> int:
         """LCA of the update paths of two counter-block leaves."""
         return self.lca(self.leaf_label(leaf_a), self.leaf_label(leaf_b))
-
-    def path_through(self, leaf_index: int, stop_label: int) -> List[int]:
-        """Update-path labels from the leaf up to (excluding) ``stop_label``.
-
-        Used by coalescing: the leading persist updates only this prefix
-        and delegates ``stop_label`` and above to the trailing persist.
-        """
-        path = []
-        for label in self.update_path(leaf_index):
-            if label == stop_label:
-                return path
-            path.append(label)
-        raise ValueError(
-            f"label {stop_label} is not on the update path of leaf {leaf_index}"
-        )
 
     def _check_level(self, level: int) -> None:
         if not 0 <= level <= self.depth:
@@ -386,9 +367,6 @@ class BonsaiMerkleTree:
 
     def restore(self, snapshot: Dict[int, bytes]) -> None:
         self._nodes = dict(snapshot)
-
-    def stored_node_count(self) -> int:
-        return len(self._nodes)
 
     def __repr__(self) -> str:
         return f"BonsaiMerkleTree({self.geometry!r}, stored={len(self._nodes)})"

@@ -13,7 +13,6 @@ provided for comparison experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.crypto.primitives import BLOCK_SIZE, int_bytes
@@ -150,17 +149,6 @@ class MonolithicCounter:
         return f"MonolithicCounter({self.value})"
 
 
-@dataclass
-class CounterBlock:
-    """A (page index, counter) pair as it travels through the system."""
-
-    page_index: int
-    counter: SplitCounter = field(default_factory=SplitCounter)
-
-    def to_bytes(self) -> bytes:
-        return self.counter.to_bytes()
-
-
 class CounterStore:
     """All counter blocks of the protected region, indexed by page.
 
@@ -188,11 +176,6 @@ class CounterStore:
             ctr = SplitCounter()
             self._pages[page_index] = ctr
         return ctr
-
-    def peek(self, page_index: int) -> SplitCounter:
-        """Return the page's counter without creating storage for it."""
-        self._check_page(page_index)
-        return self._pages.get(page_index) or SplitCounter()
 
     def increment(self, page_index: int, block_in_page: int) -> SplitCounter:
         """Advance a block's counter, handling minor-counter overflow.

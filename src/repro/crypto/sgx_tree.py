@@ -74,12 +74,6 @@ class SGXCounterTree:
     # public API
     # ------------------------------------------------------------------
 
-    def leaf_version(self, leaf_index: int) -> int:
-        """Current version counter of a leaf (counter block)."""
-        label = self.geometry.leaf_label(leaf_index)
-        parent, slot = self._child_slot(label)
-        return self._counters.get(parent, [0] * self.geometry.arity)[slot]
-
     def write(self, leaf_index: int) -> List[int]:
         """Record a write to a leaf, updating the whole path.
 

@@ -173,27 +173,6 @@ class Cache:
             return True
         return False
 
-    def invalidate(self, block: int) -> Optional[CacheLine]:
-        """Remove a block, returning its line if it was present."""
-        return self._set_for(block).pop(block, None)
-
-    def dirty_blocks(self) -> List[int]:
-        """All currently dirty block numbers (used by epoch flushes)."""
-        out = []
-        for lines in self._sets:
-            out.extend(line.block for line in lines.values() if line.dirty)
-        return out
-
-    def flush_all(self) -> List[int]:
-        """Write back and clean every dirty line; returns their blocks."""
-        flushed = []
-        for lines in self._sets:
-            for line in lines.values():
-                if line.dirty:
-                    line.dirty = False
-                    flushed.append(line.block)
-        return flushed
-
     def __iter__(self) -> Iterator[CacheLine]:
         for lines in self._sets:
             yield from lines.values()

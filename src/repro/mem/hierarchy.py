@@ -8,7 +8,7 @@ sequential BMT updates.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.mem.cache import Cache
 from repro.sim.stats import StatsRegistry
@@ -112,10 +112,3 @@ class CacheHierarchy:
         for cache in (self.l1, self.l2, self.l3):
             cleaned = cache.clean(block) or cleaned
         return cleaned
-
-    def drain_dirty(self) -> List[int]:
-        """Flush every dirty block in the hierarchy (end-of-run drain)."""
-        dirty = set()
-        for cache in (self.l1, self.l2, self.l3):
-            dirty.update(cache.flush_all())
-        return sorted(dirty)

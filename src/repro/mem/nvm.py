@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Optional
 
 from repro.sim.stats import StatsRegistry
@@ -133,11 +133,3 @@ class NVMModel:
                 insort(completions, completion)
         counter.value += count
         return completion
-
-    @property
-    def reads_issued(self) -> int:
-        return self._reads.value
-
-    @property
-    def writes_issued(self) -> int:
-        return self._writes.value

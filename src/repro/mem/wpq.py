@@ -210,24 +210,6 @@ class WritePendingQueue:
             entry.complete = True
             self.persists_completed += 1
 
-    # ------------------------------------------------------------------
-    # 2SP step 2: release
-    # ------------------------------------------------------------------
-
-    def drain_completed(self) -> List[WPQEntry]:
-        """Release completed entries (FIFO) to NVM and free their slots."""
-        released = []
-        while self._entries:
-            head_id = next(iter(self._entries))
-            head = self._entries[head_id]
-            if not head.complete:
-                break
-            head.drained = head.arrived & NVM_ITEMS
-            released.append(self._entries.popitem(last=False)[1])
-            if self._telemetry is not None:
-                self._emit(EventKind.WPQ_RELEASE, head.persist_id)
-        return released
-
     def epoch_complete(self, epoch_id: int) -> bool:
         """True when no resident entry of the epoch is still incomplete.
 

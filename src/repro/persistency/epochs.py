@@ -14,7 +14,7 @@ source of the PPKI reduction in Table V (sp 32.60 → o3 12.41).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 
 @dataclass
@@ -29,7 +29,6 @@ class Epoch:
     epoch_id: int
     store_count: int = 0
     dirty_blocks: Dict[int, None] = field(default_factory=dict)
-    closed: bool = False
 
     def mark_dirty(self, block: int) -> None:
         self.dirty_blocks.setdefault(block, None)
@@ -43,39 +42,20 @@ class Epoch:
 class EpochTracker:
     """Assigns persistent stores to epochs and tracks their dirty sets."""
 
-    def __init__(
-        self, epoch_size: Optional[int] = 32, retain_closed: bool = True
-    ) -> None:
+    def __init__(self, epoch_size: Optional[int] = 32) -> None:
         """Create a tracker.
 
         Args:
             epoch_size: Implicit epoch boundary after this many stores;
                 ``None`` disables implicit boundaries (explicit sfences
                 only).
-            retain_closed: Keep every closed :class:`Epoch` object in
-                ``closed_epochs``.  Streamed runs disable this
-                so epoch bookkeeping stays O(1) in trace length; the
-                aggregate counters (``closed_count``, ``total_persists``,
-                ``total_stores``) are maintained either way.
         """
         if epoch_size is not None and epoch_size <= 0:
             raise ValueError("epoch_size must be positive")
         self.epoch_size = epoch_size
-        self.retain_closed = retain_closed
         self._current = Epoch(epoch_id=0)
-        self._closed: List[Epoch] = []
         self.closed_count = 0
-        self.closed_store_count = 0
         self.closed_persist_count = 0
-
-    @property
-    def current_epoch(self) -> Epoch:
-        return self._current
-
-    @property
-    def closed_epochs(self) -> List[Epoch]:
-        """Closed epochs (empty when ``retain_closed`` is off)."""
-        return self._closed
 
     def record_store(self, block: int) -> Optional[Epoch]:
         """Record a persistent store to ``block``.
@@ -103,12 +83,8 @@ class EpochTracker:
         if self._current.store_count == 0:
             return None
         closed = self._current
-        closed.closed = True
         self.closed_count += 1
-        self.closed_store_count += closed.store_count
         self.closed_persist_count += closed.persist_count
-        if self.retain_closed:
-            self._closed.append(closed)
         self._current = Epoch(epoch_id=closed.epoch_id + 1)
         return closed
 
@@ -119,6 +95,3 @@ class EpochTracker:
     def total_persists(self) -> int:
         """Total boundary persists across all closed epochs."""
         return self.closed_persist_count
-
-    def total_stores(self) -> int:
-        return self.closed_store_count + self._current.store_count

@@ -25,16 +25,6 @@ class PersistencyModel(enum.Enum):
     STRICT = "strict"
     EPOCH = "epoch"
 
-    @property
-    def orders_all_persists(self) -> bool:
-        """True if every pair of persists is ordered (SP)."""
-        return self is PersistencyModel.STRICT
-
-    @property
-    def orders_across_epochs(self) -> bool:
-        """True if persists are ordered at epoch granularity (EP)."""
-        return self is PersistencyModel.EPOCH
-
     def requires_ordering(self, epoch_a: int, epoch_b: int) -> bool:
         """Whether a persist in ``epoch_a`` must precede one in ``epoch_b``.
 

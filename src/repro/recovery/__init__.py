@@ -7,7 +7,7 @@ wrong plaintext, MAC verification failure, BMT verification failure.
 """
 
 from repro.recovery.tuple_state import NVMImage, DurableRoot
-from repro.recovery.crash import CrashInjector, DropSpec
+from repro.recovery.crash import CrashInjector
 from repro.recovery.rebuild import RecoveryEstimate, RecoveryTimeModel
 from repro.recovery.checker import (
     BlockOutcome,
@@ -19,7 +19,6 @@ __all__ = [
     "NVMImage",
     "DurableRoot",
     "CrashInjector",
-    "DropSpec",
     "RecoveryEstimate",
     "RecoveryTimeModel",
     "BlockOutcome",

@@ -115,14 +115,6 @@ class RecoveryReport:
         """
         return self.bmt_ok and all(b.mac_ok for b in self.blocks)
 
-    @property
-    def mac_failures(self) -> List[int]:
-        return [b.block for b in self.blocks if not b.mac_ok]
-
-    @property
-    def wrong_plaintext(self) -> List[int]:
-        return [b.block for b in self.blocks if not b.plaintext_correct]
-
     def outcome_row(self, block: int) -> str:
         """Render a block's outcome in the style of Table I's column.
 

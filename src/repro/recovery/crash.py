@@ -8,37 +8,13 @@ specified items, and let the recovery checker observe the damage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Set
+from typing import Dict, Set
 
 from repro.mem.wpq import TupleItem
 
 
-@dataclass(frozen=True)
-class DropSpec:
-    """Which tuple items of which persist fail to persist.
-
-    Attributes:
-        persist_id: The victim persist.
-        items: Tuple components that never reach NVM (e.g.
-            ``{TupleItem.MAC}`` reproduces Table I row 2).  Any iterable
-            of :class:`TupleItem` is accepted and coerced to a
-            ``frozenset`` so the spec stays hashable and immutable.
-    """
-
-    persist_id: int
-    items: frozenset
-
-    def __post_init__(self) -> None:
-        items = frozenset(self.items)
-        bad = {i for i in items if not isinstance(i, TupleItem)}
-        if bad:
-            raise TypeError(f"items must be TupleItem values, got {bad}")
-        object.__setattr__(self, "items", items)
-
-
 class CrashInjector:
-    """Accumulates drop specs and answers 'did this item persist?'."""
+    """Accumulates dropped tuple items and answers 'did this item persist?'."""
 
     def __init__(self) -> None:
         self._drops: Dict[int, Set[TupleItem]] = {}
@@ -46,25 +22,12 @@ class CrashInjector:
     def drop(self, persist_id: int, *items: TupleItem) -> "CrashInjector":
         """Schedule items of a persist to be lost at the crash.
 
-        Returns ``self`` so specs can be chained.
+        Returns ``self`` so drops can be chained.
         """
         if not items:
             raise ValueError("specify at least one tuple item to drop")
         self._drops.setdefault(persist_id, set()).update(items)
         return self
-
-    def add_spec(self, spec: DropSpec) -> "CrashInjector":
-        """Apply a :class:`DropSpec`; empty specs are a no-op."""
-        if spec.items:
-            self.drop(spec.persist_id, *spec.items)
-        return self
-
-    @classmethod
-    def from_specs(cls, specs: Iterable[DropSpec]) -> "CrashInjector":
-        injector = cls()
-        for spec in specs:
-            injector.add_spec(spec)
-        return injector
 
     def survives(self, persist_id: int, item: TupleItem) -> bool:
         """Whether this persist's item reaches NVM despite the crash."""

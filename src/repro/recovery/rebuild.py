@@ -290,20 +290,6 @@ class RecoveryTimeModel:
             shadow_entries=shadow_entries,
         )
 
-    def speedup_touched_vs_full(self, touched_pages: Iterable[int]) -> float:
-        """How much faster touched-only recovery is for a workload.
-
-        An empty touched set recovers "instantly" (nothing to rebuild
-        beyond the first read's latency), reported as the full/touched
-        ratio of total cycles — never a division by zero, since the
-        fixed ``nvm_read_cycles`` term keeps both totals positive.
-        """
-        full = self.estimate("full")
-        touched = self.estimate("touched", touched_pages)
-        if touched.total_cycles == 0:
-            return float("inf")
-        return full.total_cycles / touched.total_cycles
-
 
 # ----------------------------------------------------------------------
 # measured recovery: the replay the analytic model predicts

@@ -8,6 +8,6 @@ and the PTT/ETT cycle engine, which ticks itself, in
 :mod:`repro.core.update_engine`.
 """
 
-from repro.sim.stats import Counter, Histogram, StatsRegistry
+from repro.sim.stats import Counter, StatsRegistry
 
-__all__ = ["Counter", "Histogram", "StatsRegistry"]
+__all__ = ["Counter", "StatsRegistry"]

@@ -69,7 +69,6 @@ import numpy as np
 
 from repro.core.coalescing import CoalescingUnit
 from repro.mem.cache import cache_counters
-from repro.persistency.epochs import Epoch
 from repro.persistency.models import PersistencyModel
 from repro.sim.memo import Memo
 from repro.system import timing
@@ -1044,7 +1043,6 @@ def run_pass2(sim, name: str, boundary: int, parts):
     :class:`~repro.system.timing.TraceSimulator` whose arguments were
     validated by its entry point.
     """
-    epochs = sim.epochs
     handle_writeback = sim._handle_writeback
     allocate_stall = sim._allocate_stall
     load_timed = sim._load_timed
@@ -1074,14 +1072,12 @@ def run_pass2(sim, name: str, boundary: int, parts):
                 flush = ev[6]
                 if flush is not None:
                     flush_timed(flush)
-                    _record_epoch(epochs, flush, ev[7])
                 elif ev[7]:
                     persist_store(ev[2])
             elif tag == _EV_LOAD:
                 load_timed(ev[2], ev[3], ev[4])
             else:  # _EV_FLUSH (sfence boundary or end-of-trace drain)
                 flush_timed(ev[6])
-                _record_epoch(epochs, ev[6], ev[7])
         # Release this part before the next one is read and fed.
         del events, ticks, script
         if window is None and end[0] >= boundary:
@@ -1288,25 +1284,3 @@ def run_batched_stream(sim, source, name: str, n: int, warmup_fraction: float):
         if producer.exitcode is None:
             producer.terminate()
             producer.join(_JOIN_TIMEOUT_S)
-
-
-def _record_epoch(tracker, blocks, store_count: int) -> None:
-    """Mirror the EpochTracker bookkeeping for a flushed epoch so
-    post-run inspection (``total_persists`` etc.) matches the scalar
-    engines.  Honors ``retain_closed`` so streaming runs stay O(1)."""
-    if tracker is None:
-        return
-    epoch_id = tracker.closed_count
-    tracker.closed_count = epoch_id + 1
-    tracker.closed_store_count += store_count
-    tracker.closed_persist_count += len(blocks)
-    if tracker.retain_closed:
-        tracker._closed.append(
-            Epoch(
-                epoch_id=epoch_id,
-                store_count=store_count,
-                dirty_blocks=dict.fromkeys(blocks),
-                closed=True,
-            )
-        )
-    tracker._current = Epoch(epoch_id=epoch_id + 1)

@@ -25,7 +25,6 @@ from repro.sweep.runner import (
     cached_profile_trace,
     default_workers,
     run_jobs,
-    run_matrix,
     run_tasks,
 )
 
@@ -43,7 +42,6 @@ __all__ = [
     "generator_version",
     "job_key",
     "run_jobs",
-    "run_matrix",
     "run_tasks",
     "trace_caching_disabled",
     "trace_key",

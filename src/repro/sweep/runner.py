@@ -130,8 +130,8 @@ class SweepJob:
     def resolved_config(self, base: Optional[SystemConfig] = None) -> SystemConfig:
         """The full :class:`SystemConfig` this job simulates.
 
-        Mirrors ``benchmarks/common.py::run_scheme``: the profile's
-        calibrated core IPC applies unless explicitly overridden.
+        The profile's calibrated core IPC applies unless explicitly
+        overridden.
         """
         from repro.core.schemes import UpdateScheme
 
@@ -434,30 +434,3 @@ def run_jobs(
     return run_tasks(
         specs, keys, _execute_pair, workers=workers, cache=result_cache
     )
-
-
-def run_matrix(
-    benchmarks: Sequence[str],
-    schemes: Sequence[str],
-    kilo_instructions: int = 25,
-    seed: int = 2020,
-    workers: Optional[int] = None,
-    cache: Union[ResultCache, str, bool, None] = True,
-    base_config: Optional[SystemConfig] = None,
-    **overrides: Any,
-) -> Tuple[Dict[str, Dict[str, SimResult]], SweepReport]:
-    """Run a full ``benchmark x scheme`` grid.
-
-    Returns:
-        ``(results[benchmark][scheme], report)``.
-    """
-    jobs = [
-        SweepJob.make(name, scheme, kilo_instructions, seed, **overrides)
-        for name in benchmarks
-        for scheme in schemes
-    ]
-    flat, report = run_jobs(jobs, workers=workers, cache=cache, base_config=base_config)
-    grid: Dict[str, Dict[str, SimResult]] = {}
-    for job, result in zip(jobs, flat):
-        grid.setdefault(job.benchmark, {})[job.scheme] = result
-    return grid, report

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, Optional, Union
 
 from repro.core.schemes import UpdateScheme
 from repro.system.config import SystemConfig
 from repro.system.timing import SimResult, TraceSimulator
-from repro.workloads.spec_profiles import SPEC_PROFILES, profile_trace
 from repro.workloads.trace import MemoryTrace
 
 SchemeLike = Union[str, UpdateScheme]
@@ -65,18 +64,20 @@ def run_benchmark(
 ) -> Dict[str, SimResult]:
     """Run one Table V benchmark under several schemes.
 
-    The profile's calibrated core IPC is applied automatically.
+    One in-process, uncached :func:`~repro.sweep.runner.run_jobs` call,
+    so each run's config follows :meth:`SweepJob.resolved_config`: the
+    profile's calibrated core IPC applies unless ``overrides`` set
+    ``core_ipc``.
 
     Returns:
         ``scheme name -> SimResult``.
     """
-    profile = SPEC_PROFILES[name]
-    trace = profile_trace(name, kilo_instructions, seed)
-    results = {}
-    for scheme in schemes:
-        scheme = _as_scheme(scheme)
-        result = run_trace(
-            trace, scheme, config, core_ipc=profile.core_ipc, **overrides
-        )
-        results[scheme.value] = result
-    return results
+    # Imported here: the runner loads numpy, which `import repro` must not.
+    from repro.sweep.runner import SweepJob, run_jobs
+
+    jobs = [
+        SweepJob.make(name, scheme, kilo_instructions, seed, **overrides)
+        for scheme in schemes
+    ]
+    results, _ = run_jobs(jobs, workers=1, cache=False, base_config=config)
+    return {result.scheme: result for result in results}

@@ -1,4 +1,4 @@
-"""Trace-driven cycle-level simulation of the six evaluated schemes.
+"""Trace-driven cycle-level simulation of every scheme in the scheme table.
 
 The simulator walks a :class:`~repro.workloads.trace.MemoryTrace` and
 advances a core-cycle clock:
@@ -11,9 +11,11 @@ advances a core-cycle clock:
 
   - ``secure_wb`` — write-back caches; dirty LLC evictions produce
     unordered tuple writes and *sequential* BMT updates at the MC;
-  - ``unordered``/``sp``/``pipeline`` — write-through: every persistent
-    store allocates a WPQ slot (stalling when full) and submits a BMT
-    update to its scheme's scoreboard;
+  - ``unordered``/``sp``/``pipeline`` and the five write-through
+    schemes from other papers (``sgx_sp``, ``triad_nvm``, ``phoenix``,
+    ``secpm_wt``, ``anubis``) — every persistent store allocates a WPQ
+    slot (stalling when full) and submits a BMT update to its scheme's
+    scoreboard;
   - ``o3``/``coalescing`` — write-back within an epoch; the epoch
     boundary flushes the epoch's unique dirty blocks as persists through
     the OOO/coalescing scoreboard, gated by the 2-entry ETT.
@@ -266,8 +268,12 @@ class TraceSimulator:
         # With no persistency model (secure_wb), persists happen on
         # natural write-backs, each a sequential BMT update.
         self._writeback_persists = not spec.persistent
+        # The batched engine closes epochs in its prepass, so only the
+        # scalar loop keeps a live tracker.
         self.epochs = (
-            EpochTracker(config.epoch_size) if self.scheme.uses_epochs else None
+            EpochTracker(config.epoch_size)
+            if self.scheme.uses_epochs and config.engine != "batched"
+            else None
         )
         self._num_leaves = self.geometry.num_leaves
         self._blocks_per_counter_block = config.blocks_per_counter_block
@@ -323,13 +329,10 @@ class TraceSimulator:
         :class:`MemoryTrace`.  The result is bit-identical to
         ``run(trace, warmup_fraction)`` on the materialized trace for
         every engine; only the memory profile differs: peak RSS is
-        O(chunk), the prepass/metadata memos are skipped, and closed
-        epochs are counted, not retained.
+        O(chunk) and the prepass/metadata memos are skipped.
         """
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
-        if self.epochs is not None:
-            self.epochs.retain_closed = False
         name, n = _source_name_len(source)
         if self.config.engine == "batched":
             from repro.sim.batched import run_batched_stream

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.report import Table, format_series, normalized
+from repro.analysis.report import Table, normalized
 
 
 def test_table_renders_aligned_columns():
@@ -48,9 +48,3 @@ def test_normalized():
 def test_normalized_zero_baseline_rejected():
     with pytest.raises(ValueError):
         normalized({"base": 0.0}, "base")
-
-
-def test_format_series():
-    text = format_series("PPKI", [4, 8], [27.7, 23.3], x_label="epoch")
-    assert "PPKI" in text and "epoch" in text
-    assert "4" in text and "27.7" in text

@@ -28,7 +28,7 @@ def test_label_level_roundtrip(small_geometry):
         for index in (0, g.nodes_at_level(level) - 1):
             label = g.label(level, index)
             assert g.level_of(label) == level
-            assert g.index_of(label) == index
+            assert label - g.label(level, 0) == index
 
 
 def test_root_label_is_zero(small_geometry):
@@ -115,20 +115,6 @@ def test_lca_matches_ancestor_intersection(small_geometry):
         assert lca in common
         # Deepest common ancestor: no common node lies strictly below.
         assert all(g.level_of(n) <= g.level_of(lca) for n in common)
-
-
-def test_path_through_stops_below_label(small_geometry):
-    g = small_geometry
-    lca = g.lca_of_leaves(0, 1)
-    prefix = g.path_through(0, lca)
-    assert prefix == [g.leaf_label(0)]
-    assert lca not in prefix
-
-
-def test_path_through_rejects_off_path_label(small_geometry):
-    g = small_geometry
-    with pytest.raises(ValueError):
-        g.path_through(0, g.leaf_label(63))
 
 
 def test_ancestors(small_geometry):

@@ -37,7 +37,7 @@ def test_write_through_never_dirty():
     cache = make_cache(write_through=True)
     cache.access(0, is_write=True)
     assert not cache.probe(0).dirty
-    assert cache.dirty_blocks() == []
+    assert not any(line.dirty for line in cache)
 
 
 def test_dirty_victim_reported():
@@ -81,25 +81,6 @@ def test_clean_clears_dirty():
     assert not cache.probe(0).dirty
     assert cache.clean(0) is False
     assert cache.clean(999) is False
-
-
-def test_invalidate():
-    cache = make_cache()
-    cache.access(0, True)
-    line = cache.invalidate(0)
-    assert line.block == 0 and line.dirty
-    assert cache.probe(0) is None
-    assert cache.invalidate(0) is None
-
-
-def test_flush_all_returns_dirty_blocks():
-    cache = make_cache()
-    cache.access(0, True)
-    cache.access(1, True)
-    cache.access(2, False)
-    flushed = cache.flush_all()
-    assert sorted(flushed) == [0, 1]
-    assert cache.dirty_blocks() == []
 
 
 def test_len_and_iter():

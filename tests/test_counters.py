@@ -112,12 +112,6 @@ def test_counter_store_lazy_pages():
     assert store.touched_pages() == [3]
 
 
-def test_counter_store_peek_does_not_create():
-    store = CounterStore(num_pages=16)
-    assert store.peek(5).value(0) == (0, 0)
-    assert store.touched_pages() == []
-
-
 def test_counter_store_overflow_callback():
     overflowed = []
     store = CounterStore(num_pages=4, on_page_overflow=overflowed.append)

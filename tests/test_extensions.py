@@ -3,9 +3,14 @@ organizations, and related config plumbing."""
 
 import pytest
 
-from repro.core.schedulers import SGXPathScoreboard, make_scoreboard
+from repro.core.schedulers import (
+    NODE_PERSIST_CYCLES,
+    SGXPathScoreboard,
+    make_scoreboard,
+)
 from repro.core.schemes import UpdateScheme
 from repro.crypto.bmt import BMTGeometry
+from repro.persistency.models import PersistencyModel
 from repro.system.config import SystemConfig
 from repro.system.factory import run_trace
 from repro.workloads.synthetic import sequential_stream
@@ -23,7 +28,7 @@ def geometry():
 
 def test_sgx_scheme_properties():
     sgx = UpdateScheme.SGX_SP
-    assert sgx.persistency.orders_all_persists
+    assert sgx.persistency is PersistencyModel.STRICT
     assert sgx.write_through
     assert sgx.crash_recoverable
     assert sgx.persists_whole_path
@@ -37,7 +42,7 @@ def test_sgx_scoreboard_charges_path_persists(geometry):
     t_bmt = bmt.submit(0, 0, arrival=0)
     t_sgx = sgx.submit(0, 0, arrival=0)
     # Same MAC work plus serialized per-node persist cost.
-    assert t_sgx == t_bmt + 3 * sgx.node_persist_cycles
+    assert t_sgx == t_bmt + 3 * NODE_PERSIST_CYCLES
     assert sgx.path_persists == 3
 
 

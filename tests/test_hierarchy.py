@@ -73,15 +73,6 @@ def test_clean_block_everywhere():
     assert 0 not in writebacks
 
 
-def test_drain_dirty_returns_all_dirty():
-    h = tiny_hierarchy()
-    h.access(0, True)
-    h.access(1, True)
-    drained = h.drain_dirty()
-    assert set(drained) >= {0, 1}
-    assert h.drain_dirty() == []
-
-
 def test_writeback_not_duplicated():
     """One dirty block produces exactly one write-back."""
     h = tiny_hierarchy()

@@ -1,6 +1,7 @@
 """Tests for the NVM timing model."""
 
 from repro.mem.nvm import NVMConfig, NVMModel
+from repro.sim.stats import StatsRegistry
 
 
 def test_read_latency():
@@ -47,12 +48,13 @@ def test_queue_drains_over_time():
 
 
 def test_counters():
-    nvm = NVMModel()
+    stats = StatsRegistry()
+    nvm = NVMModel(stats=stats)
     nvm.read(0)
     nvm.write(0)
     nvm.write(0)
-    assert nvm.reads_issued == 1
-    assert nvm.writes_issued == 2
+    assert stats.as_dict()["nvm.reads"] == 1
+    assert stats.as_dict()["nvm.writes"] == 2
 
 
 def test_reads_and_writes_share_channel():

@@ -5,9 +5,13 @@ that only break when first imported.
 """
 
 import ast
+import collections
 import importlib
 import pathlib
 import pkgutil
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -57,6 +61,15 @@ def test_version():
     assert repro.__version__ == "1.0.0"
 
 
+def test_importing_repro_loads_no_numpy_or_sweep_runner():
+    code = (
+        "import sys, repro; "
+        "assert 'numpy' not in sys.modules; "
+        "assert 'repro.sweep.runner' not in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
 def test_top_level_api_is_usable():
     # The README quickstart's names all exist at the top level.
     for name in (
@@ -84,7 +97,6 @@ SCHEME_MEMBER_ALLOWLIST = {
     # Default arguments and the normalization baseline.
     ("system/config.py", "SystemConfig.scheme"),
     ("core/update_engine.py", "EngineConfig.scheme"),
-    ("core/controller.py", "MemoryControllerPipeline.__init__:defaults"),
     ("analysis/recovery.py", "BASELINE_SCHEME"),
 }
 
@@ -181,3 +193,88 @@ def test_campaigns_crash_and_recover_in_one_function():
     crashers = _functions_calling(paths, {"crash", "crashed_copy"})
     recoverers = _functions_calling(paths, {"recover"})
     assert crashers == recoverers == {("campaign/engine.py", "crash_and_recover")}
+
+
+# ----------------------------------------------------------------------
+# every src definition has a caller outside the tests
+# ----------------------------------------------------------------------
+
+CHECKOUT = pathlib.Path(__file__).resolve().parents[1]
+CALLER_DIRS = ("src/repro", "benchmarks", "examples", "perfbench")
+
+ORACLE = "oracle the tests compare the models against"
+FAULT_HOOK = "fault-injection hook"
+MEMO_PROBE = "memo-bound probe for the run profile's memo inventory"
+TEST_INPUT = "test-input generator"
+
+TESTS_ONLY_ALLOWLIST = {
+    "core/invariants.py::check_root_order": ORACLE,
+    "core/invariants.py::completions_in_order": ORACLE,
+    "mem/wpq.py::gather_before_release_violations": ORACLE,
+    "system/secure_memory.py::FunctionalSecureMemory.committed_state": ORACLE,
+    "system/secure_memory.py::FunctionalSecureMemory.tamper_data": FAULT_HOOK,
+    "crypto/sgx_tree.py::SGXCounterTree.drop_node": FAULT_HOOK,
+    "crypto/bmt.py::BMTGeometry.memo_info": MEMO_PROBE,
+    "workloads/synthetic.py::sequential_stream": TEST_INPUT,
+    "workloads/synthetic.py::strided_stream": TEST_INPUT,
+    "workloads/synthetic.py::uniform_random": TEST_INPUT,
+    "workloads/synthetic.py::zipfian": TEST_INPUT,
+}
+"""``src`` definitions that only the tests call, each with its reason."""
+
+
+def _scanned_definitions(tree):
+    """``(qualified name, name)`` of each top-level function and class
+    and each non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _tests_only_definitions():
+    """Scanned ``src`` definitions whose name occurs only where it is
+    defined, counting every identifier (strings and comments included:
+    ``perfbench/spans.py`` patches methods by quoted name) outside the
+    tests and the packages' ``__init__`` re-exports."""
+    trees = {}
+    occurrences = collections.Counter()
+    defined = collections.Counter()
+    for directory in CALLER_DIRS:
+        for path in sorted((CHECKOUT / directory).rglob("*.py")):
+            if directory == "src/repro" and path.name == "__init__.py":
+                continue
+            text = path.read_text(encoding="utf-8")
+            tree = trees[path] = ast.parse(text)
+            occurrences.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))
+            defined.update(
+                node.name
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            )
+    src = CHECKOUT / "src" / "repro"
+    return {
+        f"{path.relative_to(src).as_posix()}::{qualified}"
+        for path, tree in trees.items()
+        if src in path.parents
+        for qualified, name in _scanned_definitions(tree)
+        if occurrences[name] <= defined[name]
+    }
+
+
+def test_every_src_definition_has_a_caller_outside_the_tests():
+    stray = _tests_only_definitions() - TESTS_ONLY_ALLOWLIST.keys()
+    assert not stray, (
+        "definitions that only the tests call (delete them, or allowlist "
+        f"them with a reason): {sorted(stray)}"
+    )
+
+
+def test_tests_only_allowlist_is_current():
+    stale = TESTS_ONLY_ALLOWLIST.keys() - _tests_only_definitions()
+    assert not stale, f"allowlisted names that gained a caller or are gone: {sorted(stale)}"

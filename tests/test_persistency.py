@@ -13,15 +13,12 @@ from repro.persistency.models import PersistencyModel
 
 def test_strict_orders_everything():
     sp = PersistencyModel.STRICT
-    assert sp.orders_all_persists
     assert sp.requires_ordering(0, 0)
     assert sp.requires_ordering(0, 1)
 
 
 def test_epoch_orders_across_epochs_only():
     ep = PersistencyModel.EPOCH
-    assert not ep.orders_all_persists
-    assert ep.orders_across_epochs
     assert not ep.requires_ordering(3, 3)
     assert ep.requires_ordering(2, 3)
 
@@ -51,9 +48,9 @@ def test_same_block_stores_collapse():
     """Multiple stores to one block within an epoch persist once —
     the source of Table V's sp → o3 PPKI reduction."""
     tracker = EpochTracker(epoch_size=8)
-    for _ in range(8):
-        tracker.record_store(block=42)
-    assert tracker.closed_epochs[0].persist_count == 1
+    closed = [tracker.record_store(block=42) for _ in range(8)]
+    assert closed[-1].persist_count == 1
+    assert tracker.closed_count == 1
 
 
 def test_explicit_barrier():
@@ -61,7 +58,8 @@ def test_explicit_barrier():
     tracker.record_store(0)
     closed = tracker.barrier()
     assert closed.store_count == 1
-    assert tracker.current_epoch.epoch_id == 1
+    tracker.record_store(0)
+    assert tracker.barrier().epoch_id == 1
 
 
 def test_empty_barrier_collapses():
@@ -70,7 +68,7 @@ def test_empty_barrier_collapses():
     tracker.record_store(0)
     tracker.barrier()
     assert tracker.barrier() is None
-    assert len(tracker.closed_epochs) == 1
+    assert tracker.closed_count == 1
 
 
 def test_flush_closes_partial_epoch():
@@ -83,10 +81,10 @@ def test_flush_closes_partial_epoch():
 
 def test_totals():
     tracker = EpochTracker(epoch_size=2)
-    for block in (0, 0, 1, 2, 3):
-        tracker.record_store(block)
-    tracker.flush()
-    assert tracker.total_stores() == 5
+    closed = [tracker.record_store(block) for block in (0, 0, 1, 2, 3)]
+    closed.append(tracker.flush())
+    assert sum(e.store_count for e in closed if e is not None) == 5
+    assert tracker.closed_count == 3
     assert tracker.total_persists() == 4  # {0}, {1,2}, {3}
 
 

@@ -45,24 +45,6 @@ def test_wpq_complete_iff_all_items_arrived(deliveries):
         assert wpq.entry(pid).complete == (seen[pid] == set(REQUIRED_ITEMS))
 
 
-@given(completed=st.lists(st.booleans(), min_size=1, max_size=16))
-def test_wpq_drain_preserves_fifo_prefix(completed):
-    """drain_completed releases exactly the longest completed prefix."""
-    wpq = WritePendingQueue(capacity=32)
-    for pid, done in enumerate(completed):
-        wpq.allocate(pid)
-        if done:
-            for item in TupleItem:
-                wpq.deliver(pid, item)
-    released = [e.persist_id for e in wpq.drain_completed()]
-    prefix_len = 0
-    for done in completed:
-        if not done:
-            break
-        prefix_len += 1
-    assert released == list(range(prefix_len))
-
-
 # ----------------------------------------------------------------------
 # OccupancyRing
 # ----------------------------------------------------------------------

@@ -18,7 +18,6 @@ def test_ptt_allocate_initial_entry_state(small_geometry):
     assert entry.valid and not entry.ready and not entry.persisted
     assert entry.pending_node == path[0]
     assert entry.level == small_geometry.depth
-    assert entry.lvl == small_geometry.levels  # paper numbering
     assert entry.wpq_ptr == 7
 
 
@@ -122,19 +121,6 @@ def test_ett_close_must_be_oldest():
     ett.open_epoch(8)  # slot freed
 
 
-def test_ett_level_authorization():
-    """A younger epoch may only update strictly below its predecessor."""
-    ett = EpochTrackingTable(capacity=2)
-    older = ett.open_epoch(deepest_level=8)
-    younger = ett.open_epoch(deepest_level=8)
-    older.level = 2  # oldest epoch's deepest in-flight update
-    assert ett.level_authorized(younger.epoch_id, 3)
-    assert not ett.level_authorized(younger.epoch_id, 2)
-    assert not ett.level_authorized(younger.epoch_id, 1)
-    # The oldest epoch is unconstrained.
-    assert ett.level_authorized(older.epoch_id, 0)
-
-
 def test_ett_predecessor():
     ett = EpochTrackingTable(capacity=2)
     e0 = ett.open_epoch(8)
@@ -143,12 +129,6 @@ def test_ett_predecessor():
     assert ett.predecessor(e1.epoch_id) is e0
     with pytest.raises(KeyError):
         ett.predecessor(99)
-
-
-def test_ett_paper_lvl_numbering():
-    ett = EpochTrackingTable()
-    entry = ett.open_epoch(deepest_level=1)
-    assert entry.lvl == 2  # root is paper level 1
 
 
 def test_ett_storage_cost_matches_paper():

@@ -8,14 +8,14 @@ from repro.crypto.encryption import CounterModeEncryptor
 from repro.crypto.mac import StatefulMAC
 from repro.mem.wpq import TupleItem
 from repro.recovery.checker import RecoveryChecker
-from repro.recovery.crash import CrashInjector, DropSpec
+from repro.recovery.crash import CrashInjector
 from repro.recovery.tuple_state import DurableRoot, NVMImage
 
 from conftest import make_block
 
 
 # ----------------------------------------------------------------------
-# CrashInjector / DropSpec
+# CrashInjector
 # ----------------------------------------------------------------------
 
 
@@ -37,37 +37,6 @@ def test_injector_drop_specific_items():
 def test_injector_requires_items():
     with pytest.raises(ValueError):
         CrashInjector().drop(0)
-
-
-def test_drop_spec_validates_item_type():
-    with pytest.raises(TypeError):
-        DropSpec(persist_id=0, items=frozenset({"mac"}))
-
-
-def test_drop_spec_coerces_plain_set_to_frozenset():
-    """Regression: a plain set left the frozen dataclass unhashable."""
-    spec = DropSpec(persist_id=1, items={TupleItem.MAC, TupleItem.DATA})
-    assert isinstance(spec.items, frozenset)
-    assert spec.items == frozenset({TupleItem.MAC, TupleItem.DATA})
-    assert hash(spec) == hash(DropSpec(1, frozenset({TupleItem.DATA, TupleItem.MAC})))
-    assert spec in {spec}
-
-
-def test_drop_spec_coerces_any_iterable():
-    spec = DropSpec(persist_id=0, items=[TupleItem.COUNTER])
-    assert spec.items == frozenset({TupleItem.COUNTER})
-
-
-def test_injector_from_specs():
-    specs = [
-        DropSpec(0, {TupleItem.MAC}),
-        DropSpec(2, {TupleItem.DATA, TupleItem.ROOT_ACK}),
-        DropSpec(3, frozenset()),  # empty spec: no-op
-    ]
-    injector = CrashInjector.from_specs(specs)
-    assert not injector.survives(0, TupleItem.MAC)
-    assert not injector.survives(2, TupleItem.ROOT_ACK)
-    assert injector.survives(3, TupleItem.DATA)
 
 
 # ----------------------------------------------------------------------

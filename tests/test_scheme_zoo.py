@@ -26,7 +26,11 @@ from repro.campaign.grid import (
     enumerate_grid,
     semantics_for,
 )
-from repro.core.schedulers import make_scoreboard
+from repro.core.schedulers import (
+    NODE_PERSIST_CYCLES,
+    SHADOW_WRITE_CYCLES,
+    make_scoreboard,
+)
 from repro.core.schemes import UpdateScheme
 from repro.crypto.bmt import BMTGeometry
 from repro.persistency.models import PersistencyModel
@@ -88,7 +92,7 @@ def _submit_one(scheme, geometry, **kwargs):
 def test_secpm_adds_one_counter_persist_over_sp(geometry):
     _, sp = _submit_one(UpdateScheme.SP, geometry)
     sb, wt = _submit_one(UpdateScheme.SECPM_WT, geometry)
-    assert wt == sp + sb.node_persist_cycles
+    assert wt == sp + NODE_PERSIST_CYCLES
     assert sb.counter_persists == 1
 
 
@@ -100,7 +104,7 @@ def test_triad_acks_at_persisted_frontier(geometry):
     # Ack covers 2 of 3 path nodes + 2 node persists — earlier than a
     # full sequential walk would finish, but the engine stays busy for
     # the remaining level.
-    assert completion < sp + 2 * sb.node_persist_cycles
+    assert completion < sp + 2 * NODE_PERSIST_CYCLES
     assert sb.engine_busy_until() > completion
     assert sb.path_persists == 2
 
@@ -127,11 +131,11 @@ def test_anubis_pipelines_with_shadow_cost(geometry):
     p1 = pipe.submit(0, leaf_index=5, arrival=0)
     p2 = pipe.submit(1, leaf_index=6, arrival=0)
     levels = geometry.levels
-    assert t1 == p1 + levels * sb.shadow_write_cycles
+    assert t1 == p1 + levels * SHADOW_WRITE_CYCLES
     assert sb.shadow_writes == 2 * levels
     # Pipelining: the second persist finishes one stage (not one whole
     # walk) after the first, exactly as the plain pipeline does.
-    assert t2 - t1 == (p2 - p1) + sb.shadow_write_cycles
+    assert t2 - t1 == (p2 - p1) + SHADOW_WRITE_CYCLES
 
 
 def test_zoo_runs_through_the_timing_simulator():

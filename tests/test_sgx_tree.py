@@ -18,12 +18,16 @@ def test_write_returns_full_path(tree, small_geometry):
     assert dirty[-1] == 0
 
 
+def leaf_version(tree, leaf_index):
+    return tree.parent_counter_of(tree.geometry.leaf_label(leaf_index))
+
+
 def test_write_increments_versions(tree):
-    assert tree.leaf_version(3) == 0
+    assert leaf_version(tree, 3) == 0
     tree.write(3)
-    assert tree.leaf_version(3) == 1
+    assert leaf_version(tree, 3) == 1
     tree.write(3)
-    assert tree.leaf_version(3) == 2
+    assert leaf_version(tree, 3) == 2
 
 
 def test_verify_after_writes(tree):
@@ -84,8 +88,8 @@ def test_root_counters_anchor_freshness(tree, small_geometry):
 
 def test_independent_subtrees_do_not_interfere(tree):
     tree.write(0)
-    version = tree.leaf_version(0)
+    version = leaf_version(tree, 0)
     tree.write(63)
-    assert tree.leaf_version(0) == version
+    assert leaf_version(tree, 0) == version
     assert tree.verify_leaf(0)
     assert tree.verify_leaf(63)

@@ -14,7 +14,6 @@ from repro.sweep import (
     code_version,
     config_digest,
     run_jobs,
-    run_matrix,
 )
 from repro.sweep.runner import TRACE_CACHE_CAP, _trace_cache, run_tasks
 from repro.system.config import SystemConfig
@@ -252,17 +251,6 @@ def test_cached_trace_identical_to_fresh_build():
     assert cached is cached_profile_trace("gcc", KI)
     fresh = profile_trace("gcc", KI, 2020)
     assert list(cached) == list(fresh)
-
-
-@pytest.mark.slow
-def test_run_matrix_shape(tmp_path):
-    grid, report = run_matrix(
-        ["gamess", "gcc"], ["secure_wb", "sp"], KI, cache=str(tmp_path)
-    )
-    assert set(grid) == {"gamess", "gcc"}
-    assert set(grid["gamess"]) == {"secure_wb", "sp"}
-    assert report.jobs == 4
-    assert grid["gamess"]["sp"].cycles > grid["gamess"]["secure_wb"].cycles
 
 
 def test_code_version_is_stable_hex():

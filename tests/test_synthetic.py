@@ -63,7 +63,7 @@ def test_generate_trace_epoch_uniques_track_pool():
         if r.kind is OpKind.STORE and r.persistent:
             tracker.record_store(r.block)
     tracker.flush()
-    mean_uniques = tracker.total_persists() / len(tracker.closed_epochs)
+    mean_uniques = tracker.total_persists() / tracker.closed_count
     assert mean_uniques == pytest.approx(
         expected_uniques(8, 0.0, 32), rel=0.2
     )

@@ -150,5 +150,5 @@ def test_table2_root_order_violation():
 
 def test_ordering_violation_only_affects_victims():
     mem, report = two_ordered_persists(TupleItem.MAC)
-    assert report.mac_failures == [0]
-    assert report.wrong_plaintext == []
+    assert [b.block for b in report.blocks if not b.mac_ok] == [0]
+    assert all(b.plaintext_correct for b in report.blocks)

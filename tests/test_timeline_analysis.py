@@ -11,16 +11,12 @@ from dataclasses import asdict
 import pytest
 
 from repro.analysis.timeline import (
-    average_occupied_levels,
     level_busy_fractions,
     merged_length,
     run_timeline,
 )
-from repro.core.schemes import UpdateScheme
-from repro.system.config import SystemConfig
-from repro.system.timing import TraceSimulator
+from repro.sweep import SweepJob, run_jobs
 from repro.telemetry import EventKind, Telemetry, TelemetryConfig, level_track
-from repro.workloads.spec_profiles import profile_trace
 
 
 def test_merged_length_unions_overlaps():
@@ -42,7 +38,7 @@ def test_level_busy_fractions_from_synthetic_spans():
     assert window == (0, 100)
     assert fractions[1] == pytest.approx(1.0)
     assert fractions[0] == pytest.approx(0.5)
-    assert average_occupied_levels(tel) == pytest.approx(1.5)
+    assert sum(fractions.values()) == pytest.approx(1.5)
 
 
 def test_level_busy_ignores_non_bmt_tracks():
@@ -69,17 +65,10 @@ def test_timeline_reproduces_pipelining_occupancy_claim(report):
 
 
 def test_timeline_results_match_untelemetered_runs(report):
-    trace = profile_trace("gamess", 5, report.seed)
-    from repro.workloads.spec_profiles import SPEC_PROFILES
-
-    ipc = SPEC_PROFILES["gamess"].core_ipc
-    for timeline in report.timelines:
-        plain = TraceSimulator(
-            SystemConfig(
-                scheme=UpdateScheme.from_name(timeline.scheme), core_ipc=ipc
-            )
-        ).run(trace)
-        assert asdict(plain) == asdict(timeline.result)
+    """A timeline run is the sweep runner's job with telemetry on."""
+    jobs = [SweepJob.make("gamess", t.scheme, 5, report.seed) for t in report.timelines]
+    results, _ = run_jobs(jobs, workers=1, cache=False)
+    assert [asdict(r) for r in results] == [asdict(t.result) for t in report.timelines]
 
 
 def test_timeline_is_deterministic_for_fixed_seed(report):

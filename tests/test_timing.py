@@ -7,6 +7,7 @@ from repro.core.update_engine import EngineConfig
 from repro.system.config import SystemConfig
 from repro.system.factory import build_simulator, run_benchmark, run_trace
 from repro.system.timing import TraceSimulator
+from repro.workloads.spec_profiles import profile_trace
 from repro.workloads.synthetic import sequential_stream, uniform_random, zipfian
 from repro.workloads.trace import MemoryTrace, OpKind, TraceRecord
 
@@ -305,6 +306,14 @@ def test_run_benchmark_uses_profile_ipc():
     results = run_benchmark("gamess", ["secure_wb"], kilo_instructions=20)
     assert set(results) == {"secure_wb"}
     assert results["secure_wb"].ipc > 1.5  # gamess is a high-IPC profile
+
+
+def test_run_benchmark_honors_a_core_ipc_override():
+    """An explicit ``core_ipc`` replaces the profile's calibrated IPC."""
+    trace = profile_trace("gamess", 5, 2020)
+    for ipc in (1.0, 2.5):
+        results = run_benchmark("gamess", ["sp"], kilo_instructions=5, core_ipc=ipc)
+        assert results == {"sp": run_trace(trace, "sp", core_ipc=ipc)}
 
 
 def test_scheme_registry_roundtrip():

@@ -93,7 +93,7 @@ def test_write_through_schemes_have_no_residency_writebacks():
 
 def test_epoch_flush_cleans_residency_window():
     """Blocks persisted at an epoch boundary must not write back again."""
-    sim = small_sim(scheme=UpdateScheme.O3, epoch_size=8)
+    sim = small_sim(scheme=UpdateScheme.O3, epoch_size=8, engine="skip_ahead")
     records = [
         TraceRecord(OpKind.STORE, 0x1000 + 64 * (i % 16), gap=4)
         for i in range(160)
@@ -102,6 +102,22 @@ def test_epoch_flush_cleans_residency_window():
     # All persists come from epoch flushes (16 unique per 8-store epoch
     # window), none from residency displacement of persisted blocks.
     assert result.persists == sim.epochs.total_persists()
+
+
+@pytest.mark.parametrize("scheme", [UpdateScheme.O3, UpdateScheme.COALESCING])
+def test_only_the_scalar_loop_keeps_an_epoch_tracker(scheme):
+    """skip_ahead counts its epoch persists in a live tracker; the
+    batched engine closes epochs in its prepass and builds none."""
+    records = [
+        TraceRecord(OpKind.STORE, 0x1000 + 64 * (i % 24), gap=4)
+        for i in range(300)
+    ]
+    scalar = small_sim(scheme=scheme, epoch_size=8, engine="skip_ahead")
+    result = scalar.run(MemoryTrace(records), warmup_fraction=0.0)
+    assert result.persists == scalar.epochs.total_persists() > 0
+    batched = small_sim(scheme=scheme, epoch_size=8, engine="batched")
+    assert batched.epochs is None
+    assert batched.run(MemoryTrace(records), warmup_fraction=0.0) == result
 
 
 # ----------------------------------------------------------------------

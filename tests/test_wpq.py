@@ -55,16 +55,6 @@ def test_missing_reports_outstanding_items():
     assert wpq.entry(0).missing() == REQUIRED_ITEMS - {TupleItem.DATA}
 
 
-def test_drain_releases_fifo_completed_prefix():
-    wpq = WritePendingQueue()
-    full_delivery(wpq, 0)
-    wpq.allocate(1)  # incomplete
-    full_delivery(wpq, 2)
-    released = wpq.drain_completed()
-    assert [e.persist_id for e in released] == [0]
-    assert len(wpq) == 2  # 1 blocks 2 (FIFO)
-
-
 def test_locked_entries_do_not_drain_items_early():
     wpq = WritePendingQueue()
     wpq.allocate(0, locked=True)
@@ -109,7 +99,7 @@ def test_epoch_stays_known_after_drain():
     """A fully drained epoch is complete — distinct from never existing."""
     wpq = WritePendingQueue()
     full_delivery(wpq, 0, epoch=0, locked=False)
-    wpq.drain_completed()
+    wpq.crash_flush()
     assert len(wpq) == 0
     assert wpq.epoch_complete(0)
 

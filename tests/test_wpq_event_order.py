@@ -47,28 +47,17 @@ def _fresh_bus() -> Telemetry:
     return Telemetry(TelemetryConfig(enabled=True))
 
 
-def test_release_follows_enqueue_in_plain_drain():
-    tel = _fresh_bus()
-    wpq = WritePendingQueue(capacity=8, telemetry=tel)
-    for p in range(4):
-        wpq.allocate(p)
-        for item in TupleItem:
-            wpq.deliver(p, item)
-    released = wpq.drain_completed()
-    assert [e.persist_id for e in released] == [0, 1, 2, 3]
-    assert _check_order(tel) == 4
-
-
 def test_out_of_order_completion_still_releases_after_enqueue():
     tel = _fresh_bus()
     wpq = WritePendingQueue(capacity=8, telemetry=tel)
     for p in range(3):
         wpq.allocate(p)
-    # Complete the *youngest* first; FIFO release still waits for head.
+    # Complete the *youngest* first; the crash releases all three.
     for p in (2, 0, 1):
         for item in TupleItem:
             wpq.deliver(p, item)
-        wpq.drain_completed()
+    persisted, _ = wpq.crash_flush()
+    assert [e.persist_id for e in persisted] == [0, 1, 2]
     assert _check_order(tel) == 3
 
 
